@@ -109,14 +109,17 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_basin(args) -> dict:
     matrix = jsonio.mat3_from_json(_load_json(args.input))
-    report = dynamics.basin_coverage_check(
-        matrix,
-        samples=args.samples,
-        line_samples=args.line_samples,
-        seed=args.seed,
-        max_iter=args.max_iter,
-        tol=args.tol if args.tol is not None else dynamics.DEFAULT_TOL,
-    )
+    try:
+        report = dynamics.basin_coverage_check(
+            matrix,
+            samples=args.samples,
+            line_samples=args.line_samples,
+            seed=args.seed,
+            max_iter=args.max_iter,
+            tol=args.tol if args.tol is not None else dynamics.DEFAULT_TOL,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     return jsonio.basin_report_to_json(report)
 
 

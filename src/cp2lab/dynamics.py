@@ -10,13 +10,22 @@ basin of the repulsive one.
 Parabolic orbits approach their fixed point only polynomially, so the
 coverage check combines two resolution rules: strong convergence
 (successive displacement below tol) and asymptotic capture (distance to
-the target below a capture radius and still decreasing).  Sampling uses
-one counter-derived random stream per sample, so reports are reproducible
-for a given seed regardless of evaluation order.
+the target below a capture radius and still decreasing).
+
+Sampling gives each sample its own counter-based stream, so a report
+depends only on the seed and the sample counts, never on evaluation
+order, and the first n ball samples are the same for any samples >= n.
+Sample i of stream s (0 for the ball, 1 for the lines) is numpy's
+Philox4x64-10 with key [seed mod 2^64, seed >> 64] and counter
+[0, 0, s, i].  The counter is bumped before each 4-word block, so block b
+(from 1) has counter [b, 0, s, i], and one ball attempt uses exactly one
+block.  Ball samples are computed for all indices at once by a vectorised
+Philox; line samples draw Gaussians through numpy's Generator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,23 +139,85 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
 # sampling -------------------------------------------------------------------
 
+_BALL_STREAM, _LINE_STREAM = 0, 1
+_SEED_LIMIT = 1 << 128   # a Philox key is two 64-bit words
+_PASS_WIDTH = 1024       # counters evaluated per rejection pass, at most
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_U11 = np.uint64(11)
+
+
 def _sample_rng(seed: int, stream: int, index: int) -> Generator:
     return Generator(Philox(key=seed, counter=[0, 0, stream, index]))
 
 
-def _unit_disc(rng: Generator) -> complex:
-    r = np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(r * np.cos(phi), r * np.sin(phi))
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LO32, m >> _U32
+    x_lo, x_hi = x & _LO32, x >> _U32
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _U32)
+    w = (t & _LO32) + m_lo * x_hi
+    return m_hi * x_hi + (t >> _U32) + (w >> _U32), m * x
 
 
-def _ball_sample(rng: Generator) -> np.ndarray:
-    # the ball {Q < 0} lies inside the affine chart x = 1
-    while True:
-        y = _unit_disc(rng)
-        z = _unit_disc(rng)
-        if abs(y) ** 2 + abs(z) ** 2 < 1.0:
-            return np.array([1.0, y, z], dtype=complex)
+def _philox4x64(key: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 blocks of the counters (c0, c1, c2, c3), uint64 arrays
+    of one shape with c0 the least significant word; the key is split into
+    the words [key mod 2^64, key >> 64]."""
+    k0, k1 = key & _MASK64, key >> 64
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = (k1 + _PHILOX_W[1]) & _MASK64
+    return c0, c1, c2, c3
+
+
+def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Uniform points of the unit disc as (re, im, |.|^2); |.|^2 is C hypot
+    then C pow, the arithmetic of Python's abs(z) ** 2."""
+    r = np.sqrt(u_radius)
+    phi = (2.0 * np.pi) * u_angle
+    re, im = r * np.cos(phi), r * np.sin(phi)
+    return re, im, np.float_power(np.hypot(re, im), 2.0)
+
+
+def _ball_samples(seed: int, out: np.ndarray) -> None:
+    """Write ball samples 0..n-1 of the seed into the 3 x n complex array out.
+
+    The ball {Q < 0} lies inside the affine chart x = 1.  Attempt b of
+    sample i reads the block [b, 0, 0, i]: radius and angle of y, then of
+    z, each word w read as the double (w >> 11) * 2^-53; the first attempt
+    with |y|^2 + |z|^2 < 1 is kept.  Each pass runs every pending sample's
+    next attempts, as many as fit in _PASS_WIDTH counters (at least one).
+    """
+    n = out.shape[1]
+    pending = np.arange(n)
+    block = 1
+    while pending.size:
+        m = pending.size
+        tries = max(1, min(n, _PASS_WIDTH) // m)
+        index = np.tile(pending.astype(np.uint64), tries)
+        counter = np.arange(block, block + tries, dtype=np.uint64).repeat(m)
+        words = _philox4x64(seed, counter, np.zeros_like(index),
+                            np.full_like(index, _BALL_STREAM), index)
+        u = [(w >> _U11) * 2.0 ** -53 for w in words]
+        y_re, y_im, y2 = _disc(u[0], u[1])
+        z_re, z_im, z2 = _disc(u[2], u[3])
+        ok = (y2 + z2 < 1.0).reshape(tries, m)
+        first = ok.argmax(axis=0)
+        done = ok[first, np.arange(m)]
+        pick = first[done] * m + np.flatnonzero(done)
+        cols = pending[done]
+        out[0, cols] = 1.0
+        out.real[1, cols], out.imag[1, cols] = y_re[pick], y_im[pick]
+        out.real[2, cols], out.imag[2, cols] = z_re[pick], z_im[pick]
+        pending = pending[~done]
+        block += tries
 
 
 def _complex_gaussian(rng: Generator, n: int) -> np.ndarray:
@@ -167,6 +238,17 @@ def _line_sample(rng: Generator, p_vec: np.ndarray, tangent_dual: np.ndarray) ->
         x = alpha * p_vec + beta * r
         if np.linalg.norm(x) > 1e-8:
             return x
+
+
+def _sample_points(seed: int, samples: int, line_samples: int, p_vec: np.ndarray,
+                   tangent_dual: np.ndarray) -> np.ndarray:
+    """3 x (samples + line_samples) array: the ball samples, then the line samples."""
+    points = np.empty((3, samples + line_samples), dtype=complex)
+    _ball_samples(seed, points[:, :samples])
+    for i in range(line_samples):
+        rng = _sample_rng(seed, _LINE_STREAM, i)
+        points[:, samples + i] = _line_sample(rng, p_vec, tangent_dual)
+    return points
 
 
 # vectorized resolver ---------------------------------------------------------
@@ -276,8 +358,16 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     affine chart, plus line_samples points (default samples // 10) on
     random projective lines through the attractive fixed point, excluding
     its tangent line.  Each point is iterated forward toward p+ and, if
-    undecided, backward toward p-.
+    undecided, backward toward p-.  Raises ValueError for a seed outside
+    [0, 2^128), a negative sample count or max_iter below one stride.
     """
+    seed = operator.index(seed)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError("seed must lie in [0, 2**128)")
+    if samples < 0 or (line_samples is not None and line_samples < 0):
+        raise ValueError("sample counts must be non-negative")
+    if max_iter < _STRIDE:
+        raise ValueError(f"max_iter must be at least {_STRIDE}, one resolver stride")
     m = _as_group_matrix(a, tol=1e-7)
     cls = classify(m)
     if cls.kind == Kind.ELLIPTIC:
@@ -289,15 +379,8 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     p_minus = cls.repulsive.point
     l_plus = tangent_line(p_plus)
 
-    cols = []
-    for i in range(samples):
-        cols.append(_ball_sample(_sample_rng(seed, 0, i)))
-    p_vec = p_plus.vector
-    dual = l_plus.vector
-    for i in range(line_samples):
-        cols.append(_line_sample(_sample_rng(seed, 1, i), p_vec, dual))
-    total = samples + line_samples
-    points = np.column_stack(cols) if cols else np.zeros((3, 0), dtype=complex)
+    points = _sample_points(seed, samples, line_samples, p_plus.vector, l_plus.vector)
+    total = points.shape[1]
 
     fixed_vecs = [fp.point.vector for fp in cls.fixed_points]
     forward = _resolve_batch(m, points, p_plus.vector, fixed_vecs, max_iter, tol, capture_radius)

@@ -58,3 +58,25 @@ def random_elliptic(rng: np.random.Generator) -> np.ndarray:
 
 def conjugate(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g @ m @ np.linalg.inv(g)
+
+
+# scalar reference for basin ball sampling: one numpy Generator per sample,
+# one uniform draw at a time
+
+def sample_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, index]))
+
+
+def unit_disc(rng: np.random.Generator) -> complex:
+    r = np.sqrt(rng.uniform())
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    return complex(r * np.cos(phi), r * np.sin(phi))
+
+
+def ball_sample(rng: np.random.Generator) -> np.ndarray:
+    # the ball {Q < 0} lies inside the affine chart x = 1
+    while True:
+        y = unit_disc(rng)
+        z = unit_disc(rng)
+        if abs(y) ** 2 + abs(z) ** 2 < 1.0:
+            return np.array([1.0, y, z], dtype=complex)

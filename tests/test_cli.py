@@ -115,6 +115,34 @@ def test_basin_rejects_elliptic(run, tmp_path):
     assert json.loads(err)["error"] == "NotNonElliptic"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--seed", str(2**128)],
+    ["--samples", "-5"],
+    ["--line-samples", "-3"],
+    ["--max-iter", "-1"],
+    ["--max-iter", "7"],
+])
+def test_basin_rejects_bad_arguments(run, tmp_path, flags):
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.2).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    code, out, err = run(["basin", path, "--samples", "20", *flags])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_basin_accepts_extreme_seeds(run, tmp_path):
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.2).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    for seed in (0, 2**63, 2**128 - 1):
+        code, out, _ = run(["basin", path, "--samples", "20", "--seed", str(seed)])
+        assert code == 0
+        report = json.loads(out)
+        assert report["seed"] == seed and report["samples"] == 22
+
+
 def test_lattice_square_one(run):
     code, out, _ = run(["lattice", "hirzebruch", "--n", "1", "--square-one"])
     assert code == 0
