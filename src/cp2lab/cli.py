@@ -8,13 +8,18 @@ scripts, built-in or from a file).
 Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
 print a JSON payload on stdout; failures print a one-line JSON error
 object on stderr and nothing on stdout.  The environment variable
-CP2LAB_TOL, when set, supplies the default for --tol.
+CP2LAB_TOL, when set, supplies the default for --tol; both must be a
+finite number > 0.  Counts, indices and bounds must be non-negative, and
+`lattice exceptional` refuses scans of more than MAX_EXCEPTIONAL_LEAVES
+coefficient vectors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -24,6 +29,8 @@ from . import dynamics, jsonio, lattice, replay, su12
 from .errors import Cp2LabError, AssertionFailed, InputFormatError
 
 ENV_TOL = "CP2LAB_TOL"
+# largest scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2) leaves
+MAX_EXCEPTIONAL_LEAVES = 10**6
 
 
 class _UsageError(Exception):
@@ -35,10 +42,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser(default_tol: float | None) -> _Parser:
+def _tolerance(text: str) -> float:
+    """Tolerance from --tol or CP2LAB_TOL: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """Non-negative integer flag (blow-up counts, indices, bounds, steps)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and reused for every call."""
     parser = _Parser(prog="cp2lab", description=__doc__)
-    parser.add_argument("--tol", type=float, default=default_tol,
-                        help="override the default tolerances uniformly")
+    parser.add_argument("--tol", type=_tolerance, default=None,
+                        help=f"override the default tolerances uniformly (default: ${ENV_TOL})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify a group element")
@@ -57,25 +88,25 @@ def _build_parser(default_tol: float | None) -> _Parser:
     lat_sub = p_lattice.add_subparsers(dest="lattice_command", required=True)
 
     p_hirz = lat_sub.add_parser("hirzebruch", help="Hirzebruch surface lattice queries")
-    p_hirz.add_argument("--n", type=int, required=True)
+    p_hirz.add_argument("--n", type=_count, required=True)
     p_hirz.add_argument("--square-one", action="store_true",
                         help="list (a, b) with (aF + bB)^2 = 1")
-    p_hirz.add_argument("--bound", type=int, default=1000)
+    p_hirz.add_argument("--bound", type=_count, default=1000)
 
     p_exc = lat_sub.add_parser("exceptional", help="enumerate exceptional classes")
-    p_exc.add_argument("--blowups", type=int, required=True)
-    p_exc.add_argument("--bound", type=int, default=3)
+    p_exc.add_argument("--blowups", type=_count, required=True)
+    p_exc.add_argument("--bound", type=_count, default=3)
 
     p_sig = lat_sub.add_parser("signature", help="signature of a lattice")
     group = p_sig.add_mutually_exclusive_group(required=True)
-    group.add_argument("--blowups", type=int, help="blow-ups of the projective plane")
-    group.add_argument("--hirzebruch", type=int, help="Hirzebruch surface index")
+    group.add_argument("--blowups", type=_count, help="blow-ups of the projective plane")
+    group.add_argument("--hirzebruch", type=_count, help="Hirzebruch surface index")
 
     p_replay = sub.add_parser("replay", help="run a construction script")
     p_replay.add_argument("script", nargs="?", help="script JSON file")
     p_replay.add_argument("--builtin", choices=["sigma0", "sigma2", "sigma-steps", "standard"],
                           help="run a built-in script instead of a file")
-    p_replay.add_argument("--k", type=int, default=0,
+    p_replay.add_argument("--k", type=_count, default=0,
                           help="step count for sigma-steps / standard")
     return parser
 
@@ -123,6 +154,13 @@ def _cmd_basin(args) -> dict:
     return jsonio.basin_report_to_json(report)
 
 
+def _blown_up_plane(k: int) -> lattice.PicardLattice:
+    lat = lattice.p2_lattice()
+    for _ in range(k):
+        lat = lat.blow_up()
+    return lat
+
+
 def _cmd_lattice(args):
     if args.lattice_command == "hirzebruch":
         if not args.square_one:
@@ -130,16 +168,19 @@ def _cmd_lattice(args):
         pairs = lattice.square_one_classes(args.n, args.bound)
         return [list(p) for p in pairs]
     if args.lattice_command == "exceptional":
-        lat = lattice.p2_lattice()
-        for _ in range(args.blowups):
-            lat = lat.blow_up()
-        classes = lattice.enumerate_exceptional_classes(lat, args.bound)
+        # rank - 2 = blowups - 1; the exponent is capped, since 3^64 is far past
+        # the limit and a huge --blowups must not build a huge integer
+        leaves = (2 * args.bound + 1) ** max(min(args.blowups - 1, 64), 0)
+        if leaves > MAX_EXCEPTIONAL_LEAVES:
+            raise _UsageError(
+                f"--blowups {args.blowups} --bound {args.bound} scans more than "
+                f"{MAX_EXCEPTIONAL_LEAVES} coefficient vectors"
+            )
+        classes = lattice.enumerate_exceptional_classes(_blown_up_plane(args.blowups), args.bound)
         return [list(d.coeffs) for d in classes]
     if args.lattice_command == "signature":
         if args.blowups is not None:
-            lat = lattice.p2_lattice()
-            for _ in range(args.blowups):
-                lat = lat.blow_up()
+            lat = _blown_up_plane(args.blowups)
         else:
             lat = lattice.hirzebruch_lattice(args.hirzebruch)
         return {"rank": lat.rank, "signature": list(lat.signature())}
@@ -174,11 +215,13 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    env_tol = os.environ.get(ENV_TOL)
-    default_tol = float(env_tol) if env_tol else None
-    parser = _build_parser(default_tol)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        if args.tol is None and os.environ.get(ENV_TOL):
+            args.tol = _tolerance(os.environ[ENV_TOL])
+    except argparse.ArgumentTypeError as exc:
+        _emit_error("usage", _UsageError(f"{ENV_TOL}: {exc}"))
+        return 2
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2
@@ -205,8 +248,8 @@ def main(argv=None) -> int:
         _emit_error(type(exc).__name__, exc)
         return 1
 
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    # dumps, not dump: json.dump to a stream runs the pure-Python encoder
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 

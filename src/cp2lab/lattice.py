@@ -5,18 +5,24 @@ supporting blow-up (append a -1 vector, add it to the canonical class),
 contraction of an exceptional class (orthogonal complement with an
 integer basis from a gcd-chain unimodular transform, plus the pushforward
 map), adjunction genus, the positive-definite form attached to a
-square-one class, finite-order checks for isometries on class sets, and
-brute-force enumerations used as oracles.
+square-one class, finite-order checks for isometries on class sets, a
+square-one scan on Hirzebruch lattices, and the enumeration of exceptional
+classes in a coefficient box, which solves two coordinates exactly and
+scans the other rank - 2.
 
-All arithmetic is exact: Python integers and Fractions throughout.
+All arithmetic is exact: Python integers and Fractions throughout.  Every
+lattice is validated on construction (square, symmetric, unimodular,
+signature (1, rank - 1)) by one congruence pass that yields both the
+inertia and the determinant; pairings skip zero coefficients, which keeps
+the diagonal Gram matrices of repeated blow-ups cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from math import isqrt, lcm
+from operator import mul
 
 from .errors import (
     NoCandidate,
@@ -36,7 +42,11 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        # built from a list so the tuple is allocated at its final size; a
+        # tuple grown from an iterator is resized from a default-size block,
+        # and over repeated blow-ups the per-size tuple free lists then fill
+        # to their cap (about 4 MB more peak memory)
+        object.__setattr__(self, "coeffs", tuple([int(c) for c in self.coeffs]))
 
     @property
     def rank(self) -> int:
@@ -58,72 +68,52 @@ class DivisorClass:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _signature(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], int]:
+    """((positive, negative) inertia, determinant) of a symmetric integer matrix.
 
-
-def _signature(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """(positive, negative) inertia of a nondegenerate symmetric matrix.
-
-    Exact symmetric congruence diagonalization over the rationals.
+    One exact symmetric congruence diagonalization over the rationals: each
+    pivot takes the Schur complement of the trailing block, touching only
+    the rows and columns where the pivot row is nonzero.  When the trailing
+    block has a zero diagonal, row and column j are added to row and column
+    i for some nonzero entry (i, j), which leaves the pivot 2 a_ij.  Every
+    congruence used has determinant +-1, so the determinant is the product
+    of the pivots.  A degenerate matrix gives determinant 0; the inertia then
+    counts only the pivots met before the zero block.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     pos = neg = 0
+    det = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][i]), None)
         if piv is None:
-            hit = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                None,
-            )
+            hit = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
             if hit is None:
-                raise ValueError("degenerate symmetric form")
+                return (pos, neg), 0
             i, j = hit
-            for t in range(n):
+            for t in range(k, n):
                 a[i][t] += a[j][t]
-            for t in range(n):
+            for t in range(k, n):
                 a[t][i] += a[t][j]
             piv = i
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            for t in range(n):
-                a[t][k], a[t][piv] = a[t][piv], a[t][k]
-        p = a[k][k]
+            for row in a[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        row_k = a[k]
+        p = row_k[k]
+        det *= p
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for t in range(n):
-                    a[i][t] -= f * a[k][t]
-        for i in range(k + 1, n):
-            f = a[k][i] / p
-            if f:
-                for t in range(n):
-                    a[t][i] -= f * a[t][k]
-    return pos, neg
+        support = [t for t in range(k + 1, n) if row_k[t]]
+        for i in support:
+            f = Fraction(row_k[i], p)
+            row_i = a[i]
+            for t in support:
+                row_i[t] -= f * row_k[t]
+    return (pos, neg), int(det)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -185,9 +175,7 @@ class PushforwardMap:
     def __call__(self, d: DivisorClass) -> DivisorClass:
         if d.rank != len(self.matrix[0]):
             raise RankMismatch(f"class has rank {d.rank}, map expects {len(self.matrix[0])}")
-        return DivisorClass(
-            tuple(sum(row[j] * d.coeffs[j] for j in range(d.rank)) for row in self.matrix)
-        )
+        return DivisorClass(tuple(sum(map(mul, row, d.coeffs)) for row in self.matrix))
 
 
 @dataclass(frozen=True)
@@ -238,20 +226,21 @@ class PicardLattice:
     canonical: DivisorClass
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple([tuple([int(x) for x in row]) for row in self.gram])  # see DivisorClass
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
-        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(n)):
+        if any(row != col for row, col in zip(gram, zip(*gram))):
             raise ValueError("gram matrix must be symmetric")
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be distinct and match the rank")
         if self.canonical.rank != n:
             raise RankMismatch("canonical class length does not match the rank")
-        if abs(_det_int([list(r) for r in gram])) != 1:
+        inertia, det = _signature(gram)
+        if abs(det) != 1:
             raise ValueError("gram matrix must be unimodular")
-        if _signature(gram) != (1, n - 1):
+        if inertia != (1, n - 1):
             raise ValueError("lattice must have Lorentzian signature (1, rank-1)")
 
     @property
@@ -259,10 +248,10 @@ class PicardLattice:
         return len(self.gram)
 
     def signature(self) -> tuple[int, int]:
-        return _signature(self.gram)
+        return _signature(self.gram)[0]
 
     def determinant(self) -> int:
-        return _det_int([list(r) for r in self.gram])
+        return _signature(self.gram)[1]
 
     def basis_class(self, label: str) -> DivisorClass:
         idx = self.labels.index(label)
@@ -277,16 +266,13 @@ class PicardLattice:
     # pairing and genus
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        if d1.rank != self.rank or d2.rank != self.rank:
+        c1, c2, gram = d1.coeffs, d2.coeffs, self.gram
+        if len(c1) != len(gram) or len(c2) != len(gram):
             raise RankMismatch(
                 f"classes of rank {d1.rank}, {d2.rank} in a rank-{self.rank} lattice"
             )
-        g = self.gram
-        return sum(
-            d1.coeffs[i] * g[i][j] * d2.coeffs[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        # rows of zero coefficients of d1 are skipped: blow-up classes are sparse
+        return sum(a * sum(map(mul, row, c2)) for a, row in zip(c1, gram) if a)
 
     def genus(self, d: DivisorClass) -> int:
         total = self.intersect(d, d) + self.intersect(d, self.canonical)
@@ -327,28 +313,21 @@ class PicardLattice:
             )
         n = self.rank
         g = self.gram
-        w = [sum(g[i][j] * e.coeffs[j] for j in range(n)) for i in range(n)]
+        w = [sum(map(mul, row, e.coeffs)) for row in g]
         v, vinv, content = _clear_vector(w)
         if content != 1:
             raise NonUnimodularComplement(f"pairing vector has content {content}")
 
         basis = [[v[i][c] for i in range(n)] for c in range(1, n)]  # columns 1..n-1
-        new_gram = tuple(
-            tuple(
-                sum(basis[a][i] * g[i][j] * basis[b][j] for i in range(n) for j in range(n))
-                for b in range(n - 1)
-            )
-            for a in range(n - 1)
-        )
+        g_basis = [[sum(map(mul, row, b)) for row in g] for b in basis]
+        new_gram = tuple(tuple(sum(map(mul, a, gb)) for gb in g_basis) for a in basis)
 
-        # rows 1..n-1 of Vinv composed with x -> x + (x.E) E
+        # rows 1..n-1 of Vinv composed with x -> x + (x.E) E, that is
+        # row + (row . e) w with w = G e
         push_rows = []
-        for r in range(n):
-            row = [
-                sum(vinv[r][i] * (int(i == j) + e.coeffs[i] * w[j]) for i in range(n))
-                for j in range(n)
-            ]
-            push_rows.append(row)
+        for vrow in vinv:
+            pairing = sum(map(mul, vrow, e.coeffs))
+            push_rows.append([x + pairing * y for x, y in zip(vrow, w)])
         if any(push_rows[0][j] != 0 for j in range(n)):
             raise NonUnimodularComplement("projection onto the complement is not integral")
         push = PushforwardMap(tuple(tuple(row) for row in push_rows[1:]), e)
@@ -429,15 +408,102 @@ def square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
     return out
 
 
+def _box_roots(a: int, b: int, c: int, bound: int):
+    """Integer roots x of a x^2 + 2 b x + c = 0 with |x| <= bound."""
+    if a == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else ()
+        roots = (-c // (2 * b),) if c % (2 * b) == 0 else ()
+    else:
+        disc = b * b - a * c
+        if disc < 0:
+            return ()
+        s = isqrt(disc)
+        if s * s != disc:
+            return ()
+        roots = [num // a for num in {-b + s, -b - s} if num % a == 0]
+    return [x for x in roots if -bound <= x <= bound]
+
+
 def enumerate_exceptional_classes(lat: PicardLattice, coeff_bound: int) -> list[DivisorClass]:
-    """Exhaustive scan for classes with D.D = -1 and D.K = -1."""
+    """Every class with D.D = -1 and D.K = -1 and all |coefficients| <= coeff_bound,
+    sorted by coefficient vector.
+
+    Exact elimination of two coordinates.  With l = G K, D.K = sum l_i c_i;
+    the coordinate r with the smallest nonzero |l_r| is solved from the
+    linear constraint, l_r c_r = -1 - sum_{i != r} l_i c_i, and kept only when
+    the division is exact and c_r lies in the box.  Writing
+    l_r D = -e_r + sum_{i != r} c_i w_i with w_i = l_r e_i - l_i e_r (so
+    w_i.K = 0) turns l_r^2 (D.D + 1) = 0 into the integer quadratic
+
+        sum W_ij c_i c_j - 2 sum t_i c_i + G_rr + l_r^2 = 0,
+        W_ij = w_i.w_j,  t_i = e_r.w_i,
+
+    over the coordinates i != r.  One of them, p, is solved from
+    A c_p^2 + 2 B c_p + C = 0 (A = W_pp, preferring A != 0) with math.isqrt,
+    keeping exact roots inside the box; the other rank - 2 coordinates are
+    scanned depth first, B and C updated incrementally.  The cost is
+    (2 coeff_bound + 1)^(rank - 2) leaves of O(1) integer work each, against
+    (2 coeff_bound + 1)^rank vectors for a box scan, and the result equals
+    that scan exactly, order included.  A canonical class with G K = 0 has
+    no classes with D.K = -1, and the rank-one lattice Z<1> none with
+    D.D = -1.
+    """
+    n, g, bound = lat.rank, lat.gram, coeff_bound
+    ell = [sum(x * k for x, k in zip(row, lat.canonical.coeffs) if k) for row in g]
+    nonzero = [i for i in range(n) if ell[i]]
+    if n == 1 or not nonzero:
+        return []
+    r = min(nonzero, key=lambda i: abs(ell[i]))
+    lr = ell[r]
+    others = [i for i in range(n) if i != r]
+    g_r = g[r]
+
+    def w_dot(i: int, j: int) -> int:
+        # w_i.w_j for w_i = l_r e_i - l_i e_r
+        return (lr * lr * g[i][j] - lr * (ell[j] * g_r[i] + ell[i] * g_r[j])
+                + ell[i] * ell[j] * g_r[r])
+
+    p = next((i for i in others if w_dot(i, i)), others[0])
+    free = [i for i in others if i != p]
+    m = len(free)
+    a_p, l_p = w_dot(p, p), ell[p]
+    t = {i: lr * g_r[i] - ell[i] * g_r[r] for i in others}
+    w_rows = [[w_dot(f, h) for h in free] for f in free]
+    w_p = [w_dot(p, f) for f in free]
+    x = [0] * m
+    box = range(-bound, bound + 1)
     out = []
-    for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=lat.rank):
-        if not any(coeffs):
-            continue
-        d = DivisorClass(coeffs)
-        if lat.intersect(d, d) == -1 and lat.intersect(d, lat.canonical) == -1:
-            out.append(d)
+
+    def leaf(lin: int, b: int, c: int) -> None:
+        for cp in _box_roots(a_p, b, c, bound):
+            num = -1 - lin - l_p * cp
+            if num % lr or not -bound <= num // lr <= bound:
+                continue
+            coeffs = [0] * n
+            for f, v in zip(free, x):
+                coeffs[f] = v
+            coeffs[p], coeffs[r] = cp, num // lr
+            out.append(DivisorClass(tuple(coeffs)))
+
+    def scan(d: int, lin: int, b: int, c: int, acc: list[int]) -> None:
+        # acc[j] = sum over the assigned free coordinates h of W[free[j]][h] x_h
+        f, row = free[d], w_rows[d]
+        l_f, w_pf, w_ff, t_f, acc_f = ell[f], w_p[d], row[d], t[f], acc[d]
+        for v in box:
+            x[d] = v
+            lin_v, b_v = lin + l_f * v, b + w_pf * v
+            c_v = c + v * (2 * acc_f + w_ff * v - 2 * t_f)
+            if d == m - 1:
+                leaf(lin_v, b_v, c_v)
+            else:
+                scan(d + 1, lin_v, b_v, c_v, [s + v * y for s, y in zip(acc, row)])
+
+    b0, c0 = -t[p], g_r[r] + lr * lr
+    if m:
+        scan(0, 0, b0, c0, [0] * m)
+    else:
+        leaf(0, b0, c0)
     out.sort(key=lambda d: d.coeffs)
     return out
 

@@ -156,6 +156,10 @@ def _run_contract(state: SurfaceState, step: ContractStep, index: int) -> None:
 
 def _run_assert(state: SurfaceState, step: AssertStep, index: int) -> None:
     kind = step.kind
+    if kind == "intersection" and (step.curves is None or len(step.curves) != 2):
+        raise InputFormatError(f"intersection assert at step {index} needs two curves")
+    if kind == "gram" and step.curves is None:
+        raise InputFormatError(f"gram assert at step {index} needs a curves list")
     if kind == "self_intersection":
         got = state.self_intersection(step.curve)
     elif kind == "intersection":
@@ -298,10 +302,10 @@ def script_from_json(obj: dict) -> Script:
         init = obj["initial"]
         kind = init["type"]
         n = int(init.get("n", 0))
-        curves = tuple(
-            (str(name), tuple(int(c) for c in coeffs))
-            for name, coeffs in init.get("curves", {}).items()
-        )
+        named = init.get("curves", {})
+        if not isinstance(named, dict):
+            raise InputFormatError('malformed script: "curves" must map names to coefficients')
+        curves = tuple((str(name), tuple(int(c) for c in coeffs)) for name, coeffs in named.items())
         steps: list[Step] = []
         for raw in obj["steps"]:
             op = raw["op"]

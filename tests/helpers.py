@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from cp2lab import AlgebraElement, mat_exp
+from cp2lab import AlgebraElement, DivisorClass, mat_exp
 
 
 def random_algebra(rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
@@ -80,3 +82,47 @@ def ball_sample(rng: np.random.Generator) -> np.ndarray:
         z = unit_disc(rng)
         if abs(y) ** 2 + abs(z) ** 2 < 1.0:
             return np.array([1.0, y, z], dtype=complex)
+
+
+# reference lattice arithmetic: the full coefficient-box scan for exceptional
+# classes and the fraction-free Bareiss determinant
+
+def brute_force_exceptional_classes(lat, coeff_bound: int) -> list:
+    """Every nonzero vector of the box with D.D = -1 and D.K = -1, sorted.
+
+    Dense sums over the Gram matrix, independent of PicardLattice.intersect;
+    D.K is tested first only because it is the cheaper of the two.
+    """
+    g, n = lat.gram, lat.rank
+    ell = [sum(g[i][j] * lat.canonical.coeffs[j] for j in range(n)) for i in range(n)]
+    out = []
+    for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=n):
+        if sum(c * l for c, l in zip(coeffs, ell)) != -1:
+            continue
+        if sum(coeffs[i] * g[i][j] * coeffs[j] for i in range(n) for j in range(n)) == -1:
+            out.append(DivisorClass(coeffs))
+    out.sort(key=lambda d: d.coeffs)
+    return out
+
+
+def bareiss_det(rows) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix."""
+    a = [list(map(int, r)) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

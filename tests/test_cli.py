@@ -181,6 +181,56 @@ def test_lattice_bad_flags(run):
     assert code == 2
 
 
+def _assert_usage_error(code, out, err, error="usage"):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "hirzebruch", "--n", "-1"],
+    ["lattice", "hirzebruch", "--n", "1", "--square-one", "--bound", "-1"],
+    ["lattice", "signature", "--blowups", "-3"],
+    ["lattice", "signature", "--hirzebruch", "-2"],
+    ["lattice", "exceptional", "--blowups", "-1"],
+    ["lattice", "exceptional", "--blowups", "3", "--bound", "-1"],
+    ["lattice", "exceptional", "--blowups", "x"],
+    ["replay", "--builtin", "standard", "--k", "-1"],
+])
+def test_lattice_rejects_negative_counts(run, argv):
+    _assert_usage_error(*run(argv))
+
+
+@pytest.mark.parametrize("blowups, bound", [(8, 6), (10, 2), (14, 1), (10**12, 1)])
+def test_lattice_exceptional_refuses_costly_scans(run, blowups, bound):
+    # (2 bound + 1)^(blowups - 1) leaves above cli.MAX_EXCEPTIONAL_LEAVES
+    _assert_usage_error(*run(["lattice", "exceptional", "--blowups", str(blowups),
+                              "--bound", str(bound)]))
+
+
+def test_lattice_exceptional_accepts_scans_within_the_limit(run):
+    # 7^6 = 117,649 leaves: 56 classes, the lines, conics and exceptional curves
+    code, out, _ = run(["lattice", "exceptional", "--blowups", "7", "--bound", "3"])
+    assert code == 0
+    assert len(json.loads(out)) == 56
+    code, out, _ = run(["lattice", "exceptional", "--blowups", "0", "--bound", "10"])
+    assert code == 0
+    assert json.loads(out) == []
+
+
+@pytest.mark.parametrize("script", [
+    {"initial": {"type": "P2", "curves": [["L", [1]]]}, "steps": []},
+    {"initial": {"type": "P2"}, "steps": [{"op": "assert", "kind": "intersection", "expected": 1}]},
+    {"initial": {"type": "P2"}, "steps": [{"op": "assert", "kind": "gram", "expected": [[1]]}]},
+    {"initial": {"type": "P2"},
+     "steps": [{"op": "assert", "kind": "intersection", "curves": ["H"], "expected": 1}]},
+])
+def test_replay_rejects_malformed_curve_lists(run, tmp_path, script):
+    path = _write_json(tmp_path / "script.json", script)
+    _assert_usage_error(*run(["replay", path]), error="input")
+
+
 def test_replay_builtin_sigma0(run):
     code, out, _ = run(["replay", "--builtin", "sigma0"])
     assert code == 0
@@ -258,3 +308,27 @@ def test_tol_env_override(run, tmp_path, monkeypatch):
     code, out, _ = run(["classify", path])
     assert code == 0
     assert json.loads(out)["kind"] == "hyperbolic"
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-6", "0"])
+def test_tol_must_be_finite_and_positive(run, tmp_path, monkeypatch, value):
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.5).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    _assert_usage_error(*run(["--tol", value, "classify", path]))
+    monkeypatch.setenv("CP2LAB_TOL", value)
+    _assert_usage_error(*run(["classify", path]))
+    # an explicit --tol takes precedence over the environment
+    code, out, _ = run(["--tol", "1e-6", "classify", path])
+    assert code == 0
+    assert json.loads(out)["kind"] == "hyperbolic"
+
+
+def test_tol_env_is_read_on_every_call(run, tmp_path, monkeypatch):
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.5, 0.1).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    monkeypatch.setenv("CP2LAB_TOL", "abc")
+    assert run(["classify", path])[0] == 2
+    monkeypatch.setenv("CP2LAB_TOL", "1e-6")
+    assert run(["classify", path])[0] == 0
+    monkeypatch.delenv("CP2LAB_TOL")
+    assert run(["classify", path])[0] == 0

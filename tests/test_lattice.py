@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cp2lab import (
     DivisorClass,
@@ -15,6 +17,14 @@ from cp2lab import (
     p2_lattice,
     square_one_classes,
 )
+from cp2lab.lattice import _signature
+from cp2lab.replay import (
+    builtin_sigma0_singular,
+    builtin_sigma2_singular,
+    builtin_sigma_chain,
+    builtin_standard_blowups,
+    run,
+)
 from cp2lab.errors import (
     NoCandidate,
     NotExceptionalClass,
@@ -23,6 +33,8 @@ from cp2lab.errors import (
     RankMismatch,
     SetNotInvariant,
 )
+
+from helpers import bareiss_det, brute_force_exceptional_classes
 
 RNG_SEED = 31337
 
@@ -363,3 +375,141 @@ def test_enumerate_exceptional_classes():
     assert [d.coeffs for d in one] == [(0, 1)]
     two = enumerate_exceptional_classes(_blown_up(2), 3)
     assert sorted(d.coeffs for d in two) == [(0, 0, 1), (0, 1, 0), (1, -1, -1)]
+
+
+# exceptional classes against the box scan ------------------------------------------------
+
+def _changed_basis(lat: PicardLattice, ops) -> PicardLattice:
+    """The same lattice in the basis reached by elementary column operations.
+
+    Each op (i, j, c) adds c times basis vector i to basis vector j (i != j);
+    U collects the new basis vectors as columns and U_inv tracks its inverse,
+    so G' = U^T G U and K' = U^-1 K.
+    """
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        for row in u:
+            row[j] += c * row[i]
+        u_inv[i] = [a - c * b for a, b in zip(u_inv[i], u_inv[j])]
+    g = lat.gram
+    gram = tuple(
+        tuple(sum(u[a][i] * g[a][b] * u[b][j] for a in range(n) for b in range(n))
+              for j in range(n))
+        for i in range(n)
+    )
+    k = lat.canonical.coeffs
+    canonical = DivisorClass(tuple(sum(u_inv[i][j] * k[j] for j in range(n)) for i in range(n)))
+    return PicardLattice(gram, tuple(f"v{i + 1}" for i in range(n)), canonical)
+
+
+def _replay_end_lattices() -> dict[str, PicardLattice]:
+    scripts = {
+        "sigma0": builtin_sigma0_singular(),
+        "sigma2": builtin_sigma2_singular(),
+        "sigma-steps-3": builtin_sigma_chain(3),
+        "standard-4": builtin_standard_blowups(4),
+    }
+    return {name: run(script).lattice for name, script in scripts.items()}
+
+
+def _assert_matches_box_scan(lat: PicardLattice, bound: int) -> list[DivisorClass]:
+    got = enumerate_exceptional_classes(lat, bound)
+    assert got == brute_force_exceptional_classes(lat, bound)
+    return got
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_exceptional_classes_match_box_scan_on_blow_ups(k):
+    for bound in range(4):
+        _assert_matches_box_scan(_blown_up(k), bound)
+
+
+def test_exceptional_classes_match_box_scan_on_hirzebruch_lattices():
+    for n in range(9):
+        for bound in (1, 2, 3, 5):
+            _assert_matches_box_scan(hirzebruch_lattice(n), bound)
+    # F_1 is the blow-up of the plane: its one exceptional class is the base
+    assert [d.coeffs for d in enumerate_exceptional_classes(hirzebruch_lattice(1), 5)] == [(0, 1)]
+
+
+def test_exceptional_classes_match_box_scan_on_replay_lattices():
+    for lat in _replay_end_lattices().values():
+        for bound in (1, 2, 3):
+            _assert_matches_box_scan(lat, bound)
+
+
+def test_exceptional_classes_of_the_plane_are_empty_at_any_bound():
+    for bound in (0, 1, 5, 100, 10**6):
+        assert enumerate_exceptional_classes(p2_lattice(), bound) == []
+
+
+def test_exceptional_classes_without_unit_canonical_pairing():
+    # basis H, E1 + E2, H + E2 of the twice blown-up plane: G K = (-3, -2, -4),
+    # so the solved coordinate needs an exact division by 2
+    lat = _changed_basis(_blown_up(2), [(2, 1, 1), (0, 2, 1)])
+    ell = [sum(a * b for a, b in zip(row, lat.canonical.coeffs)) for row in lat.gram]
+    assert ell == [-3, -2, -4]
+    classes = _assert_matches_box_scan(lat, 3)
+    assert len(classes) == 3
+
+
+def test_exceptional_classes_with_vanishing_leading_coefficient():
+    # diag(1, -1) with K = (1, 1): the quadratic in the last coordinate is linear
+    lat = PicardLattice(((1, 0), (0, -1)), ("a", "b"), DivisorClass((1, 1)))
+    assert [d.coeffs for d in _assert_matches_box_scan(lat, 3)] == [(0, 1)]
+
+
+def test_exceptional_classes_with_identically_vanishing_quadratic():
+    # diag(1, -1, -1) with K = (1, 1, 1): every (c, c, 1) and (c, 1, c) has
+    # D.D = D.K = -1, so on some leaves the equation in c_p holds for every c_p
+    lat = PicardLattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)), ("a", "b", "c"),
+                        DivisorClass((1, 1, 1)))
+    classes = _assert_matches_box_scan(lat, 3)
+    assert DivisorClass((-3, -3, 1)) in classes and DivisorClass((2, 1, 2)) in classes
+
+
+def test_exceptional_classes_of_a_null_canonical_class():
+    lat = PicardLattice(((0, 1), (1, 0)), ("a", "b"), DivisorClass((0, 0)))
+    assert _assert_matches_box_scan(lat, 3) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    bound=st.integers(1, 2),
+    ops=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2)),
+                 max_size=8),
+)
+def test_exceptional_classes_match_box_scan_in_any_basis(k, bound, ops):
+    ops = [(i, j, c) for i, j, c in ops if i != j and max(i, j) <= k]
+    _assert_matches_box_scan(_changed_basis(_blown_up(k), ops), bound)
+
+
+def test_one_pass_determinant_matches_bareiss():
+    lattices = [_blown_up(k) for k in range(9)] + [hirzebruch_lattice(n) for n in range(9)]
+    lattices += list(_replay_end_lattices().values())
+    lattices.append(_changed_basis(_blown_up(4), [(1, 0, 2), (0, 3, -1), (4, 2, 1), (2, 4, -2)]))
+    for lat in lattices:
+        assert lat.determinant() == bareiss_det(lat.gram)
+        assert lat.signature() == (1, lat.rank - 1)
+    # zero diagonals, non-unimodular and degenerate forms
+    forms = [
+        ((0, 1), (1, 0)),
+        ((0, 2), (2, 0)),
+        ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+        ((1, 2), (2, 4)),
+        ((0, 0), (0, 0)),
+        ((2, 1, 0), (1, 2, 1), (0, 1, 2)),
+    ]
+    rng = np.random.default_rng(RNG_SEED + 2)
+    for _ in range(50):
+        m = rng.integers(-3, 4, (4, 4))
+        forms.append(tuple(map(tuple, (m + m.T).tolist())))
+    for gram in forms:
+        (pos, neg), det = _signature(gram)
+        assert det == bareiss_det(gram)
+        if det:
+            eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
+            assert (pos, neg) == (int((eig > 0).sum()), int((eig < 0).sum()))
