@@ -56,7 +56,6 @@ from .su12 import (
     ParabolicKind,
     ParabolicParams,
     ProjectiveLine,
-    algebra_to_matrix,
     classify,
     conjugate_to_normal_form,
     derivative_eigenvalues,

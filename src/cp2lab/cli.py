@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
 print a JSON payload on stdout; failures print a one-line JSON error
 object on stderr and nothing on stdout.  The environment variable
 CP2LAB_TOL, when set, supplies the default for --tol; both must be a
-finite number > 0.  Counts, indices and bounds must be non-negative, and
+finite number > 0.  Counts, indices and bounds must be non-negative,
+blow-up counts (`--blowups`, and `replay --k`) at most MAX_BLOWUPS, and
 `lattice exceptional` refuses scans of more than MAX_EXCEPTIONAL_LEAVES
 coefficient vectors.
 """
@@ -31,6 +32,9 @@ from .errors import Cp2LabError, AssertionFailed, InputFormatError
 ENV_TOL = "CP2LAB_TOL"
 # largest scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2) leaves
 MAX_EXCEPTIONAL_LEAVES = 10**6
+# largest blow-up count `--blowups` and `replay --k` accept: every blow-up
+# copies and validates a dense Gram matrix, so n blow-ups cost O(n^3)
+MAX_BLOWUPS = 200
 
 
 class _UsageError(Exception):
@@ -64,6 +68,14 @@ def _count(text: str) -> int:
     return value
 
 
+def _blowups(text: str) -> int:
+    """Blow-up or step count: a non-negative integer up to MAX_BLOWUPS."""
+    value = _count(text)
+    if value > MAX_BLOWUPS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_BLOWUPS}, got {text!r}")
+    return value
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on first use and reused for every call."""
@@ -94,19 +106,19 @@ def _parser() -> _Parser:
     p_hirz.add_argument("--bound", type=_count, default=1000)
 
     p_exc = lat_sub.add_parser("exceptional", help="enumerate exceptional classes")
-    p_exc.add_argument("--blowups", type=_count, required=True)
+    p_exc.add_argument("--blowups", type=_blowups, required=True)
     p_exc.add_argument("--bound", type=_count, default=3)
 
     p_sig = lat_sub.add_parser("signature", help="signature of a lattice")
     group = p_sig.add_mutually_exclusive_group(required=True)
-    group.add_argument("--blowups", type=_count, help="blow-ups of the projective plane")
+    group.add_argument("--blowups", type=_blowups, help="blow-ups of the projective plane")
     group.add_argument("--hirzebruch", type=_count, help="Hirzebruch surface index")
 
     p_replay = sub.add_parser("replay", help="run a construction script")
     p_replay.add_argument("script", nargs="?", help="script JSON file")
     p_replay.add_argument("--builtin", choices=["sigma0", "sigma2", "sigma-steps", "standard"],
                           help="run a built-in script instead of a file")
-    p_replay.add_argument("--k", type=_count, default=0,
+    p_replay.add_argument("--k", type=_blowups, default=0,
                           help="step count for sigma-steps / standard")
     return parser
 
@@ -135,7 +147,7 @@ def _cmd_classify(args) -> dict:
     else:
         matrix = jsonio.mat3_from_json(obj)
     cls = su12.classify(matrix, **_tolerances(args.tol))
-    return jsonio.classification_report(matrix, cls)
+    return jsonio.classification_report(cls)
 
 
 def _cmd_basin(args) -> dict:
@@ -169,7 +181,7 @@ def _cmd_lattice(args):
         return [list(p) for p in pairs]
     if args.lattice_command == "exceptional":
         # rank - 2 = blowups - 1; the exponent is capped, since 3^64 is far past
-        # the limit and a huge --blowups must not build a huge integer
+        # the limit and the power of a huge --bound must stay small
         leaves = (2 * args.bound + 1) ** max(min(args.blowups - 1, 64), 0)
         if leaves > MAX_EXCEPTIONAL_LEAVES:
             raise _UsageError(

@@ -20,7 +20,6 @@ from .su12 import (
     FixedPoint,
     Kind,
     ProjectiveLine,
-    derivative_eigenvalues,
 )
 
 
@@ -94,26 +93,21 @@ def algebra_to_json(a: AlgebraElement) -> dict:
     }
 
 
-def _fixed_point_to_json(matrix, fp: FixedPoint) -> dict:
-    entry = {
+def _fixed_point_to_json(cls: ElementClassification, fp: FixedPoint) -> dict:
+    return {
         "point": point_to_json(fp.point),
         "location": fp.location.value,
         "eigenvalue": complex_to_json(fp.eigenvalue),
+        "derivative_eigenvalues": [complex_to_json(z) for z in cls.derivative_eigenvalues(fp)],
     }
-    try:
-        dl, dr = derivative_eigenvalues(matrix, fp.point)
-        entry["derivative_eigenvalues"] = [complex_to_json(dl), complex_to_json(dr)]
-    except Exception:
-        entry["derivative_eigenvalues"] = None
-    return entry
 
 
-def classification_report(matrix, cls: ElementClassification) -> dict:
+def classification_report(cls: ElementClassification) -> dict:
     report = {
         "kind": cls.kind.value,
         "subtype": cls.subtype.value if cls.subtype is not None else None,
         "eigenvalues": [complex_to_json(fp.eigenvalue) for fp in cls.fixed_points],
-        "fixed_points": [_fixed_point_to_json(matrix, fp) for fp in cls.fixed_points],
+        "fixed_points": [_fixed_point_to_json(cls, fp) for fp in cls.fixed_points],
         "fixed_line": line_to_json(cls.fixed_line) if cls.fixed_line is not None else None,
     }
     if cls.kind == Kind.HYPERBOLIC:

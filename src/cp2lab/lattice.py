@@ -382,18 +382,18 @@ def hirzebruch_lattice(n: int) -> PicardLattice:
 def square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
     """Square-one curve classes aF + bB on the n-th Hirzebruch lattice.
 
-    Exhaustive scan over |a|, |b| <= bound for (aF + bB)^2 = 2ab - n b^2 = 1,
-    keeping only pairs whose sign-normalized representative (fibre pairing
-    b > 0) also meets the base non-negatively (a - n b >= 0), as an
-    irreducible curve distinct from the rulings must.  Sign-symmetric
-    pairs (-a, -b) are listed alongside their positives.  For odd n >= 3
-    the bare equation has solutions but the base pairing is negative, so
-    the list is empty; only n = 1 admits (1, 1).
+    Pairs with |a|, |b| <= bound and (aF + bB)^2 = b(2a - n b) = 1, keeping
+    only pairs whose sign-normalized representative (fibre pairing b > 0)
+    also meets the base non-negatively (a - n b >= 0), as an irreducible
+    curve distinct from the rulings must.  The product b(2a - n b) = 1 of
+    integers forces b = +-1, so only those two values are solved, in O(1)
+    for any bound.  Sign-symmetric pairs (-a, -b) are listed alongside
+    their positives.  For odd n >= 3 the bare equation has solutions but
+    the base pairing is negative, so the list is empty; only n = 1 admits
+    (1, 1).
     """
     out = []
-    for b in range(-bound, bound + 1):
-        if b == 0:
-            continue
+    for b in (1, -1) if bound >= 1 else ():
         num = 1 + n * b * b
         if num % (2 * b) != 0:
             continue

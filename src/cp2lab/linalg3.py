@@ -338,22 +338,26 @@ class EigenData:
         return out
 
 
+def _root_groups(roots) -> list[tuple[complex, int]]:
+    """Distinct values of sorted, merged roots with their multiplicities."""
+    groups: list[tuple[complex, int]] = []
+    for r in roots:
+        if groups and groups[-1][0] == r:
+            groups[-1] = (r, groups[-1][1] + 1)
+        else:
+            groups.append((r, 1))
+    return groups
+
+
 def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> EigenData:
     """Eigenvalues from the characteristic cubic, eigenvectors from null spaces."""
     a = as_mat3(m)
     c2, c1, c0 = char_poly(a)
     roots = cubic_roots(c2, c1, c0, merge_tol=merge_tol)
 
-    distinct: list[tuple[complex, int]] = []
-    for r in roots:
-        if distinct and distinct[-1][0] == r:
-            distinct[-1] = (r, distinct[-1][1] + 1)
-        else:
-            distinct.append((r, 1))
-
     pairs = []
     eye = np.eye(3, dtype=complex)
-    for value, mult in distinct:
+    for value, mult in _root_groups(roots):
         basis = null_space(a - value * eye, rtol=pivot_rtol)
         if not basis:
             raise DegenerateNullSpace(
@@ -389,18 +393,33 @@ def jordan_shape(m, tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> J
     a = as_mat3(m)
     c2, c1, c0 = char_poly(a)
     roots = cubic_roots(c2, c1, c0, merge_tol=tol)
+    groups = [(value, mult, None) for value, mult in _root_groups(roots)]
+    return _jordan_blocks(a, groups, tol, pivot_rtol)
 
-    distinct: list[tuple[complex, int]] = []
-    for r in roots:
-        if distinct and distinct[-1][0] == r:
-            distinct[-1] = (r, distinct[-1][1] + 1)
-        else:
-            distinct.append((r, 1))
 
-    scale = max(1.0, max(abs(r) for r in roots))
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            gap = abs(distinct[i][0] - distinct[j][0])
+def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float,
+                       pivot_rtol: float = PIVOT_RTOL) -> JordanShape:
+    """jordan_shape of a from its eig3 result at merge tolerance tol.
+
+    The rank of a - value I is 3 minus the number of null directions eig3
+    found at the same pivot tolerance and scale, so only the rank of the
+    square is computed.
+    """
+    pairs = sorted(eig.pairs, key=lambda p: (p.value.real, p.value.imag))
+    groups = [(p.value, p.multiplicity, 3 - len(p.vectors)) for p in pairs]
+    return _jordan_blocks(a, groups, tol, pivot_rtol)
+
+
+def _jordan_blocks(a: np.ndarray, groups, tol: float, pivot_rtol: float) -> JordanShape:
+    """Block sizes from (value, multiplicity, rank of a - value I or None).
+
+    groups come in root order, sorted by (re, im).  The cluster gap check
+    runs before any rank is computed.
+    """
+    scale = max(1.0, max(abs(value) for value, _, _ in groups))
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            gap = abs(groups[i][0] - groups[j][0])
             if gap < 10.0 * tol * scale:
                 raise AmbiguousClustering(
                     f"eigenvalue clusters separated by {gap:.3g} < 10*tol"
@@ -409,13 +428,14 @@ def jordan_shape(m, tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> J
     eye = np.eye(3, dtype=complex)
     values = []
     blocks = []
-    for value, mult in distinct:
+    for value, mult, r1 in groups:
         if mult == 1:
             sizes = (1,)
         else:
             n1 = a - value * eye
             norm1 = float(np.abs(n1).max())
-            r1 = rank3(n1, pivot_rtol)
+            if r1 is None:
+                r1 = rank3(n1, pivot_rtol)
             r2 = rank3(n1 @ n1, pivot_rtol, scale_ref=max(norm1 * norm1, 1e-300))
             ge1 = 3 - r1          # blocks of size >= 1
             ge2 = r1 - r2         # blocks of size >= 2

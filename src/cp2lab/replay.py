@@ -320,6 +320,10 @@ def script_from_json(obj: dict) -> Script:
                 steps.append(RenameStep(old=str(raw["from"]), new=str(raw["to"])))
             elif op == "assert":
                 curves_arg = raw.get("curves")
+                if curves_arg is not None and not (
+                    isinstance(curves_arg, list) and all(isinstance(c, str) for c in curves_arg)
+                ):
+                    raise InputFormatError('malformed script: assert "curves" must be a list of names')
                 steps.append(
                     AssertStep(
                         kind=str(raw["kind"]),
@@ -336,12 +340,12 @@ def script_from_json(obj: dict) -> Script:
 
 
 def state_to_json(state: SurfaceState) -> dict:
+    # imported here, not at module level, so that `import cp2lab` does not
+    # load the JSON layer
+    from .jsonio import lattice_to_json
+
     return {
-        "lattice": {
-            "labels": list(state.lattice.labels),
-            "gram": [list(r) for r in state.lattice.gram],
-            "K": list(state.lattice.canonical.coeffs),
-        },
+        "lattice": lattice_to_json(state.lattice),
         "curves": {name: list(d.coeffs) for name, d in state.curves.items()},
         "points": {name: [list(pair) for pair in inc] for name, inc in state.points.items()},
         "n_blowups": state.n_blowups,

@@ -51,9 +51,9 @@ from .linalg3 import (
     as_mat3,
     canonical_coords,
     det3,
+    _jordan_shape_from,
     eig3,
     inv3,
-    jordan_shape,
     mat_exp,
 )
 
@@ -157,10 +157,6 @@ class AlgebraElement:
         pointwise; d2 = 0 with c != 0 is nilpotent of order three.
         """
         return cls(b1=d1, b2=d2, l1=1j * (d1 + d2 / 2.0), l2=complex(c), c=complex(c))
-
-
-def algebra_to_matrix(a: AlgebraElement) -> np.ndarray:
-    return a.matrix()
 
 
 class GroupElement:
@@ -318,7 +314,11 @@ def fixed_points(a, tol: float = GROUP_TOL, merge_tol: float = MERGE_TOL,
     m = _as_group_matrix(a, tol)
     if _is_scalar(m):
         return FixedPointData(points=(), fixed_line=None, fully_degenerate=True)
-    eig = eig3(m, merge_tol=merge_tol)
+    return _fixed_points_from(eig3(m, merge_tol=merge_tol), boundary_tol)
+
+
+def _fixed_points_from(eig: EigenData, boundary_tol: float) -> FixedPointData:
+    """Fixed locus of a non-scalar element from its eig3 result."""
     points: list[FixedPoint] = []
     fixed_line = None
     for pair in eig.pairs:
@@ -336,8 +336,22 @@ def fixed_points(a, tol: float = GROUP_TOL, merge_tol: float = MERGE_TOL,
 
 # classification -------------------------------------------------------------
 
+def _eigenvalue_ratios(eigenvalues, lam_p: complex) -> tuple[complex, complex]:
+    """The two eigenvalues other than lam_p (with multiplicity), divided by lam_p."""
+    others = list(eigenvalues)
+    others.remove(lam_p)
+    ratios = sorted((w / lam_p for w in others), key=lambda z: (z.real, z.imag))
+    return (ratios[0], ratios[1])
+
+
 @dataclass(frozen=True)
 class ElementClassification:
+    """Verdict of classify, with the spectrum it was decided from.
+
+    eigenvalues lists all three matrix eigenvalues with multiplicity; every
+    fixed point's eigenvalue is one of them.
+    """
+
     kind: Kind
     subtype: ParabolicKind | None
     fixed_points: tuple[FixedPoint, ...]
@@ -345,13 +359,21 @@ class ElementClassification:
     attractive: FixedPoint | None
     repulsive: FixedPoint | None
     exterior: FixedPoint | None
+    eigenvalues: tuple[complex, ...]
+
+    def derivative_eigenvalues(self, fp: FixedPoint) -> tuple[complex, complex]:
+        """Eigenvalues of the differential at one of this element's fixed points."""
+        return _eigenvalue_ratios(self.eigenvalues, fp.eigenvalue)
 
 
 def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[complex, complex]:
     """Eigenvalues of the differential of the projective action at a fixed point.
 
     These are the ratios of the other two matrix eigenvalues (with
-    multiplicity) to the eigenvalue carried by the fixed point.
+    multiplicity) to the eigenvalue carried by the fixed point.  This
+    validates a and recomputes its spectrum; for the fixed points of a
+    classification, ElementClassification.derivative_eigenvalues reuses
+    the spectrum classify computed.
     """
     m = _as_group_matrix(a, tol=1e-7)
     v = p.vector
@@ -365,11 +387,7 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
             best = (res, pair.value)
     if best is None or best[0] > tol:
         raise NotFixed(f"{p} is not fixed (best residual {best[0] if best else 'n/a'})")
-    lam_p = best[1]
-    values = eig.eigenvalues()
-    values.remove(lam_p)
-    ratios = sorted((w / lam_p for w in values), key=lambda z: (z.real, z.imag))
-    return (ratios[0], ratios[1])
+    return _eigenvalue_ratios(eig.eigenvalues(), best[1])
 
 
 def _classify_hyperbolic(m: np.ndarray, eig: EigenData, boundary_tol: float) -> ElementClassification:
@@ -399,6 +417,7 @@ def _classify_hyperbolic(m: np.ndarray, eig: EigenData, boundary_tol: float) -> 
         attractive=attractive,
         repulsive=repulsive,
         exterior=outside[0],
+        eigenvalues=tuple(eig.eigenvalues()),
     )
 
 
@@ -410,6 +429,10 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
     hyperbolic; otherwise a diagonalizable element is elliptic (some fixed
     point lies inside the ball); otherwise the Jordan structure selects
     the parabolic subtype.
+
+    The spectrum is computed once, by one eig3 at merge_tol: the Jordan
+    shape, the fixed points and the eigenvalues carried by the result
+    (from which derivative eigenvalues follow) all come from it.
     """
     m = _as_group_matrix(a, group_tol)
     if _is_scalar(m):
@@ -419,11 +442,12 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
     if max(abs(abs(pair.value) - 1.0) for pair in eig.pairs) > unit_tol:
         return _classify_hyperbolic(m, eig, boundary_tol)
 
-    shape = jordan_shape(m, tol=merge_tol)
+    eigenvalues = tuple(eig.eigenvalues())
+    shape = _jordan_shape_from(m, eig, tol=merge_tol)
     diagonalizable = all(size == 1 for sizes in shape.blocks for size in sizes)
 
     if diagonalizable:
-        data = fixed_points(m, tol=group_tol, merge_tol=merge_tol, boundary_tol=boundary_tol)
+        data = _fixed_points_from(eig, boundary_tol)
         return ElementClassification(
             kind=Kind.ELLIPTIC,
             subtype=None,
@@ -432,6 +456,7 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
             attractive=None,
             repulsive=None,
             exterior=None,
+            eigenvalues=eigenvalues,
         )
 
     by_mult = {pair.multiplicity: pair for pair in eig.pairs}
@@ -453,13 +478,14 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
             attractive=p,
             repulsive=p,
             exterior=q,
+            eigenvalues=eigenvalues,
         )
 
     # triple eigenvalue: unipotent up to a central cube root of unity
     triple = eig.pairs[0]
     sizes = shape.blocks[0]
     if sizes == (2, 1):
-        data = fixed_points(m, tol=group_tol, merge_tol=merge_tol, boundary_tol=boundary_tol)
+        data = _fixed_points_from(eig, boundary_tol)
         boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
         if data.fixed_line is None or len(boundary) != 1:
             raise AmbiguousClustering("line-fixing parabolic without a tangent fixed line")
@@ -472,6 +498,7 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
             attractive=p,
             repulsive=p,
             exterior=None,
+            eigenvalues=eigenvalues,
         )
     if sizes == (3,):
         pt = triple.vectors[0]
@@ -486,6 +513,7 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
             attractive=p,
             repulsive=p,
             exterior=None,
+            eigenvalues=eigenvalues,
         )
     raise AmbiguousClustering(f"unrecognized unit-modulus Jordan structure {shape.blocks}")
 

@@ -84,8 +84,31 @@ def ball_sample(rng: np.random.Generator) -> np.ndarray:
             return np.array([1.0, y, z], dtype=complex)
 
 
-# reference lattice arithmetic: the full coefficient-box scan for exceptional
-# classes and the fraction-free Bareiss determinant
+# reference lattice arithmetic: the scan over b for square-one classes, the
+# full coefficient-box scan for exceptional classes and the fraction-free
+# Bareiss determinant
+
+def scan_square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
+    """Square-one classes aF + bB of the n-th Hirzebruch lattice by scanning
+    every |b| <= bound, with the box and base-pairing filters, sorted
+    descending."""
+    out = []
+    for b in range(-bound, bound + 1):
+        if b == 0:
+            continue
+        num = 1 + n * b * b
+        if num % (2 * b) != 0:
+            continue
+        a = num // (2 * b)
+        if abs(a) > bound:
+            continue
+        aa, bb = (a, b) if b > 0 else (-a, -b)
+        if aa - n * bb < 0:
+            continue
+        out.append((a, b))
+    out.sort(reverse=True)
+    return out
+
 
 def brute_force_exceptional_classes(lat, coeff_bound: int) -> list:
     """Every nonzero vector of the box with D.D = -1 and D.K = -1, sorted.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cp2lab import AlgebraElement, ProjectivePoint, chordal_distance, mat_exp
+from cp2lab import cli
 from cp2lab.cli import main
 from cp2lab.jsonio import mat3_to_json
 
@@ -202,6 +203,29 @@ def test_lattice_rejects_negative_counts(run, argv):
     _assert_usage_error(*run(argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "signature", "--blowups", "201"],
+    ["lattice", "exceptional", "--blowups", "201", "--bound", "0"],
+    ["replay", "--builtin", "standard", "--k", "201"],
+    ["replay", "--builtin", "sigma-steps", "--k", "201"],
+])
+def test_blowup_counts_above_the_cap_are_refused(run, argv):
+    assert cli.MAX_BLOWUPS == 200
+    _assert_usage_error(*run(argv))
+
+
+def test_blowup_counts_at_the_cap_are_accepted(run):
+    code, out, _ = run(["lattice", "signature", "--blowups", "200"])
+    assert code == 0
+    assert json.loads(out) == {"rank": 201, "signature": [1, 200]}
+    code, out, _ = run(["lattice", "exceptional", "--blowups", "200", "--bound", "0"])
+    assert code == 0
+    assert json.loads(out) == []
+    code, out, _ = run(["replay", "--builtin", "sigma-steps", "--k", "200"])
+    assert code == 0
+    assert json.loads(out)["n_blowups"] == 200
+
+
 @pytest.mark.parametrize("blowups, bound", [(8, 6), (10, 2), (14, 1), (10**12, 1)])
 def test_lattice_exceptional_refuses_costly_scans(run, blowups, bound):
     # (2 bound + 1)^(blowups - 1) leaves above cli.MAX_EXCEPTIONAL_LEAVES
@@ -225,6 +249,13 @@ def test_lattice_exceptional_accepts_scans_within_the_limit(run):
     {"initial": {"type": "P2"}, "steps": [{"op": "assert", "kind": "gram", "expected": [[1]]}]},
     {"initial": {"type": "P2"},
      "steps": [{"op": "assert", "kind": "intersection", "curves": ["H"], "expected": 1}]},
+    # a string is not a list of names, even when its letters are curve names
+    {"initial": {"type": "P2", "curves": {"A": [1], "B": [1]}},
+     "steps": [{"op": "assert", "kind": "intersection", "curves": "AB", "expected": 1}]},
+    {"initial": {"type": "P2"},
+     "steps": [{"op": "assert", "kind": "gram", "curves": [1, 2], "expected": [[1]]}]},
+    {"initial": {"type": "P2"},
+     "steps": [{"op": "assert", "kind": "gram", "curves": {"H": 1}, "expected": [[1]]}]},
 ])
 def test_replay_rejects_malformed_curve_lists(run, tmp_path, script):
     path = _write_json(tmp_path / "script.json", script)

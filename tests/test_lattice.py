@@ -1,5 +1,6 @@
 """Exact lattice arithmetic: intersection, genus, surgery, enumerations."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from cp2lab.errors import (
     SetNotInvariant,
 )
 
-from helpers import bareiss_det, brute_force_exceptional_classes
+from helpers import bareiss_det, brute_force_exceptional_classes, scan_square_one_classes
 
 RNG_SEED = 31337
 
@@ -357,6 +358,21 @@ def test_square_one_matches_box_scan_oracle():
             and (a - n * b if b > 0 else -a + n * b) >= 0
         )
         assert sorted(square_one_classes(n, bound)) == brute
+
+
+def test_square_one_closed_form_matches_scan():
+    for n in range(-30, 41):
+        for bound in range(0, 61):
+            assert square_one_classes(n, bound) == scan_square_one_classes(n, bound), (n, bound)
+
+
+def test_square_one_huge_bound_returns_at_once():
+    # b(2a - n b) = 1 forces b = +-1: the cost does not grow with the bound
+    start = time.perf_counter()
+    assert square_one_classes(1, 10**12) == [(1, 1), (-1, -1)]
+    assert square_one_classes(-1, 10**12) == [(0, 1), (0, -1)]
+    assert square_one_classes(-5, 10**12) == [(2, -1), (-2, 1)]
+    assert time.perf_counter() - start < 0.5
 
 
 def test_square_one_odd_index_killed_by_base_pairing():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cp2lab import (
     mat_exp,
 )
 from cp2lab.errors import AmbiguousClustering, DegenerateNullSpace
-from cp2lab.linalg3 import canonical_coords, char_poly, det3
+from cp2lab.linalg3 import _jordan_shape_from, canonical_coords, char_poly, det3
 
 RNG_SEED = 20240811
 
@@ -201,6 +202,43 @@ def test_jordan_ambiguous_clustering():
     m = np.diag([1.0, 1.0 + 5e-7, 2.0]).astype(complex)
     with pytest.raises(AmbiguousClustering):
         jordan_shape(m, tol=1e-7)
+
+
+def test_jordan_shape_from_eigendata_matches_jordan_shape():
+    from cp2lab import AlgebraElement
+
+    rng = np.random.default_rng(RNG_SEED + 6)
+    p = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+    unipotent = np.eye(3) + np.array([[0, 0, 1], [0, 0, 1], [1, -1, 0]], dtype=complex)
+    cases = [
+        np.eye(3, dtype=complex),
+        unipotent,
+        mat_exp(AlgebraElement.parabolic_normal(0.0, 1.0, 0.3).matrix()),
+        mat_exp(AlgebraElement.parabolic_normal(0.7, 0.0, 0.0).matrix()),
+        mat_exp(AlgebraElement.hyperbolic_normal(0.9, 0.4).matrix()),
+        p @ np.diag([1.0, 2.0, 3.5]) @ np.linalg.inv(p),
+        p @ np.diag([1.0, 1.0, 2.0]) @ np.linalg.inv(p),
+        # clusters 1.5e-5 apart: distinct at every tol, ambiguous at tol 1e-6
+        np.diag([1.0, 1.0 + 1.5e-5, 2.0]).astype(complex),
+        p @ np.diag([1.0, 1.0 + 1.5e-5, 2.0]) @ np.linalg.inv(p),
+    ]
+    compared = ambiguous = 0
+    for m in cases:
+        for tol in (1e-9, 1e-7, 1e-6):
+            try:
+                eig = eig3(m, merge_tol=tol)
+            except DegenerateNullSpace:
+                continue  # classify stops at eig3 then, before any Jordan shape
+            compared += 1
+            try:
+                expected = jordan_shape(m, tol=tol)
+            except AmbiguousClustering as exc:
+                ambiguous += 1
+                with pytest.raises(AmbiguousClustering, match=f"^{re.escape(str(exc))}$"):
+                    _jordan_shape_from(m, eig, tol=tol)
+            else:
+                assert _jordan_shape_from(m, eig, tol=tol) == expected
+    assert compared == 3 * len(cases) and ambiguous == 2
 
 
 def test_mat_exp_zero():

@@ -13,6 +13,7 @@ from cp2lab import (
     script_from_json,
 )
 from cp2lab.errors import AssertionFailed, InputFormatError, NotExceptionalClass, UnknownName
+from cp2lab.jsonio import lattice_to_json
 from cp2lab.replay import InitialSurface, Script, state_to_json
 
 
@@ -136,6 +137,12 @@ def test_json_script_round_trip():
     assert payload["lattice"]["labels"] == ["v1", "v2"]
     assert payload["curves"]["ruling"] is not None
     assert payload["n_blowups"] == 2
+
+
+def test_state_json_uses_the_lattice_encoder():
+    for script in (builtin_standard_blowups(5), builtin_sigma0_singular(), builtin_sigma_chain(3)):
+        state = run(script)
+        assert state_to_json(state)["lattice"] == lattice_to_json(state.lattice)
 
 
 def test_malformed_script_json():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,12 +33,15 @@ from cp2lab.errors import (
     NotNonElliptic,
     NotOnBoundary,
 )
+from cp2lab import linalg3, su12
+from cp2lab.jsonio import classification_report, complex_to_json
 from cp2lab.su12 import J
 
 from helpers import (
     conjugate,
     random_algebra,
     random_conjugator,
+    random_elliptic,
     random_hyperbolic,
     random_parabolic,
 )
@@ -303,6 +307,76 @@ def test_hyperbolic_derivative_moduli_pattern():
         assert max(at) < 1.0
         assert min(rp) > 1.0
         assert min(ex) < 1.0 < max(ex)
+
+
+# one spectral pass ---------------------------------------------------------------
+
+KINDS = ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step")
+
+
+def _seeded_element(rng, kind: str) -> np.ndarray:
+    if kind == "elliptic":
+        m = random_elliptic(rng)
+    elif kind == "hyperbolic":
+        m = random_hyperbolic(rng)
+    else:
+        m = random_parabolic(rng, kind)
+    return conjugate(m, random_conjugator(rng, 0.8))
+
+
+def _kind_of(cls) -> str:
+    return cls.subtype.value if cls.subtype is not None else cls.kind.value
+
+
+def _bits(entry) -> list:
+    return [[part.hex() for part in z] for z in entry]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_and_report_compute_the_spectrum_once(monkeypatch, kind):
+    m = _seeded_element(np.random.default_rng(RNG_SEED + 6), kind)
+    calls = Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(su12, "eig3")
+    count(linalg3, "cubic_roots")
+    count(linalg3, "jordan_shape")
+    count(su12, "derivative_eigenvalues")
+    count(su12, "fixed_points")
+    cls = classify(m)
+    report = classification_report(cls)
+    assert _kind_of(cls) == kind
+    assert len(report["fixed_points"]) == len(cls.fixed_points)
+    assert calls == {"eig3": 1, "cubic_roots": 1}
+
+
+def test_report_matches_the_public_spectral_functions():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    # an elliptic element with an eigenplane, whose fixed points form a line
+    b = 0.6
+    plane = conjugate(mat_exp(AlgebraElement(b, b, 0j, 0j, 0j).matrix()), random_conjugator(rng, 0.8))
+    elements = [("elliptic", plane)]
+    elements += [(kind, _seeded_element(rng, kind)) for _ in range(8) for kind in KINDS]
+    for kind, m in elements:
+        cls = classify(m)
+        assert _kind_of(cls) == kind
+        report = classification_report(cls)
+        for fp, entry in zip(cls.fixed_points, report["fixed_points"], strict=True):
+            expected = [complex_to_json(z) for z in derivative_eigenvalues(m, fp.point)]
+            assert _bits(entry["derivative_eigenvalues"]) == _bits(expected)
+        if kind in ("elliptic", "line_fixing"):
+            data = fixed_points(m)
+            assert cls.fixed_points == data.points
+            assert cls.fixed_line == data.fixed_line
+    assert classify(plane).fixed_line is not None
 
 
 # normal forms --------------------------------------------------------------------
