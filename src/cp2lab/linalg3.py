@@ -2,10 +2,11 @@
 
 Everything is sized for 3x3 problems: characteristic roots come from the
 closed-form cubic (depressed cubic, trigonometric branch for three real
-roots, Cardano otherwise) followed by a Newton polish, eigenvectors from
-full-pivot elimination, Jordan block sizes from ranks of powers, and the
-matrix exponential from scaling and squaring.  No general eigensolver is
-used or provided.
+roots, Cardano otherwise) followed by a Newton polish; ranks and null
+directions from one pivoting step on Python scalars (two elimination
+pivots, the third from the determinant, null vectors as cross products);
+Jordan block sizes from ranks of powers; and the matrix exponential from
+scaling and squaring.  No general eigensolver is used or provided.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ def as_mat3(m) -> np.ndarray:
     return a
 
 
+def _cofactor_row(r: list[list[complex]], i: int) -> list[complex]:
+    """Row i of the cofactor matrix, (-1)^(i+j) times minor (i, j), from rows r."""
+    r1, r2 = r[(i + 1) % 3], r[(i + 2) % 3]
+    return [r1[(j + 1) % 3] * r2[(j + 2) % 3] - r1[(j + 2) % 3] * r2[(j + 1) % 3] for j in range(3)]
+
+
 def det3(m) -> complex:
-    a = as_mat3(m)
-    return complex(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+    r = as_mat3(m).tolist()
+    c = _cofactor_row(r, 0)
+    return r[0][0] * c[0] + r[0][1] * c[1] + r[0][2] * c[2]
 
 
 def inv3(m) -> np.ndarray:
@@ -51,14 +55,8 @@ def inv3(m) -> np.ndarray:
     scale = float(np.abs(a).max())
     if abs(d) <= 1e-300 or abs(d) < 1e-14 * max(scale, 1.0) ** 3 * 1e-6:
         raise ZeroDivisionError("matrix is numerically singular")
-    adj = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            rows = [r for r in range(3) if r != j]
-            cols = [c for c in range(3) if c != i]
-            minor = a[rows[0], cols[0]] * a[rows[1], cols[1]] - a[rows[0], cols[1]] * a[rows[1], cols[0]]
-            adj[i, j] = (-1) ** (i + j) * minor
-    return adj / d
+    r = a.tolist()
+    return np.array([_cofactor_row(r, i) for i in range(3)], dtype=complex).T / d
 
 
 def char_poly(m) -> tuple[complex, complex, complex]:
@@ -258,63 +256,54 @@ def chordal_distance(p, q) -> float:
 
 # eigen machinery ------------------------------------------------------------
 
-def _full_pivot_eliminate(m: np.ndarray, rtol: float, scale_ref: float | None = None):
-    """Full-pivot Gaussian elimination.
+def _cross(u, v) -> tuple[complex, complex, complex]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
-    Returns (u, row_perm, col_perm, rank) where u is the eliminated matrix
-    in permuted coordinates.  A pivot counts toward the rank when its
-    modulus exceeds rtol times the reference scale.
+
+def _rank_and_null(m: np.ndarray, rtol: float, scale_ref: float | None = None):
+    """Rank of a 3x3 matrix and a basis of its numerical null space.
+
+    The pivots are those of full-pivot elimination: the largest entry, then
+    the largest entry of the other two rows once eliminated against the
+    first pivot's row, then |det| / (p1 p2).  A pivot counts toward the rank
+    when its modulus exceeds rtol times the reference scale (by default the
+    largest entry).  The null direction is the cross product of the pivot
+    row and the stronger eliminated row at rank 2, and is solved from the
+    pivot row at rank 1; rank 0 gives the identity basis.  Returns
+    (rank, basis) with the basis vectors as tuples, not normalised.
     """
-    a = m.astype(complex).copy()
-    scale = float(np.abs(a).max()) if scale_ref is None else scale_ref
-    thresh = rtol * max(scale, 1e-300)
-    rows = [0, 1, 2]
-    cols = [0, 1, 2]
-    rank = 0
-    for step in range(3):
-        sub = np.abs(a[step:, step:])
-        flat = int(np.argmax(sub))
-        i, j = divmod(flat, 3 - step)
-        i += step
-        j += step
-        if sub[i - step, j - step] <= thresh:
-            break
-        if i != step:
-            a[[step, i], :] = a[[i, step], :]
-            rows[step], rows[i] = rows[i], rows[step]
-        if j != step:
-            a[:, [step, j]] = a[:, [j, step]]
-            cols[step], cols[j] = cols[j], cols[step]
-        for r in range(step + 1, 3):
-            f = a[r, step] / a[step, step]
-            a[r, step:] -= f * a[step, step:]
-            a[r, step] = 0.0
-        rank += 1
-    return a, rows, cols, rank
-
-
-def rank3(m, rtol: float = PIVOT_RTOL, scale_ref: float | None = None) -> int:
-    _, _, _, rank = _full_pivot_eliminate(as_mat3(m), rtol, scale_ref)
-    return rank
-
-
-def null_space(m, rtol: float = PIVOT_RTOL) -> list[np.ndarray]:
-    """Basis of the numerical null space via full-pivot elimination."""
-    a = as_mat3(m)
-    u, _, cols, rank = _full_pivot_eliminate(a, rtol)
-    nullity = 3 - rank
-    basis: list[np.ndarray] = []
-    for free in range(rank, 3):
-        x = np.zeros(3, dtype=complex)
-        x[free] = 1.0
-        for i in range(rank - 1, -1, -1):
-            acc = sum(u[i, j] * x[j] for j in range(i + 1, 3))
-            x[i] = -acc / u[i, i]
-        vec = np.zeros(3, dtype=complex)
-        for permuted, original in enumerate(cols):
-            vec[original] = x[permuted]
-        basis.append(vec / np.linalg.norm(vec))
-    return basis
+    rows = m.tolist()
+    mods = [abs(z) for row in rows for z in row]
+    p1 = max(mods)
+    thresh = rtol * max(p1 if scale_ref is None else scale_ref, 1e-300)
+    if p1 <= thresh:
+        return 0, [(1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)]
+    i, j = divmod(mods.index(p1), 3)
+    top = rows[i]
+    elim = []
+    for row in rows[:i] + rows[i + 1:]:
+        f = row[j] / top[j]
+        row = [x - f * y for x, y in zip(row, top)]
+        row[j] = 0j
+        elim.append(row)
+    strength = [max(abs(z) for z in row) for row in elim]
+    k = 0 if strength[0] >= strength[1] else 1
+    p2 = strength[k]
+    if p2 <= thresh:
+        # columns are freed in the order full-pivot elimination frees them
+        basis = []
+        for c in (0 if c == j else c for c in (1, 2)):
+            x = [0j, 0j, 0j]
+            x[c] = 1 + 0j
+            x[j] = -top[c] / top[j]
+            basis.append(tuple(x))
+        return 1, basis
+    null = _cross(top, elim[k])
+    other = elim[1 - k]
+    p3 = abs(null[0] * other[0] + null[1] * other[1] + null[2] * other[2]) / (p1 * p2)
+    if p3 > thresh:
+        return 3, []
+    return 2, [null]
 
 
 @dataclass(frozen=True)
@@ -350,7 +339,12 @@ def _root_groups(roots) -> list[tuple[complex, int]]:
 
 
 def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> EigenData:
-    """Eigenvalues from the characteristic cubic, eigenvectors from null spaces."""
+    """Eigenvalues from the characteristic cubic, eigenvectors from null spaces.
+
+    Roots closer than merge_tol are one eigenvalue; its directions span the
+    null space of a - value I found by _rank_and_null at pivot_rtol.
+    Raises DegenerateNullSpace when an eigenvalue has no null direction.
+    """
     a = as_mat3(m)
     c2, c1, c0 = char_poly(a)
     roots = cubic_roots(c2, c1, c0, merge_tol=merge_tol)
@@ -358,7 +352,7 @@ def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> Eig
     pairs = []
     eye = np.eye(3, dtype=complex)
     for value, mult in _root_groups(roots):
-        basis = null_space(a - value * eye, rtol=pivot_rtol)
+        _, basis = _rank_and_null(a - value * eye, pivot_rtol)
         if not basis:
             raise DegenerateNullSpace(
                 f"no null direction found for eigenvalue {value:.6g} at pivot tolerance {pivot_rtol:g}"
@@ -388,70 +382,60 @@ def jordan_shape(m, tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> J
 
     Raises AmbiguousClustering when two clusters are separated by less
     than ten times the (scaled) tolerance, since the answer would then
-    flip under small perturbations.
+    flip under small perturbations, and when an eigenvalue has no null
+    direction at pivot_rtol.
     """
     a = as_mat3(m)
-    c2, c1, c0 = char_poly(a)
-    roots = cubic_roots(c2, c1, c0, merge_tol=tol)
-    groups = [(value, mult, None) for value, mult in _root_groups(roots)]
-    return _jordan_blocks(a, groups, tol, pivot_rtol)
+    try:
+        eig = eig3(a, tol, pivot_rtol)
+    except DegenerateNullSpace as exc:
+        raise AmbiguousClustering(str(exc)) from exc
+    return _jordan_shape_from(a, eig, tol, pivot_rtol)
 
 
 def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float,
                        pivot_rtol: float = PIVOT_RTOL) -> JordanShape:
     """jordan_shape of a from its eig3 result at merge tolerance tol.
 
-    The rank of a - value I is 3 minus the number of null directions eig3
-    found at the same pivot tolerance and scale, so only the rank of the
-    square is computed.
+    The cluster gap check comes first, over the eigenvalues in root order
+    (sorted by (re, im)).  The rank of a - value I is 3 minus the number of
+    null directions eig3 found at the same pivot tolerance and scale, so
+    only the rank of the square is computed.
     """
     pairs = sorted(eig.pairs, key=lambda p: (p.value.real, p.value.imag))
-    groups = [(p.value, p.multiplicity, 3 - len(p.vectors)) for p in pairs]
-    return _jordan_blocks(a, groups, tol, pivot_rtol)
-
-
-def _jordan_blocks(a: np.ndarray, groups, tol: float, pivot_rtol: float) -> JordanShape:
-    """Block sizes from (value, multiplicity, rank of a - value I or None).
-
-    groups come in root order, sorted by (re, im).  The cluster gap check
-    runs before any rank is computed.
-    """
-    scale = max(1.0, max(abs(value) for value, _, _ in groups))
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            gap = abs(groups[i][0] - groups[j][0])
+    scale = max(1.0, max(abs(p.value) for p in pairs))
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            gap = abs(pairs[i].value - pairs[j].value)
             if gap < 10.0 * tol * scale:
                 raise AmbiguousClustering(
                     f"eigenvalue clusters separated by {gap:.3g} < 10*tol"
                 )
 
     eye = np.eye(3, dtype=complex)
-    values = []
     blocks = []
-    for value, mult, r1 in groups:
-        if mult == 1:
+    for pair in pairs:
+        if pair.multiplicity == 1:
             sizes = (1,)
         else:
-            n1 = a - value * eye
+            n1 = a - pair.value * eye
             norm1 = float(np.abs(n1).max())
-            if r1 is None:
-                r1 = rank3(n1, pivot_rtol)
-            r2 = rank3(n1 @ n1, pivot_rtol, scale_ref=max(norm1 * norm1, 1e-300))
+            r1 = 3 - len(pair.vectors)
+            r2, _ = _rank_and_null(n1 @ n1, pivot_rtol, scale_ref=max(norm1 * norm1, 1e-300))
             ge1 = 3 - r1          # blocks of size >= 1
             ge2 = r1 - r2         # blocks of size >= 2
-            ge3 = mult - ge1 - ge2
+            ge3 = pair.multiplicity - ge1 - ge2
             counts = (ge1 - ge2, ge2 - ge3, ge3)  # exactly 1, 2, 3
             if min(counts) < 0 or ge1 <= 0:
                 raise AmbiguousClustering(
-                    f"inconsistent rank profile for eigenvalue {value:.6g}"
+                    f"inconsistent rank profile for eigenvalue {pair.value:.6g}"
                 )
             sizes = tuple(
                 size for size, count in ((3, ge3), (2, ge2 - ge3), (1, ge1 - ge2))
                 for _ in range(count)
             )
-        values.append(value)
         blocks.append(sizes)
-    return JordanShape(tuple(values), tuple(blocks))
+    return JordanShape(tuple(p.value for p in pairs), tuple(blocks))
 
 
 def mat_exp(m) -> np.ndarray:

@@ -608,15 +608,16 @@ def _nearest_cube_root(z: complex) -> complex:
     return min(_CUBE_ROOTS_OF_UNITY, key=lambda w: abs(w - z))
 
 
-def _parabolic_log(b_mat: np.ndarray, subtype: ParabolicKind,
-                   merge_tol: float) -> tuple[np.ndarray, complex]:
-    """Algebra element a (and central phase zeta) with zeta*exp(a) = b_mat."""
+def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.ndarray, complex]:
+    """Algebra element a (and central phase zeta) with zeta*exp(a) = b_mat.
+
+    b_mat is conjugate to the classified element, so the eigenvalues come
+    from the classification: the double one at the boundary fixed point,
+    the simple one at the exterior point of a rotational element.
+    """
     eye = np.eye(3, dtype=complex)
-    eig = eig3(b_mat, merge_tol=merge_tol)
-    if subtype == ParabolicKind.ROTATIONAL:
-        double = next(p for p in eig.pairs if p.multiplicity == 2)
-        simple = next(p for p in eig.pairs if p.multiplicity == 1)
-        mu, nu = double.value, simple.value
+    if cls.subtype == ParabolicKind.ROTATIONAL:
+        mu, nu = cls.attractive.eigenvalue, cls.exterior.eigenvalue
         base = cmath.phase(nu)
         candidates = [base, base + 2.0 * math.pi, base - 2.0 * math.pi]
         d2 = min(candidates, key=lambda t: abs(cmath.exp(-0.5j * t) - mu))
@@ -626,8 +627,7 @@ def _parabolic_log(b_mat: np.ndarray, subtype: ParabolicKind,
         a = (-0.5j * d2) * p_mu + (1j * d2) * p_nu + nil / mu
         return a, 1 + 0j
     # unipotent up to a central cube root of unity
-    lam = eig.pairs[0].value
-    zeta = _nearest_cube_root(lam)
+    zeta = _nearest_cube_root(cls.attractive.eigenvalue)
     u = b_mat / zeta
     n = u - eye
     a = n - (n @ n) / 2.0
@@ -669,7 +669,7 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL,
     w, u = _complete_null_frame(p)
     g = _frame_transport(p, w, u)
     b_mat = g @ m @ inv3(g)
-    alg, zeta = _parabolic_log(b_mat, cls.subtype, merge_tol)
+    alg, zeta = _parabolic_log(b_mat, cls)
     d1 = float(alg[1, 1].imag)
     d2 = float(alg[2, 2].imag)
     c = complex(alg[1, 2])

@@ -62,6 +62,18 @@ def conjugate(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g @ m @ np.linalg.inv(g)
 
 
+def random_element(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """Element of one kind (elliptic, hyperbolic or a parabolic subtype)
+    conjugated by the exponential of a random algebra element at scale 0.8."""
+    if kind == "elliptic":
+        m = random_elliptic(rng)
+    elif kind == "hyperbolic":
+        m = random_hyperbolic(rng)
+    else:
+        m = random_parabolic(rng, kind)
+    return conjugate(m, random_conjugator(rng, 0.8))
+
+
 # scalar reference for basin ball sampling: one numpy Generator per sample,
 # one uniform draw at a time
 
@@ -149,3 +161,27 @@ def bareiss_det(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# reference rank: three-step full-pivot Gaussian elimination on a numpy copy
+
+def full_pivot_rank(m, rtol: float, scale_ref: float | None = None) -> int:
+    """Number of full-pivot elimination pivots whose modulus exceeds rtol
+    times the reference scale (by default the largest entry)."""
+    a = np.array(m, dtype=complex)
+    scale = float(np.abs(a).max()) if scale_ref is None else scale_ref
+    thresh = rtol * max(scale, 1e-300)
+    for step in range(3):
+        sub = np.abs(a[step:, step:])
+        i, j = divmod(int(np.argmax(sub)), 3 - step)
+        i += step
+        j += step
+        if sub[i - step, j - step] <= thresh:
+            return step
+        a[[step, i], :] = a[[i, step], :]
+        a[:, [step, j]] = a[:, [j, step]]
+        for r in range(step + 1, 3):
+            f = a[r, step] / a[step, step]
+            a[r, step:] -= f * a[step, step:]
+            a[r, step] = 0.0
+    return 3

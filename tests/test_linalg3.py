@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from cp2lab import (
     mat_exp,
 )
 from cp2lab.errors import AmbiguousClustering, DegenerateNullSpace
-from cp2lab.linalg3 import _jordan_shape_from, canonical_coords, char_poly, det3
+from cp2lab.linalg3 import _jordan_shape_from, _rank_and_null, canonical_coords, char_poly, det3, inv3
+
+from helpers import full_pivot_rank, random_element
 
 RNG_SEED = 20240811
 
@@ -204,13 +207,32 @@ def test_jordan_ambiguous_clustering():
         jordan_shape(m, tol=1e-7)
 
 
-def test_jordan_shape_from_eigendata_matches_jordan_shape():
+# shapes recorded from the full-pivot elimination path, per case: the shape
+# at every tolerance, or the message at tolerance 1e-6
+_ROT = (complex(0.540302306, 0.841470985), complex(0.877582562, -0.479425539))
+_LOX = (complex(0.374475455, 0.158325683), complex(0.696706709, -0.717356091),
+        complex(2.265444486, 0.957814566))
+_NEAR = "eigenvalue clusters separated by 1.5e-05 < 10*tol"
+JORDAN_CASES = [
+    ("identity", ((1, 1, 1),), (1,), None),
+    ("unipotent", ((3,),), (1,), None),
+    ("rotational", ((1,), (2,)), _ROT, None),
+    ("line_fixing", ((2, 1),), (1,), None),
+    ("loxodromic", ((1,), (1,), (1,)), _LOX, None),
+    ("diag conjugated", ((1,), (1,), (1,)), (1, 2, 3.5), None),
+    ("double conjugated", ((1, 1), (1,)), (1, 2), None),
+    ("near double", ((1,), (1,), (1,)), (1, 1.000015, 2), _NEAR),
+    ("near double conjugated", ((1,), (1,), (1,)), (1, 1.000015, 2), _NEAR),
+]
+
+
+def _jordan_case_matrices():
     from cp2lab import AlgebraElement
 
     rng = np.random.default_rng(RNG_SEED + 6)
     p = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
     unipotent = np.eye(3) + np.array([[0, 0, 1], [0, 0, 1], [1, -1, 0]], dtype=complex)
-    cases = [
+    return [
         np.eye(3, dtype=complex),
         unipotent,
         mat_exp(AlgebraElement.parabolic_normal(0.0, 1.0, 0.3).matrix()),
@@ -222,23 +244,82 @@ def test_jordan_shape_from_eigendata_matches_jordan_shape():
         np.diag([1.0, 1.0 + 1.5e-5, 2.0]).astype(complex),
         p @ np.diag([1.0, 1.0 + 1.5e-5, 2.0]) @ np.linalg.inv(p),
     ]
-    compared = ambiguous = 0
-    for m in cases:
+
+
+def test_jordan_shape_recorded_cases():
+    for m, (name, blocks, values, message) in zip(_jordan_case_matrices(), JORDAN_CASES, strict=True):
         for tol in (1e-9, 1e-7, 1e-6):
-            try:
-                eig = eig3(m, merge_tol=tol)
-            except DegenerateNullSpace:
-                continue  # classify stops at eig3 then, before any Jordan shape
-            compared += 1
-            try:
-                expected = jordan_shape(m, tol=tol)
-            except AmbiguousClustering as exc:
-                ambiguous += 1
-                with pytest.raises(AmbiguousClustering, match=f"^{re.escape(str(exc))}$"):
-                    _jordan_shape_from(m, eig, tol=tol)
-            else:
-                assert _jordan_shape_from(m, eig, tol=tol) == expected
-    assert compared == 3 * len(cases) and ambiguous == 2
+            if tol == 1e-6 and message is not None:
+                with pytest.raises(AmbiguousClustering, match=f"^{re.escape(message)}$"):
+                    jordan_shape(m, tol=tol)
+                continue
+            shape = jordan_shape(m, tol=tol)
+            assert shape.blocks == blocks, name
+            assert len(shape.eigenvalues) == len(values)
+            assert all(abs(v - w) < 1e-8 for v, w in zip(shape.eigenvalues, values)), name
+            assert _jordan_shape_from(m, eig3(m, merge_tol=tol), tol=tol) == shape
+
+
+def test_jordan_shape_without_a_null_direction_is_ambiguous():
+    rng = np.random.default_rng(RNG_SEED + 4)
+    m = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+    with pytest.raises(AmbiguousClustering, match="^no null direction found for eigenvalue "):
+        jordan_shape(m, pivot_rtol=1e-30)
+
+
+def _rank_cases():
+    """(matrix, scale_ref) pairs: a - value I and its square for seeded
+    elements of every kind, then rank-1 and rank-2 matrices plus noise."""
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for kind in ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step"):
+        for _ in range(300):
+            m = random_element(rng, kind)
+            for value in set(cubic_roots(*char_poly(m))):
+                n1 = m - value * np.eye(3)
+                yield n1, None
+                yield n1 @ n1, max(float(np.abs(n1).max()) ** 2, 1e-300)
+    for rank in (1, 2):
+        for noise in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            for _ in range(40):
+                u = rng.normal(size=(3, rank)) + 1j * rng.normal(size=(3, rank))
+                v = rng.normal(size=(rank, 3)) + 1j * rng.normal(size=(rank, 3))
+                e = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                yield u @ v + noise * e, None
+
+
+def test_rank_decisions_match_full_pivot_elimination():
+    ranks = Counter()
+    for m, scale_ref in _rank_cases():
+        rank, basis = _rank_and_null(m, 1e-8, scale_ref)
+        assert rank == full_pivot_rank(m, 1e-8, scale_ref)
+        assert len(basis) == 3 - rank
+        ranks[rank] += 1
+    assert sorted(ranks) == [0, 1, 2, 3] and sum(ranks.values()) > 6000
+
+
+def test_null_directions_by_rank():
+    assert _rank_and_null(np.zeros((3, 3), dtype=complex), 1e-8) == (0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    # rank 1: solved from the pivot row (2, 4, -8); columns freed in the
+    # order full-pivot elimination frees them
+    m = np.outer([1, 0.5, 2], [2, 4, -8]).astype(complex)
+    assert _rank_and_null(m, 1e-8) == (1, [(0j, 1, 0.5), (1, 0j, 0.25)])
+    rank, [v] = _rank_and_null(np.diag([1.0, 0.0, 3.0]).astype(complex), 1e-8)
+    assert rank == 2 and v[0] == v[2] == 0 and v[1] != 0
+    assert _rank_and_null(np.diag([1.0, 2.0, 3.0]).astype(complex), 1e-8) == (3, [])
+
+
+def test_det3_is_the_row_zero_cofactor_expansion_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for _ in range(1000):
+        a = (rng.uniform(-2, 2, (3, 3)) + 1j * rng.uniform(-2, 2, (3, 3))) * 10.0 ** rng.integers(-3, 4)
+        expansion = complex(
+            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        )
+        d = det3(a)
+        assert (d.real.hex(), d.imag.hex()) == (expansion.real.hex(), expansion.imag.hex())
+        assert np.abs(inv3(a) @ a - np.eye(3)).max() < 1e-9
 
 
 def test_mat_exp_zero():

@@ -1,0 +1,108 @@
+"""Independent oracles for the spectral layer: 50-digit eigenvector residuals
+(mpmath) and Goldman's trace discriminant for the trichotomy."""
+
+import mpmath
+import numpy as np
+
+from cp2lab import AlgebraElement, Kind, classify, eig3, mat_exp
+
+from helpers import conjugate, random_conjugator, random_element
+
+RNG_SEED = 20261018
+KINDS = ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step")
+
+
+def _near_double(rng, kind: str, gap: float) -> np.ndarray:
+    """Conjugated element with two eigenvalues about gap apart."""
+    if kind == "elliptic":
+        b = float(rng.uniform(0.5, 1.5))
+        x = AlgebraElement(b, b + gap, 0j, 0j, 0j)
+    else:
+        x = AlgebraElement.hyperbolic_normal(gap / 2, float(rng.uniform(-np.pi, np.pi)))
+    return conjugate(mat_exp(x.matrix()), random_conjugator(rng, 0.8))
+
+
+# eigenvector residuals at 50 digits --------------------------------------------
+
+def _residual(m: np.ndarray, value: complex, v) -> float:
+    """|A v - value v| / |v| in 50-digit arithmetic on the given floats."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix([[mpmath.mpc(z) for z in row] for row in m.tolist()])
+        x = mpmath.matrix([mpmath.mpc(z) for z in v])
+        return float(mpmath.norm(a * x - mpmath.mpc(value) * x) / mpmath.norm(x))
+
+
+def _residual_cases():
+    rng = np.random.default_rng(RNG_SEED)
+    for kind in KINDS:
+        for _ in range(60):
+            yield kind, random_element(rng, kind)
+    for kind in ("elliptic", "hyperbolic"):
+        for gap in (1e-3, 1e-4):
+            for _ in range(10):
+                yield f"near_{kind}_{gap:g}", _near_double(rng, kind, gap)
+
+
+# Worst residuals over these cases with the earlier full-pivot elimination
+# (same cases, numpy 2.4, x86-64): elliptic 6.6e-15, hyperbolic 2.1e-15,
+# rotational 1.02e-14, line-fixing 1.3e-15, three-step 2.2e-15; nearly
+# double roots, elliptic 1.7e-12 (gap 1e-3) and 8.1e-12 (1e-4), hyperbolic
+# 1.1e-12 and 7.0e-11.  Each bound is 1.5 times that.  Taking the null
+# vector as the largest cross product of two raw rows instead reads
+# rotational 1.6e-13, three-step 3.6e-14 and elliptic gap 1e-4 2.0e-11.
+RESIDUAL_BOUND = {
+    "elliptic": 1.0e-14,
+    "hyperbolic": 3.2e-15,
+    "rotational": 1.6e-14,
+    "line_fixing": 2.0e-15,
+    "three_step": 3.3e-15,
+    "near_elliptic_0.001": 2.5e-12,
+    "near_elliptic_0.0001": 1.3e-11,
+    "near_hyperbolic_0.001": 1.7e-12,
+    "near_hyperbolic_0.0001": 1.1e-10,
+}
+
+
+def test_eig3_directions_have_small_50_digit_residuals():
+    worst = {}
+    for family, m in _residual_cases():
+        for pair in eig3(m).pairs:
+            for v in pair.vectors:
+                worst[family] = max(worst.get(family, 0.0), _residual(m, pair.value, v.coords))
+    assert worst.keys() == RESIDUAL_BOUND.keys()
+    for family, bound in RESIDUAL_BOUND.items():
+        assert worst[family] <= bound, (family, worst[family])
+
+
+# Goldman's trichotomy -------------------------------------------------------------
+
+def goldman(tau: complex) -> float:
+    """f(tau) = |tau|^4 - 8 Re(tau^3) + 18 |tau|^2 - 27 (Goldman, Complex
+    Hyperbolic Geometry, Thm 6.2.4): positive for loxodromic elements,
+    negative for regular elliptic ones, zero for parabolic ones."""
+    t2 = abs(tau) ** 2
+    return t2 * t2 - 8.0 * (tau ** 3).real + 18.0 * t2 - 27.0
+
+
+def _goldman_cases():
+    rng = np.random.default_rng(RNG_SEED + 1)
+    for kind in KINDS:
+        for _ in range(200):
+            yield kind, random_element(rng, kind)
+
+
+def test_classify_agrees_with_goldman_discriminant():
+    # seen over these cases: hyperbolic f in [1.9e-2, 6.9e2], elliptic
+    # f in [-11.6, -1.6e-4], parabolic |f| <= 1.2e-13
+    seen = {kind: 0 for kind in KINDS}
+    for kind, m in _goldman_cases():
+        f = goldman(complex(np.trace(m)))
+        cls = classify(m)
+        seen[cls.subtype.value if cls.subtype is not None else cls.kind.value] += 1
+        if f > 1e-6:
+            assert cls.kind == Kind.HYPERBOLIC, (kind, f)
+        elif f < -1e-6:
+            assert cls.kind == Kind.ELLIPTIC, (kind, f)
+        if cls.kind == Kind.PARABOLIC:
+            assert abs(f) <= 1e-10, (kind, f)
+    assert seen == {kind: 200 for kind in KINDS}

@@ -41,7 +41,7 @@ from helpers import (
     conjugate,
     random_algebra,
     random_conjugator,
-    random_elliptic,
+    random_element,
     random_hyperbolic,
     random_parabolic,
 )
@@ -314,16 +314,6 @@ def test_hyperbolic_derivative_moduli_pattern():
 KINDS = ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step")
 
 
-def _seeded_element(rng, kind: str) -> np.ndarray:
-    if kind == "elliptic":
-        m = random_elliptic(rng)
-    elif kind == "hyperbolic":
-        m = random_hyperbolic(rng)
-    else:
-        m = random_parabolic(rng, kind)
-    return conjugate(m, random_conjugator(rng, 0.8))
-
-
 def _kind_of(cls) -> str:
     return cls.subtype.value if cls.subtype is not None else cls.kind.value
 
@@ -334,7 +324,7 @@ def _bits(entry) -> list:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_classify_and_report_compute_the_spectrum_once(monkeypatch, kind):
-    m = _seeded_element(np.random.default_rng(RNG_SEED + 6), kind)
+    m = random_element(np.random.default_rng(RNG_SEED + 6), kind)
     calls = Counter()
 
     def count(owner, name):
@@ -364,7 +354,7 @@ def test_report_matches_the_public_spectral_functions():
     b = 0.6
     plane = conjugate(mat_exp(AlgebraElement(b, b, 0j, 0j, 0j).matrix()), random_conjugator(rng, 0.8))
     elements = [("elliptic", plane)]
-    elements += [(kind, _seeded_element(rng, kind)) for _ in range(8) for kind in KINDS]
+    elements += [(kind, random_element(rng, kind)) for _ in range(8) for kind in KINDS]
     for kind, m in elements:
         cls = classify(m)
         assert _kind_of(cls) == kind
@@ -432,6 +422,22 @@ def test_normal_form_rotational_recovers_rotation_angle():
         nf = conjugate_to_normal_form(conjugate(m0, random_conjugator(rng)))
         assert nf.subtype == ParabolicKind.ROTATIONAL
         assert abs(nf.params.d2 - d2) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ("hyperbolic", "rotational", "line_fixing", "three_step"))
+def test_normal_form_reuses_the_classification_spectrum(monkeypatch, kind):
+    m = random_element(np.random.default_rng(RNG_SEED + 9), kind)
+    calls = Counter()
+    inner = su12.eig3
+
+    def counted(*args, **kwargs):
+        calls["eig3"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(su12, "eig3", counted)
+    nf = conjugate_to_normal_form(m)
+    assert _kind_of(nf) == kind
+    assert calls == {"eig3": 1}
 
 
 def test_normal_form_rejects_elliptic():
