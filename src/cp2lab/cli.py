@@ -7,7 +7,9 @@ scripts, built-in or from a file).
 
 Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
 print a JSON payload on stdout; failures print a one-line JSON error
-object on stderr and nothing on stdout.  The environment variable
+object on stderr and nothing on stdout.  A classification decision the
+tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
+location) exits 1 with error "AmbiguousClustering".  The environment variable
 CP2LAB_TOL, when set, supplies the default for --tol; both must be a
 finite number > 0.  Counts, indices and bounds must be non-negative,
 blow-up counts (`--blowups`, and `replay --k`) at most MAX_BLOWUPS, and

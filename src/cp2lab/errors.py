@@ -9,12 +9,14 @@ class Cp2LabError(Exception):
 
 # numerical linear algebra
 
-class DegenerateNullSpace(Cp2LabError):
-    """Pivot tolerance cannot separate the rank of a near-singular matrix."""
-
-
 class AmbiguousClustering(Cp2LabError):
-    """Eigenvalue clusters are too close for a tolerance-stable decision."""
+    """A tolerance cannot settle a decision stably.
+
+    Raised when eigenvalue clusters are too close to merge or separate,
+    when the pivot tolerance cannot decide the rank of a near-singular
+    matrix (an eigenvalue without a null direction, or an inconsistent
+    rank profile), and when the fixed points found do not fit any kind.
+    """
 
 
 # group and classification

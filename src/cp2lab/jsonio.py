@@ -56,12 +56,9 @@ def mat3_from_json(obj) -> np.ndarray:
         raise InputFormatError(str(exc)) from exc
 
 
-def point_to_json(p: ProjectivePoint) -> list[list[float]]:
-    return [complex_to_json(c) for c in p.coords]
-
-
-def line_to_json(l: ProjectiveLine) -> list[list[float]]:
-    return [complex_to_json(c) for c in l.coords]
+def coords_to_json(x: ProjectivePoint | ProjectiveLine) -> list[list[float]]:
+    """Canonical coordinates of a projective point or line."""
+    return [complex_to_json(c) for c in x.coords]
 
 
 def algebra_from_json(obj) -> AlgebraElement:
@@ -83,19 +80,9 @@ def algebra_from_json(obj) -> AlgebraElement:
         raise InputFormatError(f"algebra element missing key {exc}") from exc
 
 
-def algebra_to_json(a: AlgebraElement) -> dict:
-    return {
-        "b1": a.b1,
-        "b2": a.b2,
-        "l1": complex_to_json(a.l1),
-        "l2": complex_to_json(a.l2),
-        "c": complex_to_json(a.c),
-    }
-
-
 def _fixed_point_to_json(cls: ElementClassification, fp: FixedPoint) -> dict:
     return {
-        "point": point_to_json(fp.point),
+        "point": coords_to_json(fp.point),
         "location": fp.location.value,
         "eigenvalue": complex_to_json(fp.eigenvalue),
         "derivative_eigenvalues": [complex_to_json(z) for z in cls.derivative_eigenvalues(fp)],
@@ -108,16 +95,12 @@ def classification_report(cls: ElementClassification) -> dict:
         "subtype": cls.subtype.value if cls.subtype is not None else None,
         "eigenvalues": [complex_to_json(fp.eigenvalue) for fp in cls.fixed_points],
         "fixed_points": [_fixed_point_to_json(cls, fp) for fp in cls.fixed_points],
-        "fixed_line": line_to_json(cls.fixed_line) if cls.fixed_line is not None else None,
+        "fixed_line": coords_to_json(cls.fixed_line) if cls.fixed_line is not None else None,
     }
-    if cls.kind == Kind.HYPERBOLIC:
-        report["attractive"] = point_to_json(cls.attractive.point)
-        report["repulsive"] = point_to_json(cls.repulsive.point)
-        report["exterior"] = point_to_json(cls.exterior.point)
-    elif cls.kind == Kind.PARABOLIC:
-        report["attractive"] = point_to_json(cls.attractive.point)
-        report["repulsive"] = point_to_json(cls.repulsive.point)
-        report["exterior"] = point_to_json(cls.exterior.point) if cls.exterior else None
+    if cls.kind != Kind.ELLIPTIC:
+        for name in ("attractive", "repulsive", "exterior"):
+            fp = getattr(cls, name)
+            report[name] = coords_to_json(fp.point) if fp is not None else None
     return report
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousClustering, DegenerateNullSpace
+from .errors import AmbiguousClustering
 
 MERGE_TOL = 1e-7       # absolute eigenvalue merge tolerance at unit scale
 PIVOT_RTOL = 1e-8      # relative pivot threshold for rank decisions
@@ -343,7 +343,8 @@ def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> Eig
 
     Roots closer than merge_tol are one eigenvalue; its directions span the
     null space of a - value I found by _rank_and_null at pivot_rtol.
-    Raises DegenerateNullSpace when an eigenvalue has no null direction.
+    Raises AmbiguousClustering when an eigenvalue has no null direction,
+    since pivot_rtol then cannot settle the rank of a - value I.
     """
     a = as_mat3(m)
     c2, c1, c0 = char_poly(a)
@@ -354,7 +355,7 @@ def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> Eig
     for value, mult in _root_groups(roots):
         _, basis = _rank_and_null(a - value * eye, pivot_rtol)
         if not basis:
-            raise DegenerateNullSpace(
+            raise AmbiguousClustering(
                 f"no null direction found for eigenvalue {value:.6g} at pivot tolerance {pivot_rtol:g}"
             )
         vectors = tuple(ProjectivePoint.from_vector(v) for v in basis)
@@ -386,11 +387,7 @@ def jordan_shape(m, tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> J
     direction at pivot_rtol.
     """
     a = as_mat3(m)
-    try:
-        eig = eig3(a, tol, pivot_rtol)
-    except DegenerateNullSpace as exc:
-        raise AmbiguousClustering(str(exc)) from exc
-    return _jordan_shape_from(a, eig, tol, pivot_rtol)
+    return _jordan_shape_from(a, eig3(a, tol, pivot_rtol), tol, pivot_rtol)
 
 
 def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float,

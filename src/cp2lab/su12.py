@@ -99,14 +99,17 @@ class ParabolicKind(str, Enum):
     THREE_STEP = "three_step"
 
 
-def locate(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> Location:
-    """Position of a point relative to the unit ball {Q < 0}."""
-    v = p.vector
-    q = q_value(v)
-    norm2 = float(np.vdot(v, v).real)
+def _location(q: float, norm2: float, tol: float) -> Location:
+    """Location of a vector with Q-value q and squared norm norm2."""
     if abs(q) <= tol * norm2:
         return Location.BOUNDARY
     return Location.INSIDE if q < 0 else Location.OUTSIDE
+
+
+def locate(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> Location:
+    """Position of a point relative to the unit ball {Q < 0}."""
+    v = p.vector
+    return _location(q_value(v), float(np.vdot(v, v).real), tol)
 
 
 def is_group_member(m, tol: float = GROUP_TOL) -> bool:
@@ -298,13 +301,8 @@ def _plane_representatives(v1: np.ndarray, v2: np.ndarray, value: complex,
     # in the coefficients, so diagonalize that one
     for lam, coeff in _hermitian2_eigen(g11, g12.conjugate(), g22):
         w = coeff[0] * v1 + coeff[1] * v2
-        pt = ProjectivePoint.from_vector(w)
-        norm2 = float(np.vdot(w, w).real)
-        if abs(lam) <= boundary_tol * norm2:
-            loc = Location.BOUNDARY
-        else:
-            loc = Location.INSIDE if lam < 0 else Location.OUTSIDE
-        reps.append(FixedPoint(pt, loc, value))
+        loc = _location(lam, float(np.vdot(w, w).real), boundary_tol)
+        reps.append(FixedPoint(ProjectivePoint.from_vector(w), loc, value))
     return reps
 
 
@@ -390,37 +388,6 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
     return _eigenvalue_ratios(eig.eigenvalues(), best[1])
 
 
-def _classify_hyperbolic(m: np.ndarray, eig: EigenData, boundary_tol: float) -> ElementClassification:
-    if any(pair.multiplicity > 1 for pair in eig.pairs):
-        raise AmbiguousClustering("off-unit eigenvalues merged; classification unstable")
-    fps = []
-    for pair in eig.pairs:
-        pt = pair.vectors[0]
-        fps.append(FixedPoint(pt, locate(pt, boundary_tol), pair.value))
-    boundary = [fp for fp in fps if fp.location == Location.BOUNDARY]
-    outside = [fp for fp in fps if fp.location == Location.OUTSIDE]
-    if len(boundary) != 2 or len(outside) != 1:
-        raise AmbiguousClustering(
-            "hyperbolic element without the expected two boundary and one exterior fixed points"
-        )
-    # attractive point: both derivative eigenvalue moduli below one,
-    # equivalently the boundary point with the larger eigenvalue modulus
-    if abs(boundary[0].eigenvalue) >= abs(boundary[1].eigenvalue):
-        attractive, repulsive = boundary[0], boundary[1]
-    else:
-        attractive, repulsive = boundary[1], boundary[0]
-    return ElementClassification(
-        kind=Kind.HYPERBOLIC,
-        subtype=None,
-        fixed_points=tuple(fps),
-        fixed_line=None,
-        attractive=attractive,
-        repulsive=repulsive,
-        exterior=outside[0],
-        eigenvalues=tuple(eig.eigenvalues()),
-    )
-
-
 def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_TOL,
              boundary_tol: float = BOUNDARY_TOL, group_tol: float = GROUP_TOL) -> ElementClassification:
     """Elliptic / parabolic / hyperbolic trichotomy with parabolic subtyping.
@@ -430,91 +397,64 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
     point lies inside the ball); otherwise the Jordan structure selects
     the parabolic subtype.
 
-    The spectrum is computed once, by one eig3 at merge_tol: the Jordan
-    shape, the fixed points and the eigenvalues carried by the result
-    (from which derivative eigenvalues follow) all come from it.
+    The spectrum is computed once, by one eig3 at merge_tol, and the fixed
+    locus once from it: the Jordan shape, the fixed points with their
+    locations, and the eigenvalues carried by the result (from which
+    derivative eigenvalues follow) all come from that pass.  Raises
+    AmbiguousClustering whenever a tolerance cannot settle a decision:
+    a rank, a cluster of eigenvalues, or fixed points that fit no kind.
     """
     m = _as_group_matrix(a, group_tol)
     if _is_scalar(m):
         raise DegenerateElement("degenerate: every point fixed")
 
     eig = eig3(m, merge_tol=merge_tol)
+    data = _fixed_points_from(eig, boundary_tol)
+    boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
+
+    def verdict(kind, subtype=None, attractive=None, repulsive=None, exterior=None):
+        return ElementClassification(kind, subtype, data.points, data.fixed_line, attractive,
+                                     repulsive, exterior, tuple(eig.eigenvalues()))
+
     if max(abs(abs(pair.value) - 1.0) for pair in eig.pairs) > unit_tol:
-        return _classify_hyperbolic(m, eig, boundary_tol)
+        if any(pair.multiplicity > 1 or len(pair.vectors) != 1 for pair in eig.pairs):
+            raise AmbiguousClustering("off-unit eigenvalues merged; classification unstable")
+        outside = [fp for fp in data.points if fp.location == Location.OUTSIDE]
+        if len(boundary) != 2 or len(outside) != 1:
+            raise AmbiguousClustering(
+                "hyperbolic element without the expected two boundary and one exterior fixed points"
+            )
+        # attractive point: both derivative eigenvalue moduli below one,
+        # equivalently the boundary point with the larger eigenvalue modulus
+        attractive, repulsive = sorted(boundary, key=lambda fp: -abs(fp.eigenvalue))
+        return verdict(Kind.HYPERBOLIC, None, attractive, repulsive, outside[0])
 
-    eigenvalues = tuple(eig.eigenvalues())
     shape = _jordan_shape_from(m, eig, tol=merge_tol)
-    diagonalizable = all(size == 1 for sizes in shape.blocks for size in sizes)
+    if all(size == 1 for sizes in shape.blocks for size in sizes):
+        return verdict(Kind.ELLIPTIC)
 
-    if diagonalizable:
-        data = _fixed_points_from(eig, boundary_tol)
-        return ElementClassification(
-            kind=Kind.ELLIPTIC,
-            subtype=None,
-            fixed_points=data.points,
-            fixed_line=data.fixed_line,
-            attractive=None,
-            repulsive=None,
-            exterior=None,
-            eigenvalues=eigenvalues,
-        )
-
-    by_mult = {pair.multiplicity: pair for pair in eig.pairs}
-    if 2 in by_mult:
-        # double eigenvalue with a size-2 block: rotation on the tangent line
-        double = by_mult[2]
-        simple = by_mult[1]
-        if len(double.vectors) != 1:
+    if len(eig.pairs) == 2:
+        # double eigenvalue with a size-2 block: rotation on the tangent line;
+        # pairs come double first, so the points are (double, simple)
+        if any(len(pair.vectors) != 1 for pair in eig.pairs):
             raise AmbiguousClustering("rotational parabolic with a degenerate eigenplane")
-        p = FixedPoint(double.vectors[0], locate(double.vectors[0], boundary_tol), double.value)
-        q = FixedPoint(simple.vectors[0], locate(simple.vectors[0], boundary_tol), simple.value)
+        p, q = data.points
         if p.location != Location.BOUNDARY:
             raise AmbiguousClustering("parabolic fixed point not on the boundary sphere")
-        return ElementClassification(
-            kind=Kind.PARABOLIC,
-            subtype=ParabolicKind.ROTATIONAL,
-            fixed_points=(p, q),
-            fixed_line=None,
-            attractive=p,
-            repulsive=p,
-            exterior=q,
-            eigenvalues=eigenvalues,
-        )
+        return verdict(Kind.PARABOLIC, ParabolicKind.ROTATIONAL, p, p, q)
 
     # triple eigenvalue: unipotent up to a central cube root of unity
-    triple = eig.pairs[0]
     sizes = shape.blocks[0]
     if sizes == (2, 1):
-        data = _fixed_points_from(eig, boundary_tol)
-        boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
         if data.fixed_line is None or len(boundary) != 1:
             raise AmbiguousClustering("line-fixing parabolic without a tangent fixed line")
         p = boundary[0]
-        return ElementClassification(
-            kind=Kind.PARABOLIC,
-            subtype=ParabolicKind.LINE_FIXING,
-            fixed_points=data.points,
-            fixed_line=data.fixed_line,
-            attractive=p,
-            repulsive=p,
-            exterior=None,
-            eigenvalues=eigenvalues,
-        )
+        return verdict(Kind.PARABOLIC, ParabolicKind.LINE_FIXING, p, p)
     if sizes == (3,):
-        pt = triple.vectors[0]
-        p = FixedPoint(pt, locate(pt, boundary_tol), triple.value)
+        p = data.points[0]
         if p.location != Location.BOUNDARY:
             raise AmbiguousClustering("parabolic fixed point not on the boundary sphere")
-        return ElementClassification(
-            kind=Kind.PARABOLIC,
-            subtype=ParabolicKind.THREE_STEP,
-            fixed_points=(p,),
-            fixed_line=None,
-            attractive=p,
-            repulsive=p,
-            exterior=None,
-            eigenvalues=eigenvalues,
-        )
+        return verdict(Kind.PARABOLIC, ParabolicKind.THREE_STEP, p, p)
     raise AmbiguousClustering(f"unrecognized unit-modulus Jordan structure {shape.blocks}")
 
 

@@ -10,6 +10,8 @@ from cp2lab import cli
 from cp2lab.cli import main
 from cp2lab.jsonio import mat3_to_json
 
+from helpers import conjugate, random_conjugator
+
 
 @pytest.fixture
 def run(capsys):
@@ -62,6 +64,29 @@ def test_classify_identity_degenerate(run, tmp_path):
     assert out == ""
     payload = json.loads(err)
     assert "degenerate: every point fixed" in payload["detail"]
+
+
+# elements 1e-6 away from a change of kind or Jordan shape, where the pivot
+# tolerance cannot settle the rank of a - lambda I: (algebra element, kind)
+NEAR_DEGENERATE = [
+    (AlgebraElement.hyperbolic_normal(1e-6, 0.3), "hyperbolic"),
+    (AlgebraElement(0.6, 0.6 + 1e-6, 0j, 0j, 0j), "elliptic"),
+    (AlgebraElement(0.5 + 1e-6, 0.5 - 1e-6, 0j, 0j, 0j), "elliptic"),
+]
+
+
+@pytest.mark.parametrize("algebra, kind", NEAR_DEGENERATE)
+def test_classify_undecidable_rank_is_ambiguous(run, tmp_path, algebra, kind):
+    rng = np.random.default_rng(4242)
+    base = mat_exp(algebra.matrix())
+    for i in range(10):
+        m = conjugate(base, random_conjugator(rng, 0.8))
+        code, out, err = run(["classify", _write_json(tmp_path / f"m{i}.json", mat3_to_json(m))])
+        if code == 0:
+            assert json.loads(out)["kind"] == kind
+        else:
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == "AmbiguousClustering"
 
 
 def test_classify_three_step_subtype(run, tmp_path):

@@ -164,6 +164,16 @@ def test_basin_coverage_hyperbolic():
     assert abs(report.fraction_to_attractive + report.fraction_to_repulsive_backward - 1.0) < 1e-12
 
 
+def test_basin_coverage_strongly_contracting():
+    # at l = 3 every sample settles by the step-size rule before capture
+    rng = np.random.default_rng(RNG_SEED + 8)
+    m = _hyperbolic(3.0, 0.4)
+    for element in (m, conjugate(m, random_conjugator(rng))):
+        report = basin_coverage_check(element, samples=1000, seed=17)
+        assert report.samples == 1100
+        assert report.unresolved == 0
+
+
 def test_basin_coverage_parabolic_subtypes():
     rng = np.random.default_rng(RNG_SEED + 7)
     for subtype in ("rotational", "line_fixing", "three_step"):
