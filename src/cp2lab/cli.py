@@ -12,7 +12,9 @@ tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
 location) exits 1 with error "AmbiguousClustering".  The environment variable
 CP2LAB_TOL, when set, supplies the default for --tol; both must be a
 finite number > 0.  Counts, indices and bounds must be non-negative,
-blow-up counts (`--blowups`, and `replay --k`) at most MAX_BLOWUPS, and
+blow-up counts (`--blowups`, and `replay --k`) at most MAX_BLOWUPS,
+`basin` refuses more than MAX_BASIN_SAMPLES samples in all (`--samples`
+plus `--line-samples`, which defaults to samples // 10), and
 `lattice exceptional` refuses scans of more than MAX_EXCEPTIONAL_LEAVES
 coefficient vectors.
 """
@@ -37,6 +39,9 @@ MAX_EXCEPTIONAL_LEAVES = 10**6
 # largest blow-up count `--blowups` and `replay --k` accept: every blow-up
 # copies and validates a dense Gram matrix, so n blow-ups cost O(n^3)
 MAX_BLOWUPS = 200
+# largest total of ball and line samples `basin` accepts: the samples are
+# drawn and resolved as dense arrays, so memory grows with the count
+MAX_BASIN_SAMPLES = 10**6
 
 
 class _UsageError(Exception):
@@ -153,6 +158,10 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_basin(args) -> dict:
+    line_samples = args.samples // 10 if args.line_samples is None else args.line_samples
+    if args.samples + line_samples > MAX_BASIN_SAMPLES:
+        raise _UsageError(f"--samples {args.samples} with {line_samples} line samples "
+                          f"draws more than {MAX_BASIN_SAMPLES} samples")
     matrix = jsonio.mat3_from_json(_load_json(args.input))
     try:
         report = dynamics.basin_coverage_check(

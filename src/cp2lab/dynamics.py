@@ -14,13 +14,20 @@ the target below a capture radius and still decreasing).
 
 Sampling gives each sample its own counter-based stream, so a report
 depends only on the seed and the sample counts, never on evaluation
-order, and the first n ball samples are the same for any samples >= n.
-Sample i of stream s (0 for the ball, 1 for the lines) is numpy's
-Philox4x64-10 with key [seed mod 2^64, seed >> 64] and counter
-[0, 0, s, i].  The counter is bumped before each 4-word block, so block b
-(from 1) has counter [b, 0, s, i], and one ball attempt uses exactly one
-block.  Ball samples are computed for all indices at once by a vectorised
-Philox; line samples draw Gaussians through numpy's Generator.
+order, and the first n ball (or line) samples are the same for any count
+>= n.  Sample i of stream s (0 for the ball, 1 for the lines) reads
+Philox4x64-10 blocks (Salmon et al., SC'11) with key [seed mod 2^64,
+seed >> 64] and counter [c, 0, s, i], each word w as the double
+(w >> 11) * 2^-53; these are the words of numpy's Philox started at
+counter [0, 0, s, i].  Attempt a (from 0) of a ball sample reads block
+c = a + 1: radius and angle of y, then of z, in the chart x = 1.  Attempt a
+of a line sample reads blocks c = 3a + 1, 3a + 2, 3a + 3; words 2k, 2k+1
+give the complex Gaussian g_k = rho cos phi + i rho sin phi by Box-Muller,
+rho = sqrt(-2 log(1 - u_2k)), phi = 2 pi u_2k+1, and the point is
+alpha p + beta r with r = (g0, g1, g2), alpha = g3, beta = g4 (words 10
+and 11 are unused).  A sample keeps its first accepted attempt.  Both
+streams are computed for all indices at once by one vectorised Philox
+per rejection pass; no numpy Generator is built.
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import NotNonElliptic
 from .linalg3 import ProjectivePoint, chordal_distance
@@ -141,17 +147,14 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
 _BALL_STREAM, _LINE_STREAM = 0, 1
 _SEED_LIMIT = 1 << 128   # a Philox key is two 64-bit words
-_PASS_WIDTH = 1024       # counters evaluated per rejection pass, at most
+_PASS_WIDTH = 1024       # attempts a pass fills up to while fewer samples are pending
+_CHUNK = 1 << 15         # samples per run of rejection passes
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _MASK64 = (1 << 64) - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _U11 = np.uint64(11)
-
-
-def _sample_rng(seed: int, stream: int, index: int) -> Generator:
-    return Generator(Philox(key=seed, counter=[0, 0, stream, index]))
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,8 +168,8 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _philox4x64(key: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
     """Philox4x64-10 blocks of the counters (c0, c1, c2, c3), uint64 arrays
-    of one shape with c0 the least significant word; the key is split into
-    the words [key mod 2^64, key >> 64]."""
+    that broadcast together, with c0 the least significant word; the key is
+    split into the words [key mod 2^64, key >> 64]."""
     k0, k1 = key & _MASK64, key >> 64
     for _ in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
@@ -175,6 +178,40 @@ def _philox4x64(key: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
         k0 = (k0 + _PHILOX_W[0]) & _MASK64
         k1 = (k1 + _PHILOX_W[1]) & _MASK64
     return c0, c1, c2, c3
+
+
+def _rejection_samples(seed: int, stream: int, blocks: int, draw, out: np.ndarray) -> None:
+    """Write samples 0..n-1 of a stream into the 3 x n complex array out,
+    with `blocks` Philox blocks per attempt (layout in the module docstring).
+
+    draw maps the uniforms of many attempts, one array per word in block
+    order, to an acceptance mask and the 3 x k candidate points.  Samples
+    are taken _CHUNK at a time, which bounds the memory of a pass.  Each
+    pass runs every pending sample's next attempts, as many as fit in
+    _PASS_WIDTH (at least one), through one Philox call.  The two constant
+    counter words are one-element arrays that broadcast, so the first
+    rounds do part of their work on single words.
+    """
+    n = out.shape[1]
+    zero, stream_word = np.zeros(1, dtype=np.uint64), np.full(1, stream, dtype=np.uint64)
+    for start in range(0, n, _CHUNK):
+        pending = np.arange(start, min(n, start + _CHUNK))
+        attempt = 0
+        while pending.size:
+            m = pending.size
+            tries = max(1, min(n, _PASS_WIDTH) // m)
+            index = np.tile(pending.astype(np.uint64), tries * blocks)
+            base = np.arange(attempt, attempt + tries, dtype=np.uint64).repeat(m) * np.uint64(blocks)
+            counter = (base + np.arange(1, blocks + 1, dtype=np.uint64)[:, None]).ravel()
+            words = _philox4x64(seed, counter, zero, stream_word, index)
+            w = (np.stack(words) >> _U11).reshape(4, blocks, tries * m).swapaxes(0, 1)
+            ok, points = draw(w.reshape(4 * blocks, tries * m) * 2.0 ** -53)
+            ok = ok.reshape(tries, m)
+            first = ok.argmax(axis=0)
+            done = ok[first, np.arange(m)]
+            out[:, pending[done]] = points[:, first[done] * m + np.flatnonzero(done)]
+            pending = pending[~done]
+            attempt += tries
 
 
 def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -186,58 +223,67 @@ def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, ...]:
     return re, im, np.float_power(np.hypot(re, im), 2.0)
 
 
+def _ball_points(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates (1, y, z) from the radius and angle of y, then of z; the
+    ball {Q < 0} lies inside the affine chart x = 1."""
+    y_re, y_im, y2 = _disc(u[0], u[1])
+    z_re, z_im, z2 = _disc(u[2], u[3])
+    points = np.empty((3, y2.size), dtype=complex)
+    points[0] = 1.0
+    points.real[1], points.imag[1] = y_re, y_im
+    points.real[2], points.imag[2] = z_re, z_im
+    return y2 + z2 < 1.0, points
+
+
 def _ball_samples(seed: int, out: np.ndarray) -> None:
-    """Write ball samples 0..n-1 of the seed into the 3 x n complex array out.
+    """Write ball samples 0..n-1 of the seed into the 3 x n complex array out:
+    one block per attempt, kept when |y|^2 + |z|^2 < 1."""
+    _rejection_samples(seed, _BALL_STREAM, 1, _ball_points, out)
 
-    The ball {Q < 0} lies inside the affine chart x = 1.  Attempt b of
-    sample i reads the block [b, 0, 0, i]: radius and angle of y, then of
-    z, each word w read as the double (w >> 11) * 2^-53; the first attempt
-    with |y|^2 + |z|^2 < 1 is kept.  Each pass runs every pending sample's
-    next attempts, as many as fit in _PASS_WIDTH counters (at least one).
+
+def _box_muller(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of complex Gaussians: rho cos phi + i rho sin phi
+    with rho = sqrt(-2 log(1 - u_radius)), phi = 2 pi u_angle."""
+    rho = np.sqrt(-2.0 * np.log(1.0 - u_radius))
+    phi = (2.0 * np.pi) * u_angle
+    return rho * np.cos(phi), rho * np.sin(phi)
+
+
+def _norm(parts) -> np.ndarray:
+    """Euclidean norms of vectors given as (re, im) pairs of arrays, summed in order."""
+    return np.sqrt(sum(re * re + im * im for re, im in parts))
+
+
+def _line_samples(seed: int, out: np.ndarray, p_vec: np.ndarray, tangent_dual: np.ndarray) -> None:
+    """Write line samples 0..n-1 of the seed into the 3 x n complex array out:
+    points alpha p + beta r on random lines through p, kept when |r| >= 1e-8,
+    |<dual, r>| > LINE_ANGLE_TOL |dual| |r| (the line is not the tangent
+    line) and |alpha p + beta r| > 1e-8.  Complex products are spelt out in
+    real arithmetic, since numpy's complex multiply may fuse multiply-adds
+    and then differ in the last bit from the scalar reference.
     """
-    n = out.shape[1]
-    pending = np.arange(n)
-    block = 1
-    while pending.size:
-        m = pending.size
-        tries = max(1, min(n, _PASS_WIDTH) // m)
-        index = np.tile(pending.astype(np.uint64), tries)
-        counter = np.arange(block, block + tries, dtype=np.uint64).repeat(m)
-        words = _philox4x64(seed, counter, np.zeros_like(index),
-                            np.full_like(index, _BALL_STREAM), index)
-        u = [(w >> _U11) * 2.0 ** -53 for w in words]
-        y_re, y_im, y2 = _disc(u[0], u[1])
-        z_re, z_im, z2 = _disc(u[2], u[3])
-        ok = (y2 + z2 < 1.0).reshape(tries, m)
-        first = ok.argmax(axis=0)
-        done = ok[first, np.arange(m)]
-        pick = first[done] * m + np.flatnonzero(done)
-        cols = pending[done]
-        out[0, cols] = 1.0
-        out.real[1, cols], out.imag[1, cols] = y_re[pick], y_im[pick]
-        out.real[2, cols], out.imag[2, cols] = z_re[pick], z_im[pick]
-        pending = pending[~done]
-        block += tries
-
-
-def _complex_gaussian(rng: Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _line_sample(rng: Generator, p_vec: np.ndarray, tangent_dual: np.ndarray) -> np.ndarray:
-    """Random point on a random line through p, avoiding the tangent line."""
     l_norm = float(np.linalg.norm(tangent_dual))
-    while True:
-        r = _complex_gaussian(rng, 3)
-        r_norm = float(np.linalg.norm(r))
-        if r_norm < 1e-8:
-            continue
-        if abs(np.dot(tangent_dual, r)) <= LINE_ANGLE_TOL * l_norm * r_norm:
-            continue  # the line through p and r would coincide with the tangent line
-        alpha, beta = _complex_gaussian(rng, 2)
-        x = alpha * p_vec + beta * r
-        if np.linalg.norm(x) > 1e-8:
-            return x
+    p = [(float(c.real), float(c.imag)) for c in p_vec]
+    dual = [(float(c.real), float(c.imag)) for c in tangent_dual]
+
+    def draw(u):
+        g = [_box_muller(u[2 * k], u[2 * k + 1]) for k in range(5)]
+        r, (a_re, a_im), (b_re, b_im) = g[:3], g[3], g[4]
+        x = [((a_re * p_re - a_im * p_im) + (b_re * re - b_im * im),
+              (a_re * p_im + a_im * p_re) + (b_re * im + b_im * re))
+             for (p_re, p_im), (re, im) in zip(p, r)]
+        d_re = sum(l_re * re - l_im * im for (l_re, l_im), (re, im) in zip(dual, r))
+        d_im = sum(l_re * im + l_im * re for (l_re, l_im), (re, im) in zip(dual, r))
+        r_norm = _norm(r)
+        ok = ((r_norm >= 1e-8)
+              & (np.hypot(d_re, d_im) > LINE_ANGLE_TOL * l_norm * r_norm)
+              & (_norm(x) > 1e-8))
+        points = np.empty((3, r_norm.size), dtype=complex)
+        for j, (re, im) in enumerate(x):
+            points.real[j], points.imag[j] = re, im
+        return ok, points
+
+    _rejection_samples(seed, _LINE_STREAM, 3, draw, out)
 
 
 def _sample_points(seed: int, samples: int, line_samples: int, p_vec: np.ndarray,
@@ -245,9 +291,7 @@ def _sample_points(seed: int, samples: int, line_samples: int, p_vec: np.ndarray
     """3 x (samples + line_samples) array: the ball samples, then the line samples."""
     points = np.empty((3, samples + line_samples), dtype=complex)
     _ball_samples(seed, points[:, :samples])
-    for i in range(line_samples):
-        rng = _sample_rng(seed, _LINE_STREAM, i)
-        points[:, samples + i] = _line_sample(rng, p_vec, tangent_dual)
+    _line_samples(seed, points[:, samples:], p_vec, tangent_dual)
     return points
 
 

@@ -96,6 +96,49 @@ def ball_sample(rng: np.random.Generator) -> np.ndarray:
             return np.array([1.0, y, z], dtype=complex)
 
 
+# scalar reference for basin line sampling: numpy's own Philox words, three
+# blocks per attempt, Box-Muller and the acceptance tests on numpy scalars
+
+def _uniforms(words) -> list[np.float64]:
+    return [np.float64((int(w) >> 11) * 2.0 ** -53) for w in words]
+
+
+def _gaussian(u_radius: np.float64, u_angle: np.float64) -> tuple[np.float64, np.float64]:
+    rho = np.sqrt(-2.0 * np.log(1.0 - u_radius))
+    phi = 2.0 * np.pi * u_angle
+    return rho * np.cos(phi), rho * np.sin(phi)
+
+
+def line_sample(seed: int, index: int, p_vec: np.ndarray, dual: np.ndarray,
+                angle_tol: float = 1e-6) -> np.ndarray:
+    """Line sample `index` of the seed: attempt after attempt of 12 words,
+    r = (g0, g1, g2), alpha = g3, beta = g4, kept when |r| >= 1e-8,
+    |<dual, r>| > angle_tol |dual| |r| and |alpha p + beta r| > 1e-8."""
+    bits = np.random.Philox(key=seed, counter=[0, 0, 1, index])
+    l_norm = float(np.linalg.norm(dual))
+    while True:
+        u = _uniforms(bits.random_raw(12))
+        g = [_gaussian(u[2 * k], u[2 * k + 1]) for k in range(5)]
+        (a_re, a_im), (b_re, b_im) = g[3], g[4]
+        d_re = d_im = r2 = x2 = 0.0
+        x = []
+        for j in range(3):
+            re, im = g[j]
+            p_re, p_im = p_vec[j].real, p_vec[j].imag
+            l_re, l_im = dual[j].real, dual[j].imag
+            d_re = d_re + (l_re * re - l_im * im)
+            d_im = d_im + (l_re * im + l_im * re)
+            r2 = r2 + (re * re + im * im)
+            x_re = (a_re * p_re - a_im * p_im) + (b_re * re - b_im * im)
+            x_im = (a_re * p_im + a_im * p_re) + (b_re * im + b_im * re)
+            x2 = x2 + (x_re * x_re + x_im * x_im)
+            x.append(complex(x_re, x_im))
+        r_norm = np.sqrt(r2)
+        if (r_norm >= 1e-8 and np.hypot(d_re, d_im) > angle_tol * l_norm * r_norm
+                and np.sqrt(x2) > 1e-8):
+            return np.array(x, dtype=complex)
+
+
 # reference lattice arithmetic: the scan over b for square-one classes, the
 # full coefficient-box scan for exceptional classes and the fraction-free
 # Bareiss determinant

@@ -169,6 +169,28 @@ def test_basin_accepts_extreme_seeds(run, tmp_path):
         assert report["seed"] == seed and report["samples"] == 22
 
 
+@pytest.mark.parametrize("flags", [
+    ["--samples", str(10**13)],
+    ["--line-samples", str(10**13)],
+    ["--samples", "1000001", "--line-samples", "0"],
+])
+def test_basin_sample_totals_above_the_cap_are_refused(run, tmp_path, flags):
+    assert cli.MAX_BASIN_SAMPLES == 10**6
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.2).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    _assert_usage_error(*run(["basin", path, *flags]))
+
+
+def test_basin_sample_total_at_the_cap_passes_the_guard(run, tmp_path):
+    # an elliptic element fails in classification, before anything is sampled
+    m = mat_exp(AlgebraElement(0.9, -0.4, 0j, 0j, 0j).matrix())
+    path = _write_json(tmp_path / "ell.json", mat3_to_json(m))
+    code, out, err = run(["basin", path, "--samples", str(10**6), "--line-samples", "0"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NotNonElliptic"
+
+
 def test_lattice_square_one(run):
     code, out, _ = run(["lattice", "hirzebruch", "--n", "1", "--square-one"])
     assert code == 0

@@ -1,5 +1,7 @@
 """Orbit iteration, convergence detection and basin coverage."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,22 @@ def test_basin_counts_are_disjoint_partition():
     report = basin_coverage_check(m, samples=800, line_samples=80, seed=5)
     assert report.samples == 880
     assert report.resolved_forward + report.resolved_backward + report.unresolved == 880
+
+
+def test_basin_path_builds_no_numpy_generator(monkeypatch):
+    # every sample comes from the package's own vectorised Philox blocks
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy Generator or Philox built on the basin path")
+
+    rng = np.random.default_rng(RNG_SEED + 9)
+    elements = (_hyperbolic(0.8, 0.1), random_parabolic(rng, "three_step"))
+    modules = [np.random] + [mod for name, mod in sys.modules.items()
+                             if name.startswith("cp2lab")]
+    for name in ("Generator", "Philox"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for m in elements:
+        report = basin_coverage_check(m, samples=300, seed=21)
+        assert report.samples == 330
+        assert report.unresolved == 0

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from cp2lab import AlgebraElement, mat_exp
+from cp2lab import AlgebraElement, dynamics, mat_exp
 from cp2lab.dynamics import _ball_samples, _philox4x64, _sample_points
 from cp2lab.su12 import classify, tangent_line
 
-from helpers import ball_sample, sample_rng
+from helpers import ball_sample, line_sample, sample_rng
 
 SEEDS = [0, 1, 2**64 - 1, 2**64 + 3, 2**128 - 1]
 
@@ -50,6 +50,37 @@ def test_samples_do_not_depend_on_sample_counts():
     p_vec, dual = _line_data()
     large = _sample_points(17, 700, 25, p_vec, dual)
     for n in (0, 1, 40):
-        small = _sample_points(17, n, 25, p_vec, dual)
-        assert _same_bits(small[:, :n], large[:, :n])
-        assert _same_bits(small[:, n:], large[:, 700:])
+        for k in (0, 1, 7, 25):
+            small = _sample_points(17, n, k, p_vec, dual)
+            assert _same_bits(small[:, :n], large[:, :n])
+            assert _same_bits(small[:, n:], large[:, 700:700 + k])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**128 - 1])
+def test_line_samples_bitwise_equal_scalar_reference(seed):
+    p_vec, dual = _line_data()
+    n = 600
+    got = _sample_points(seed, 0, n, p_vec, dual)
+    expected = np.column_stack([line_sample(seed, i, p_vec, dual) for i in range(n)])
+    assert _same_bits(got, expected)
+
+
+def test_line_samples_retry_rejected_attempts(monkeypatch):
+    # at angle tolerance 0.5 about 44% of the attempts fall too close to
+    # the tangent line, so many samples come from their second or later attempt
+    p_vec, dual = _line_data()
+    n = 500
+    first_try = _sample_points(3, 0, n, p_vec, dual)
+    monkeypatch.setattr(dynamics, "LINE_ANGLE_TOL", 0.5)
+    got = _sample_points(3, 0, n, p_vec, dual)
+    expected = np.column_stack([line_sample(3, i, p_vec, dual, angle_tol=0.5) for i in range(n)])
+    assert _same_bits(got, expected)
+    moved = (got != first_try).any(axis=0).sum()
+    assert n // 4 < moved < n // 2 + n // 10
+
+
+def test_samples_do_not_depend_on_chunking(monkeypatch):
+    p_vec, dual = _line_data()
+    whole = _sample_points(23, 300, 40, p_vec, dual)
+    monkeypatch.setattr(dynamics, "_CHUNK", 7)
+    assert _same_bits(_sample_points(23, 300, 40, p_vec, dual), whole)
