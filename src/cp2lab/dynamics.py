@@ -2,6 +2,11 @@
 
 converge() follows single orbits step by step and declares convergence
 when successive canonical iterates stop moving in the chordal metric.
+converge() and iterate() share one step, _step: the matrix-vector product
+on Python complex scalars, then linalg3's scalar canonicalisation, which is
+bit-identical to numpy's; converge() measures each step with linalg3's
+scalar chordal distance.  No numpy call is made per step: on 3-vectors
+numpy's per-call overhead is several times the arithmetic.
 basin_coverage_check() samples the closed unit ball and random lines
 through the attractive fixed point, then certifies that every sample
 resolves into the forward basin of the attractive point or the backward
@@ -32,13 +37,14 @@ per rejection pass; no numpy Generator is built.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotNonElliptic
-from .linalg3 import ProjectivePoint, chordal_distance
+from .linalg3 import ProjectivePoint, _canonical, _chordal, chordal_distance
 from .su12 import (
     J,
     FixedPointData,
@@ -91,16 +97,28 @@ class BasinReport:
         return self.resolved_backward / self.samples if self.samples else 0.0
 
 
+def _step(rows: list[list[complex]], v) -> tuple[complex, complex, complex]:
+    """Canonical coordinates of m v, with m as its rows and v as a triple of
+    Python complexes: the one orbit step of converge and iterate."""
+    x0, x1, x2 = v
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return _canonical(a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
+
+
 def iterate(a, p: ProjectivePoint, n: int) -> ProjectivePoint:
     """Canonical form of A^n p by repeated multiply-then-canonicalize."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    m = _as_group_matrix(a, tol=1e-7)
-    v = p.vector
+    rows = _as_group_matrix(a, tol=1e-7).tolist()
+    v = p.vector.tolist()
     for _ in range(n):
-        v = m @ v
-        v = ProjectivePoint.from_vector(v).vector
-    return ProjectivePoint.from_vector(v)
+        v = _step(rows, v)
+    return ProjectivePoint(_canonical(*v))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _nearest_fixed_point(data: FixedPointData, p: ProjectivePoint) -> ProjectivePoint:
@@ -125,19 +143,21 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
     On success the reported limit is the fixed point of A nearest to the
     final iterate; iterations counts the steps taken before the stopping
-    test fired.
+    test fired.  Raises ValueError unless tol is finite and > 0.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    _check_positive("tol", tol)
     m = _as_group_matrix(a, tol=1e-7)
     data = fixed_points(m, tol=1e-7)
-    v = p.vector
+    rows = m.tolist()
+    v = p.vector.tolist()
     dist = float("inf")
     for k in range(max_iter):
-        w = ProjectivePoint.from_vector(m @ v).vector
-        dist = chordal_distance(v, w)
+        w = _step(rows, v)
+        dist = _chordal(v, w)
         if dist <= tol:
-            limit = _nearest_fixed_point(data, ProjectivePoint.from_vector(w))
+            limit = _nearest_fixed_point(data, ProjectivePoint(_canonical(*w)))
             return OrbitResult(True, limit, k, dist)
         v = w
     return OrbitResult(False, None, max_iter, dist)
@@ -403,7 +423,8 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     random projective lines through the attractive fixed point, excluding
     its tangent line.  Each point is iterated forward toward p+ and, if
     undecided, backward toward p-.  Raises ValueError for a seed outside
-    [0, 2^128), a negative sample count or max_iter below one stride.
+    [0, 2^128), a negative sample count, max_iter below one stride, or a
+    tol or capture_radius that is not finite and > 0.
     """
     seed = operator.index(seed)
     if not 0 <= seed < _SEED_LIMIT:
@@ -412,6 +433,8 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
         raise ValueError("sample counts must be non-negative")
     if max_iter < _STRIDE:
         raise ValueError(f"max_iter must be at least {_STRIDE}, one resolver stride")
+    _check_positive("tol", tol)
+    _check_positive("capture_radius", capture_radius)
     m = _as_group_matrix(a, tol=1e-7)
     cls = classify(m)
     if cls.kind == Kind.ELLIPTIC:

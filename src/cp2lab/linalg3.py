@@ -7,6 +7,15 @@ directions from one pivoting step on Python scalars (two elimination
 pivots, the third from the determinant, null vectors as cross products);
 Jordan block sizes from ranks of powers; and the matrix exponential from
 scaling and squaring.  No general eigensolver is used or provided.
+
+Projective points are canonicalised on Python scalars too (_canonical).
+Each coordinate x is divided by the pivot d the way numpy's complex
+division does it, so canonical_coords is bit-identical to numpy's
+a / a[piv], where Python's own complex division rounds differently: with
+rat = d_i / d_r and scl = 1 / (d_r + d_i rat), one of each per point,
+x / d = ((x_r + x_i rat) scl, (x_i - x_r rat) scl), mirrored when
+|d_r| < |d_i|.  Chordal distances of coordinate triples use the
+cross-product formula (_chordal).
 """
 
 from __future__ import annotations
@@ -203,21 +212,59 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
 
 # projective points ----------------------------------------------------------
 
+_NEAR_TIE = 1.0 - 2.0 ** -40   # relative modulus gap below which numpy picks the pivot
+
+
+def _numpy_pivot(x: tuple[complex, complex, complex]) -> int:
+    return int(np.argmax(np.abs(np.array(x))))
+
+
+def _canonical(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex, complex]:
+    """Canonical representative of Python complexes: max-modulus pivot set to 1,
+    the others divided as in the module docstring.
+
+    The pivot is the first coordinate of maximal modulus under numpy's
+    complex modulus, which is not libm's hypot (Python's abs) and differs
+    from it in the last bits; so when another modulus lies within 2^-40 of
+    the largest, or a modulus overflows, numpy picks the pivot.
+    """
+    x = (x0, x1, x2)
+    if not (cmath.isfinite(x0) and cmath.isfinite(x1) and cmath.isfinite(x2)):
+        raise ValueError("projective coordinates must be finite")
+    try:
+        m0, m1, m2 = abs(x0), abs(x1), abs(x2)
+    except OverflowError:   # numpy's modulus is inf there
+        piv = _numpy_pivot(x)
+    else:
+        top = max(m0, m1, m2)
+        cut = top * _NEAR_TIE
+        if (m0 >= cut) + (m1 >= cut) + (m2 >= cut) > 1:
+            piv = _numpy_pivot(x)
+        else:
+            piv = 0 if m0 == top else 1 if m1 == top else 2
+    d = x[piv]
+    if d == 0:
+        raise ValueError("projective point needs a nonzero coordinate")
+    d_r, d_i = d.real, d.imag
+    if abs(d_r) >= abs(d_i):
+        rat = d_i / d_r
+        scl = 1.0 / (d_r + d_i * rat)
+        w = [complex((z.real + z.imag * rat) * scl, (z.imag - z.real * rat) * scl) for z in x]
+    else:
+        rat = d_r / d_i
+        scl = 1.0 / (d_i + d_r * rat)
+        w = [complex((z.real * rat + z.imag) * scl, (z.imag * rat - z.real) * scl) for z in x]
+    w[piv] = 1 + 0j
+    return (w[0], w[1], w[2])
+
+
 def canonical_coords(v) -> tuple[complex, complex, complex]:
     """Canonical homogeneous representative: max-modulus pivot set to 1.
 
     The pivot is the first coordinate of maximal modulus, so exact ties
     resolve to the smallest index.
     """
-    a = np.asarray(v, dtype=complex).reshape(3)
-    if not np.isfinite(a).all():
-        raise ValueError("projective coordinates must be finite")
-    piv = int(np.argmax(np.abs(a)))
-    if a[piv] == 0:
-        raise ValueError("projective point needs a nonzero coordinate")
-    w = a / a[piv]
-    w[piv] = 1.0
-    return (complex(w[0]), complex(w[1]), complex(w[2]))
+    return _canonical(*np.asarray(v, dtype=complex).reshape(3).tolist())
 
 
 @dataclass(frozen=True)
@@ -246,12 +293,22 @@ def chordal_distance(p, q) -> float:
     |cross(x, y)|^2, which stays accurate for nearby points where the
     direct cosine formula loses half the digits to cancellation.
     """
-    a = p.vector if isinstance(p, ProjectivePoint) else np.asarray(p, dtype=complex).reshape(3)
-    b = q.vector if isinstance(q, ProjectivePoint) else np.asarray(q, dtype=complex).reshape(3)
-    na = np.vdot(a, a).real
-    nb = np.vdot(b, b).real
-    cr = np.cross(a, b)
-    return math.sqrt(np.vdot(cr, cr).real / (na * nb))
+    def coords(x):
+        if isinstance(x, ProjectivePoint):
+            return x.coords
+        return np.asarray(x, dtype=complex).reshape(3).tolist()
+
+    return _chordal(coords(p), coords(q))
+
+
+def _norm2(x: tuple[complex, complex, complex]) -> float:
+    a, b, c = x
+    return (a * a.conjugate() + b * b.conjugate() + c * c.conjugate()).real
+
+
+def _chordal(a, b) -> float:
+    """chordal_distance of two coordinate triples of Python complexes."""
+    return math.sqrt(_norm2(_cross(a, b)) / (_norm2(a) * _norm2(b)))
 
 
 # eigen machinery ------------------------------------------------------------

@@ -228,3 +228,50 @@ def full_pivot_rank(m, rtol: float, scale_ref: float | None = None) -> int:
             a[r, step:] -= f * a[step, step:]
             a[r, step] = 0.0
     return 3
+
+
+# reference projective step: numpy canonicalisation and chordal distance on
+# 3-vectors, and the orbit loops built from them
+
+def reference_canonical_coords(v) -> tuple[complex, complex, complex]:
+    """Max-modulus pivot (first on ties) set to 1, by numpy array division."""
+    a = np.asarray(v, dtype=complex).reshape(3)
+    if not np.isfinite(a).all():
+        raise ValueError("projective coordinates must be finite")
+    piv = int(np.argmax(np.abs(a)))
+    if a[piv] == 0:
+        raise ValueError("projective point needs a nonzero coordinate")
+    w = a / a[piv]
+    w[piv] = 1.0
+    return (complex(w[0]), complex(w[1]), complex(w[2]))
+
+
+def reference_chordal(a, b) -> float:
+    """|a x b| / (|a| |b|) by vdot; the cross product is np.cross's, without
+    its per-call axis handling."""
+    a = np.asarray(a, dtype=complex).reshape(3)
+    b = np.asarray(b, dtype=complex).reshape(3)
+    cr = a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+    return float(np.sqrt(np.vdot(cr, cr).real / (np.vdot(a, a).real * np.vdot(b, b).real)))
+
+
+def reference_iterate(m, start, n: int) -> np.ndarray:
+    """Canonical vector of m^n start: multiply by m, canonicalise, n times."""
+    v = np.array(reference_canonical_coords(start))
+    for _ in range(n):
+        v = np.array(reference_canonical_coords(m @ v))
+    return v
+
+
+def reference_converge(m, start, max_iter: int, tol: float):
+    """(converged, iterations, final distance, final canonical vector) of the
+    loop that stops at the first step k whose chordal step is <= tol."""
+    v = np.array(start, dtype=complex)
+    dist = float("inf")
+    for k in range(max_iter):
+        w = np.array(reference_canonical_coords(m @ v))
+        dist = reference_chordal(v, w)
+        if dist <= tol:
+            return True, k, dist, w
+        v = w
+    return False, max_iter, dist, None

@@ -1,6 +1,8 @@
 """Orbit iteration, convergence detection and basin coverage."""
 
+import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +17,20 @@ from cp2lab import (
     iterate,
     mat_exp,
 )
+from cp2lab import linalg3
+from cp2lab.dynamics import _nearest_fixed_point
 from cp2lab.errors import NotNonElliptic
-from cp2lab.su12 import J
+from cp2lab.su12 import J, fixed_points
 
-from helpers import conjugate, random_conjugator, random_parabolic
+from helpers import (
+    conjugate,
+    random_conjugator,
+    random_element,
+    random_parabolic,
+    reference_chordal,
+    reference_converge,
+    reference_iterate,
+)
 
 RNG_SEED = 4242
 
@@ -106,6 +118,13 @@ def test_rotational_line_points_never_converge():
     assert not res.converged
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_converge_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # nan and -1 used to run the whole budget, inf to stop at step 0
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        converge(_hyperbolic(), _pt([1, 0.2, 0.1]), tol=tol)
+
+
 def test_converge_equivariance():
     rng = np.random.default_rng(RNG_SEED + 3)
     m = conjugate(_hyperbolic(0.9, -0.5), random_conjugator(rng))
@@ -116,6 +135,89 @@ def test_converge_equivariance():
         r2 = converge(m, ap)
         assert r1.converged and r2.converged
         assert chordal_distance(r1.limit, r2.limit) < 1e-6
+
+
+def _random_start(rng) -> ProjectivePoint:
+    return _pt(rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
+
+
+def _invariant_line_orbits(rng, n):
+    # the case of test_converge_on_invariant_line_goes_to_exterior_point
+    m = _hyperbolic(0.3, 0.2)
+    cls = classify(m)
+    p_minus, q = cls.repulsive.point.vector, cls.exterior.point.vector
+    for _ in range(n):
+        t = complex(rng.uniform(0.2, 2.0), rng.uniform(-1, 1))
+        yield m, _pt(p_minus + t * q)
+
+
+def _nearest(m, v) -> ProjectivePoint:
+    """The limit converge reports when its final iterate is v."""
+    return _nearest_fixed_point(fixed_points(m, tol=1e-7), _pt(v))
+
+
+# kind: (orbits, max_iter, tol); the parabolic tolerances keep orbits to a
+# few hundred steps, and rotational orbits exhaust their budget
+ORACLE_ORBITS = {
+    "hyperbolic": (40, 10_000, 1e-10),
+    "line_fixing": (40, 10_000, 1e-5),
+    "three_step": (40, 10_000, 1e-5),
+    "rotational": (40, 3_000, 1e-8),
+    "invariant_line": (40, 10_000, 1e-6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_ORBITS))
+def test_converge_and_iterate_match_the_numpy_loop(kind):
+    count, max_iter, tol = ORACLE_ORBITS[kind]
+    rng = np.random.default_rng([RNG_SEED, sorted(ORACLE_ORBITS).index(kind)])
+    if kind == "invariant_line":
+        orbits = list(_invariant_line_orbits(rng, count))
+    else:
+        orbits = [(random_element(rng, kind), _random_start(rng)) for _ in range(count)]
+    for i, (m, p) in enumerate(orbits):
+        converged, iterations, dist, final = reference_converge(m, p.vector, max_iter, tol)
+        res = converge(m, p, max_iter=max_iter, tol=tol)
+        assert (res.converged, res.iterations) == (converged, iterations), (kind, i)
+        assert res.final_distance == pytest.approx(dist, rel=1e-3), (kind, i)
+        if kind == "rotational":
+            assert not converged
+        else:
+            assert converged
+            assert chordal_distance(res.limit, _nearest(m, final)) < 1e-12, (kind, i)
+        if i < 8:
+            for n in (0, 1, 25, 500):
+                expected = reference_iterate(m, p.vector, n)
+                assert reference_chordal(iterate(m, p, n).coords, expected) < 1e-12, (kind, i, n)
+
+
+def test_converge_step_cost_does_not_grow_with_the_iteration_count(monkeypatch):
+    # numpy 3-vector calls per orbit step were the per-step cost of the old loop
+    calls = Counter()
+
+    def count(owner, name, wrap=lambda f: f):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(wrapper))
+
+    count(np, "cross")
+    count(linalg3, "canonical_coords")
+    count(ProjectivePoint, "from_vector", staticmethod)
+    m = mat_exp(AlgebraElement.parabolic_normal(0.2, 0.0, 1.0).matrix())
+    p = _pt([1, 0.3 - 0.2j, -0.5j])
+    runs = []
+    for tol in (1e-4, 1e-6):
+        calls.clear()
+        res = converge(m, p, tol=tol)
+        assert res.converged
+        runs.append((res.iterations, dict(calls)))
+    (short, short_calls), (long, long_calls) = runs
+    assert long >= 800 and long > 4 * short
+    assert short_calls == long_calls
 
 
 def test_successive_distances_decrease_after_burn_in():
@@ -195,6 +297,14 @@ def test_basin_coverage_rejects_elliptic():
     m = mat_exp(AlgebraElement(0.9, -0.4, 0j, 0j, 0j).matrix())
     with pytest.raises(NotNonElliptic):
         basin_coverage_check(m, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("name", ["tol", "capture_radius"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf])
+def test_basin_coverage_rejects_a_tol_or_radius_that_is_not_finite_and_positive(name, value):
+    # a nan or -1 capture radius used to certify every sample
+    with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+        basin_coverage_check(_hyperbolic(), samples=10, seed=0, **{name: value})
 
 
 def test_basin_counts_are_disjoint_partition():

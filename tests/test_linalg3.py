@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cp2lab import (
     ProjectivePoint,
@@ -19,7 +21,7 @@ from cp2lab import (
 from cp2lab.errors import AmbiguousClustering
 from cp2lab.linalg3 import _jordan_shape_from, _rank_and_null, canonical_coords, char_poly, det3, inv3
 
-from helpers import full_pivot_rank, random_element
+from helpers import full_pivot_rank, random_element, reference_canonical_coords, reference_chordal
 
 RNG_SEED = 20240811
 
@@ -401,9 +403,68 @@ def test_canonical_rejects_zero():
         canonical_coords([0, 0, 0])
 
 
+_MAGNITUDE = st.floats(min_value=1e-300, max_value=1e308)
+_PART = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                  _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+_COMPLEX = st.builds(complex, _PART, _PART)
+# maps of a coordinate to another of the same modulus: exactly, or as libm's
+# hypot rounds it, which numpy's complex modulus may round one bit higher
+_SAME_MODULUS = st.sampled_from([
+    lambda z: z,
+    lambda z: math.hypot(z.real, z.imag),
+    lambda z: z.conjugate(),
+    lambda z: -z,
+    lambda z: complex(z.imag, z.real),
+    lambda z: complex(-z.imag, z.real),
+])
+
+
+@st.composite
+def _coordinates(draw) -> list[complex]:
+    """Three coordinates, each drawn afresh or of the same modulus as a base."""
+    base = draw(_COMPLEX)
+    return [draw(_SAME_MODULUS)(base) if draw(st.booleans()) else draw(_COMPLEX)
+            for _ in range(3)]
+
+
+def _hex(coords) -> list:
+    return [(z.real.hex(), z.imag.hex()) for z in coords]
+
+
+def _canonical_or_error(f, x):
+    with np.errstate(all="ignore"):
+        try:
+            return _hex(f(x))
+        except ValueError as exc:
+            return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coordinates())
+def test_canonical_coords_is_bitwise_numpy_array_division(x):
+    assert _canonical_or_error(canonical_coords, x) == _canonical_or_error(reference_canonical_coords, x)
+
+
+@pytest.mark.parametrize("x", [
+    [1.7e308 + 1.7e308j, 1, 1],      # Python's abs overflows, numpy's modulus is inf
+    [1e308, 1e308j, -1e308],
+    [3 + 4j, 5, -4 + 3j],            # exact ties with different parts
+    [5 + 12j, 13, 12 - 5j],
+    [0.9951708396049394, 0.646 + 0.757j, 0],   # a near tie that numpy and libm round apart
+    [0, -0.0, 1e-300j],
+])
+def test_canonical_coords_edge_cases_match_numpy(x):
+    assert _canonical_or_error(canonical_coords, x) == _canonical_or_error(reference_canonical_coords, x)
+
+
 def test_chordal_distance_basics():
     p = ProjectivePoint.from_vector([1, 1, 0])
     q = ProjectivePoint.from_vector([1, -1, 0])
     assert chordal_distance(p, p) == 0.0
     assert 0 < chordal_distance(p, q) <= 1.0
     assert chordal_distance(p, ProjectivePoint.from_vector([2 + 1j, 2 + 1j, 0])) < 1e-12
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for _ in range(200):
+        a, b = rng.uniform(-1, 1, (2, 3)) + 1j * rng.uniform(-1, 1, (2, 3))
+        b = a + 10.0 ** rng.uniform(-12, 0) * b
+        assert chordal_distance(a, b) == pytest.approx(reference_chordal(a, b), rel=1e-9)
