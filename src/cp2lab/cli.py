@@ -14,7 +14,8 @@ CP2LAB_TOL, when set, supplies the default for --tol; both must be a
 finite number > 0.  Counts, indices and bounds must be non-negative,
 blow-up counts (`--blowups`, and `replay --k`) at most MAX_BLOWUPS,
 `basin` refuses more than MAX_BASIN_SAMPLES samples in all (`--samples`
-plus `--line-samples`, which defaults to samples // 10), and
+plus `--line-samples`, which defaults to samples // 10) and a `--max-iter`
+above MAX_BASIN_ITER, and
 `lattice exceptional` refuses scans of more than MAX_EXCEPTIONAL_LEAVES
 coefficient vectors.
 """
@@ -42,6 +43,9 @@ MAX_BLOWUPS = 200
 # largest total of ball and line samples `basin` accepts: the samples are
 # drawn and resolved as dense arrays, so memory grows with the count
 MAX_BASIN_SAMPLES = 10**6
+# largest `basin --max-iter`: a sample that never resolves is iterated for the
+# whole budget, so the time grows linearly with it
+MAX_BASIN_ITER = 10**6
 
 
 class _UsageError(Exception):
@@ -162,6 +166,8 @@ def _cmd_basin(args) -> dict:
     if args.samples + line_samples > MAX_BASIN_SAMPLES:
         raise _UsageError(f"--samples {args.samples} with {line_samples} line samples "
                           f"draws more than {MAX_BASIN_SAMPLES} samples")
+    if args.max_iter > MAX_BASIN_ITER:
+        raise _UsageError(f"--max-iter {args.max_iter} is above {MAX_BASIN_ITER}")
     matrix = jsonio.mat3_from_json(_load_json(args.input))
     try:
         report = dynamics.basin_coverage_check(

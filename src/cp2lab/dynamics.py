@@ -7,7 +7,7 @@ on Python complex scalars, then linalg3's scalar canonicalisation, which is
 bit-identical to numpy's; converge() measures each step with linalg3's
 scalar chordal distance.  No numpy call is made per step: on 3-vectors
 numpy's per-call overhead is several times the arithmetic.
-basin_coverage_check() samples the closed unit ball and random lines
+basin_coverage_check() samples the open unit ball and random lines
 through the attractive fixed point, then certifies that every sample
 resolves into the forward basin of the attractive point or the backward
 basin of the repulsive one.
@@ -15,7 +15,22 @@ basin of the repulsive one.
 Parabolic orbits approach their fixed point only polynomially, so the
 coverage check combines two resolution rules: strong convergence
 (successive displacement below tol) and asymptotic capture (distance to
-the target below a capture radius and still decreasing).
+the target below a capture radius and still decreasing).  The resolver
+(_resolve_batch) steps every live sample by strides of 8 steps, y = S x
+with S = m^8 rescaled and then x = y / max|y|, one stride at a time.  It
+advances the live samples k strides per round, k = _BLOCK_COLUMNS // live
+clamped to [1, 64] and to the largest power of two at most half the
+strides already run, then tests the whole 3 x (k live) block at once; a sample's decision is its
+first decided stride, so statuses are those of one test per stride.
+Rounds over more than _BLOCK_COLUMNS / 2 samples (the CLI's default 1,100)
+take one stride; the tail of slow parabolic and near-tangent samples runs
+64 strides per round.  Samples still undecided when the budget of
+max_iter // 8 strides runs out are certified if their distance record is
+within _END_RADIUS and was set in the last _END_STALE strides: with S
+strides, that holds exactly when the smallest distance of strides
+S - _END_STALE .. S is below that of strides 0 .. S - _END_STALE - 1 (or
+always, when S <= _END_STALE), so rounds stop at stride S - _END_STALE - 1
+and only keep a running minimum on each side.
 
 Sampling gives each sample its own counter-based stream, so a report
 depends only on the seed and the sample counts, never on evaluation
@@ -317,6 +332,10 @@ def _sample_points(seed: int, samples: int, line_samples: int, p_vec: np.ndarray
 
 # vectorized resolver ---------------------------------------------------------
 
+_BLOCK_COLUMNS = 2048    # stride-columns (strides x live samples) one resolver round tests
+_BLOCK_STRIDES = 64      # most strides one resolver round advances
+
+
 def _normalized_power(m: np.ndarray, log2_exp: int) -> np.ndarray:
     a = m / np.abs(m).max()
     for _ in range(log2_exp):
@@ -326,15 +345,16 @@ def _normalized_power(m: np.ndarray, log2_exp: int) -> np.ndarray:
 
 
 def _cross_norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|column cross products|^2 for 3xN (or 3-vector) complex arrays."""
+    """|column cross products|^2 for 3xN (or 3x1) complex arrays."""
     c01 = x[0] * y[1] - x[1] * y[0]
     c02 = x[0] * y[2] - x[2] * y[0]
     c12 = x[1] * y[2] - x[2] * y[1]
     return (c01 * c01.conj() + c02 * c02.conj() + c12 * c12.conj()).real
 
 
-def _chordal2_to(target_hat: np.ndarray, x: np.ndarray, norms2: np.ndarray) -> np.ndarray:
-    return _cross_norm2(target_hat.reshape(3, 1), x) / norms2
+def _norms2(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the columns of a 3xN complex array."""
+    return np.einsum("ij,ij->j", x.conj(), x).real
 
 
 def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
@@ -343,7 +363,9 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
     """Resolve each column of points toward the target fixed point.
 
     Returns a status per column: 1 resolved to target, 2 converged to a
-    different fixed point, 0 undecided within the iteration budget.
+    different fixed point, 0 undecided within the iteration budget.  Rounds
+    of k strides and the window form of the fallback are described in the
+    module docstring.
     """
     n = points.shape[1]
     status = np.zeros(n, dtype=np.int8)
@@ -351,63 +373,78 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
         return status
 
     stride_mat = _normalized_power(m, 3)  # m^8, rescaled
-    t_hat = target / np.linalg.norm(target)
-    f_hats = [f / np.linalg.norm(f) for f in fixed_vecs]
+    t_hat = (target / np.linalg.norm(target)).reshape(3, 1)
+    f_hats = [(f / np.linalg.norm(f)).reshape(3, 1) for f in fixed_vecs]
     t_index = min(range(len(f_hats)), key=lambda i: np.linalg.norm(f_hats[i] - t_hat))
-
-    x = points / np.abs(points).max(axis=0)
-    alive = np.arange(n)
-    norms2 = np.einsum("ij,ij->j", x.conj(), x).real
-    d_prev = _chordal2_to(t_hat, x, norms2)
-    d_min = d_prev.copy()
-    stale = np.zeros(n, dtype=np.int32)
     tol2 = tol * tol
     cap2 = capture_radius * capture_radius
     near2 = _NEAR_FIXED_RADIUS ** 2
 
-    for _ in range(max_iter // _STRIDE):
-        y = stride_mat @ x
-        ny2 = np.einsum("ij,ij->j", y.conj(), y).real
-        step2 = _cross_norm2(x, y) / (norms2 * ny2)
+    x = points / np.abs(points).max(axis=0)
+    alive = np.arange(n)
+    norms2 = _norms2(x)
+    d_prev = _cross_norm2(t_hat, x) / norms2
+    budget = max_iter // _STRIDE
+    window = budget - _END_STALE  # first stride of the staleness window
+    # smallest distance to the target before the window and within it;
+    # stride 0 lies in the window when the budget is at most _END_STALE
+    d_min_before, d_min = np.full(n, np.inf), d_prev
+    done = 0
+    while done < budget:
+        if done + 1 == window:
+            d_min_before, d_min = d_min, np.full(alive.size, np.inf)
+        a = alive.size
+        end = window - 1 if done < window - 1 else budget
+        # a round runs at most half as many strides as have been run (a power
+        # of two), so samples decided early, as most hyperbolic ones are, are
+        # not carried far past their decision
+        ramp = 1 << max((done // 2).bit_length() - 1, 0)
+        k = min(max(_BLOCK_COLUMNS // a, 1), _BLOCK_STRIDES, ramp, end - done)
+        # k x a stride-columns, stride-major; "from" is the stride each step starts at
+        y = np.empty((3, k * a), dtype=complex)
+        x_next = np.empty_like(y)
+        x_j = x
+        for j in range(k):
+            cols = slice(j * a, (j + 1) * a)
+            np.matmul(stride_mat, x_j, out=y[:, cols])
+            x_j = x_next[:, cols]
+            np.divide(y[:, cols], np.abs(y[:, cols]).max(axis=0), out=x_j)
+        done += k
 
-        x = y / np.abs(y).max(axis=0)
-        norms2 = np.einsum("ij,ij->j", x.conj(), x).real
-        d_now = _chordal2_to(t_hat, x, norms2)
-        improved = d_now < d_min
-        d_min = np.where(improved, d_now, d_min)
-        stale = np.where(improved, 0, stale + 1)
+        n2 = _norms2(x_next)
+        d = _cross_norm2(t_hat, x_next) / n2
+        if k > 1:
+            x_from = np.concatenate((x, x_next[:, :-a]), axis=1)
+            n2_from = np.concatenate((norms2, n2[:-a]))
+            d_from = np.concatenate((d_prev, d[:-a]))
+        else:
+            x_from, n2_from, d_from = x, norms2, d_prev
+        step2 = _cross_norm2(x_from, y) / (n2_from * _norms2(y))
 
-        decided = np.zeros(x.shape[1], dtype=bool)
-
+        # 1 for capture, then 1 or 2 for strong convergence, which wins
+        verdict = ((d <= cap2) & (d_from <= cap2) & (d < d_from)).astype(np.int8)
         converged = step2 <= tol2
         if converged.any():
-            dists = np.stack([_chordal2_to(f, x, norms2) for f in f_hats])
-            nearest = np.argmin(dists, axis=0)
-            near_enough = dists[nearest, np.arange(x.shape[1])] <= near2
-            settle = converged & near_enough
-            status[alive[settle & (nearest == t_index)]] = 1
-            status[alive[settle & (nearest != t_index)]] = 2
-            decided |= settle
+            dists = np.stack([_cross_norm2(f, x_next) / n2 for f in f_hats])
+            settle = converged & (dists.min(axis=0) <= near2)
+            verdict[settle] = np.where(dists[:, settle].argmin(axis=0) == t_index, 1, 2)
+        d_min = np.minimum(d_min, d.reshape(k, a).min(axis=0) if k > 1 else d)
 
-        captured = (d_now <= cap2) & (d_prev <= cap2) & (d_now < d_prev) & ~decided
-        status[alive[captured]] = 1
-        decided |= captured
+        x, norms2, d_prev = x_next[:, -a:], n2[-a:], d[-a:]
+        if verdict.any():
+            v = verdict.reshape(k, a)
+            decision = v[(v != 0).argmax(axis=0), np.arange(a)] if k > 1 else verdict
+            keep = decision == 0
+            status[alive[~keep]] = decision[~keep]
+            x, norms2, d_prev = x[:, keep], norms2[keep], d_prev[keep]
+            d_min, d_min_before, alive = d_min[keep], d_min_before[keep], alive[keep]
+            if not alive.size:
+                return status
 
-        if decided.any():
-            keep = ~decided
-            x = x[:, keep]
-            norms2 = norms2[keep]
-            d_now = d_now[keep]
-            d_min = d_min[keep]
-            stale = stale[keep]
-            alive = alive[keep]
-            if x.shape[1] == 0:
-                break
-        d_prev = d_now
-
-    if alive.size:
-        slow = (d_min <= _END_RADIUS ** 2) & (stale <= _END_STALE)
-        status[alive[slow]] = 1
+    # end-of-budget fallback: a new distance record inside the window is
+    # exactly "at most _END_STALE strides since the last record"
+    slow = (np.minimum(d_min_before, d_min) <= _END_RADIUS ** 2) & (d_min < d_min_before)
+    status[alive[slow]] = 1
     return status
 
 
@@ -418,7 +455,7 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     """Empirical check that the sampled ball and lines through the
     attractive point resolve into forward-basin(p+) or backward-basin(p-).
 
-    samples points are drawn from the closed unit ball by rejection on the
+    samples points are drawn from the open unit ball by rejection on the
     affine chart, plus line_samples points (default samples // 10) on
     random projective lines through the attractive fixed point, excluding
     its tangent line.  Each point is iterated forward toward p+ and, if

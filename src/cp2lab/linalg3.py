@@ -14,7 +14,9 @@ division does it, so canonical_coords is bit-identical to numpy's
 a / a[piv], where Python's own complex division rounds differently: with
 rat = d_i / d_r and scl = 1 / (d_r + d_i rat), one of each per point,
 x / d = ((x_r + x_i rat) scl, (x_i - x_r rat) scl), mirrored when
-|d_r| < |d_i|.  Chordal distances of coordinate triples use the
+|d_r| < |d_i|.  A pivot of modulus below 2^-1022, where 1 / d overflows
+and numpy's division gives nan, is first scaled by an exact power of
+two together with the other coordinates.  Chordal distances of coordinate triples use the
 cross-product formula (_chordal).
 """
 
@@ -213,6 +215,7 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
 # projective points ----------------------------------------------------------
 
 _NEAR_TIE = 1.0 - 2.0 ** -40   # relative modulus gap below which numpy picks the pivot
+_SMALLEST_NORMAL = 2.0 ** -1022  # pivots of smaller modulus are rescaled before dividing
 
 
 def _numpy_pivot(x: tuple[complex, complex, complex]) -> int:
@@ -245,6 +248,11 @@ def _canonical(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex,
     d = x[piv]
     if d == 0:
         raise ValueError("projective point needs a nonzero coordinate")
+    if math.hypot(d.real, d.imag) < _SMALLEST_NORMAL:
+        # the power of two that brings the pivot's larger part into [1/2, 1)
+        e = -math.frexp(max(abs(d.real), abs(d.imag)))[1]
+        x = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in x]
+        d = x[piv]
     d_r, d_i = d.real, d.imag
     if abs(d_r) >= abs(d_i):
         rat = d_i / d_r

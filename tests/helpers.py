@@ -275,3 +275,93 @@ def reference_converge(m, start, max_iter: int, tol: float):
             return True, k, dist, w
         v = w
     return False, max_iter, dist, None
+
+
+# reference basin resolver: one stride of eight steps per numpy round, every
+# test on every live column at every stride, and a staleness counter
+
+def _reference_cross_norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    c01 = x[0] * y[1] - x[1] * y[0]
+    c02 = x[0] * y[2] - x[2] * y[0]
+    c12 = x[1] * y[2] - x[2] * y[1]
+    return (c01 * c01.conj() + c02 * c02.conj() + c12 * c12.conj()).real
+
+
+def _reference_chordal2_to(target_hat: np.ndarray, x: np.ndarray, norms2: np.ndarray) -> np.ndarray:
+    return _reference_cross_norm2(target_hat.reshape(3, 1), x) / norms2
+
+
+def reference_resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
+                            fixed_vecs: list[np.ndarray], max_iter: int, tol: float,
+                            capture_radius: float) -> np.ndarray:
+    """Status per column (1 to target, 2 to another fixed point, 0 undecided)
+    under the rules of dynamics._resolve_batch: strong convergence, capture,
+    and the end-of-budget fallback with its staleness counter."""
+    stride, near_fixed, end_radius, end_stale = 8, 1e-2, 0.25, 64
+    n = points.shape[1]
+    status = np.zeros(n, dtype=np.int8)
+    if n == 0:
+        return status
+
+    stride_mat = m / np.abs(m).max()
+    for _ in range(3):
+        stride_mat = stride_mat @ stride_mat
+        stride_mat = stride_mat / np.abs(stride_mat).max()
+    t_hat = target / np.linalg.norm(target)
+    f_hats = [f / np.linalg.norm(f) for f in fixed_vecs]
+    t_index = min(range(len(f_hats)), key=lambda i: np.linalg.norm(f_hats[i] - t_hat))
+
+    x = points / np.abs(points).max(axis=0)
+    alive = np.arange(n)
+    norms2 = np.einsum("ij,ij->j", x.conj(), x).real
+    d_prev = _reference_chordal2_to(t_hat, x, norms2)
+    d_min = d_prev.copy()
+    stale = np.zeros(n, dtype=np.int32)
+    tol2 = tol * tol
+    cap2 = capture_radius * capture_radius
+    near2 = near_fixed ** 2
+
+    for _ in range(max_iter // stride):
+        y = stride_mat @ x
+        ny2 = np.einsum("ij,ij->j", y.conj(), y).real
+        step2 = _reference_cross_norm2(x, y) / (norms2 * ny2)
+
+        x = y / np.abs(y).max(axis=0)
+        norms2 = np.einsum("ij,ij->j", x.conj(), x).real
+        d_now = _reference_chordal2_to(t_hat, x, norms2)
+        improved = d_now < d_min
+        d_min = np.where(improved, d_now, d_min)
+        stale = np.where(improved, 0, stale + 1)
+
+        decided = np.zeros(x.shape[1], dtype=bool)
+
+        converged = step2 <= tol2
+        if converged.any():
+            dists = np.stack([_reference_chordal2_to(f, x, norms2) for f in f_hats])
+            nearest = np.argmin(dists, axis=0)
+            near_enough = dists[nearest, np.arange(x.shape[1])] <= near2
+            settle = converged & near_enough
+            status[alive[settle & (nearest == t_index)]] = 1
+            status[alive[settle & (nearest != t_index)]] = 2
+            decided |= settle
+
+        captured = (d_now <= cap2) & (d_prev <= cap2) & (d_now < d_prev) & ~decided
+        status[alive[captured]] = 1
+        decided |= captured
+
+        if decided.any():
+            keep = ~decided
+            x = x[:, keep]
+            norms2 = norms2[keep]
+            d_now = d_now[keep]
+            d_min = d_min[keep]
+            stale = stale[keep]
+            alive = alive[keep]
+            if x.shape[1] == 0:
+                break
+        d_prev = d_now
+
+    if alive.size:
+        slow = (d_min <= end_radius ** 2) & (stale <= end_stale)
+        status[alive[slow]] = 1
+    return status

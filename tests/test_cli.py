@@ -191,6 +191,23 @@ def test_basin_sample_total_at_the_cap_passes_the_guard(run, tmp_path):
     assert json.loads(err)["error"] == "NotNonElliptic"
 
 
+def test_basin_max_iter_above_the_cap_is_refused(run, tmp_path):
+    assert cli.MAX_BASIN_ITER == 10**6
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.2).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    _assert_usage_error(*run(["basin", path, "--samples", "20",
+                              "--max-iter", str(cli.MAX_BASIN_ITER + 1)]))
+
+
+def test_basin_max_iter_at_the_cap_passes(run, tmp_path):
+    # every hyperbolic sample is captured within a few strides of the budget
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.2).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    code, out, err = run(["basin", path, "--samples", "200", "--max-iter", str(cli.MAX_BASIN_ITER)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["unresolved"] == 0
+
+
 def test_lattice_square_one(run):
     code, out, _ = run(["lattice", "hirzebruch", "--n", "1", "--square-one"])
     assert code == 0

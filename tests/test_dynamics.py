@@ -17,10 +17,10 @@ from cp2lab import (
     iterate,
     mat_exp,
 )
-from cp2lab import linalg3
+from cp2lab import dynamics, linalg3
 from cp2lab.dynamics import _nearest_fixed_point
 from cp2lab.errors import NotNonElliptic
-from cp2lab.su12 import J, fixed_points
+from cp2lab.su12 import J, fixed_points, tangent_line
 
 from helpers import (
     conjugate,
@@ -30,6 +30,7 @@ from helpers import (
     reference_chordal,
     reference_converge,
     reference_iterate,
+    reference_resolve_batch,
 )
 
 RNG_SEED = 4242
@@ -331,3 +332,72 @@ def test_basin_path_builds_no_numpy_generator(monkeypatch):
         report = basin_coverage_check(m, samples=300, seed=21)
         assert report.samples == 330
         assert report.unresolved == 0
+
+
+# budgets of 1, 2 and 3 strides, of 64, 65 and 66 (the staleness window's
+# edge) and the default; blocks end at the window's first stride
+RESOLVER_BUDGETS = (8, 16, 24, 512, 520, 528, 10_000)
+
+
+def _resolver_points(rng, cls, seed):
+    """Default basin samples plus samples at every fixed point, which take the
+    status-2 path toward another target, and points of the invariant line
+    through p+ and the exterior point, some of which the staleness rule voids."""
+    p_plus = cls.attractive.point.vector
+    points = dynamics._sample_points(seed, 1000, 100, p_plus,
+                                     tangent_line(cls.attractive.point).vector)
+    extra = [fp.point.vector for fp in cls.fixed_points]
+    if cls.exterior is not None:
+        t = 0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12))
+        extra += list((p_plus[:, None] + cls.exterior.point.vector[:, None] * t).T)
+    return np.column_stack([points, *extra])
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "rotational", "line_fixing", "three_step"])
+def test_resolver_statuses_match_the_reference(kind):
+    rng = np.random.default_rng([RNG_SEED, 10, len(kind)])
+    m = random_element(rng, kind)
+    cls = classify(m)
+    fixed = [fp.point.vector for fp in cls.fixed_points]
+    points = _resolver_points(rng, cls, seed=len(kind))
+    backward = J @ m.conj().T @ J
+    seen = Counter()
+    for max_iter in RESOLVER_BUDGETS:
+        for a, target in ((m, cls.attractive.point), (backward, cls.repulsive.point)):
+            args = (a, points, target.vector, fixed, max_iter, 1e-8, dynamics.CAPTURE_RADIUS)
+            expected = reference_resolve_batch(*args)
+            np.testing.assert_array_equal(dynamics._resolve_batch(*args), expected,
+                                          err_msg=f"{kind} max_iter={max_iter}")
+            seen.update(expected.tolist())
+    assert seen[1] > 0
+    if len(fixed) > 1:
+        assert seen[2] > 0
+
+
+def test_resolver_tail_runs_many_strides_per_round(monkeypatch):
+    # nothing decides at tol = capture_radius = 1e-300, so every column runs
+    # the whole budget.  One stride per round made 2 stride tests per stride,
+    # 15,000 more for 7,500 more strides; at 64 strides per round it is
+    # 2 per 64 strides
+    calls = Counter()
+    inner = dynamics._cross_norm2
+
+    def counted(x, y):
+        calls["cross"] += 1
+        return inner(x, y)
+
+    monkeypatch.setattr(dynamics, "_cross_norm2", counted)
+    rng = np.random.default_rng(RNG_SEED + 11)
+    m = random_element(rng, "rotational")
+    cls = classify(m)
+    points = dynamics._sample_points(3, 10, 0, cls.attractive.point.vector,
+                                     tangent_line(cls.attractive.point).vector)
+    fixed = [fp.point.vector for fp in cls.fixed_points]
+    counts = []
+    for max_iter in (20_000, 80_000):
+        calls.clear()
+        dynamics._resolve_batch(m, points, cls.attractive.point.vector, fixed, max_iter,
+                                1e-300, 1e-300)
+        counts.append(calls["cross"])
+    assert counts[0] > 0
+    assert counts[1] - counts[0] <= 7_500 / 32

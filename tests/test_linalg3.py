@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -455,6 +456,38 @@ def test_canonical_coords_is_bitwise_numpy_array_division(x):
 ])
 def test_canonical_coords_edge_cases_match_numpy(x):
     assert _canonical_or_error(canonical_coords, x) == _canonical_or_error(reference_canonical_coords, x)
+
+
+def _exact_quotient(z: complex, d: complex) -> complex:
+    """z / d rounded once from exact rational arithmetic."""
+    zr, zi, dr, di = map(Fraction, (z.real, z.imag, d.real, d.imag))
+    den = dr * dr + di * di
+    return complex(float((zr * dr + zi * di) / den), float((zi * dr - zr * di) / den))
+
+
+@pytest.mark.parametrize("x, representable", [
+    ([0, -0.0, 1e-320], True),
+    ([5e-324, 0, 5e-324j], True),
+    ([0, 2.0 ** -1070, 3 * 2.0 ** -1074], True),
+    ([0, 5e-309, 1e-309], False),
+    ([3e-320 + 1e-320j, 1e-321, -2e-320j], False),
+])
+def test_canonical_coords_rescales_a_subnormal_pivot(x, representable):
+    # 1 / pivot overflowed, so these gave nan or inf coordinates; the point is
+    # now scaled by an exact power of two before the division
+    x = [complex(z) for z in x]
+    coords = canonical_coords(x)
+    assert all(cmath.isfinite(z) for z in coords)
+    piv = coords.index(1)
+    assert (coords[piv].real, coords[piv].imag) == (1.0, 0.0)
+    scaled = [complex(math.ldexp(z.real, 1074), math.ldexp(z.imag, 1074)) for z in x]
+    assert _hex(coords) == _hex(canonical_coords(scaled))
+    for z, c in zip(x, coords):
+        q = _exact_quotient(z, x[piv])
+        if representable:
+            assert c == q
+        else:
+            assert abs(c - q) <= 2.0 ** -51 * abs(q)
 
 
 def test_chordal_distance_basics():
