@@ -9,15 +9,14 @@ Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
 print a JSON payload on stdout; failures print a one-line JSON error
 object on stderr and nothing on stdout.  A classification decision the
 tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
-location) exits 1 with error "AmbiguousClustering".  The environment variable
-CP2LAB_TOL, when set, supplies the default for --tol; both must be a
-finite number > 0.  Counts, indices and bounds must be non-negative,
-blow-up counts (`--blowups`, and `replay --k`) at most MAX_BLOWUPS,
-`basin` refuses more than MAX_BASIN_SAMPLES samples in all (`--samples`
-plus `--line-samples`, which defaults to samples // 10) and a `--max-iter`
-above MAX_BASIN_ITER, and
-`lattice exceptional` refuses scans of more than MAX_EXCEPTIONAL_LEAVES
-coefficient vectors.
+location) exits 1 with error "AmbiguousClustering".  --tol sets classify's
+tolerances and does not affect basin; CP2LAB_TOL, when set, supplies its
+default.  Both must be a finite number > 0.  Counts, indices and bounds
+must be non-negative, blow-up counts (`--blowups`, and `replay --k`) at
+most MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in
+all (`--samples` plus `--line-samples`, which defaults to samples // 10)
+and a `--max-iter` above MAX_BASIN_ITER, and `lattice exceptional`
+refuses scans of more than MAX_EXCEPTIONAL_LEAVES coefficient vectors.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ def _parser() -> _Parser:
     """The argument parser, built on first use and reused for every call."""
     parser = _Parser(prog="cp2lab", description=__doc__)
     parser.add_argument("--tol", type=_tolerance, default=None,
-                        help=f"override the default tolerances uniformly (default: ${ENV_TOL})")
+                        help=f"set classify's tolerances uniformly; no effect on basin "
+                             f"(default: ${ENV_TOL})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify a group element")
@@ -176,7 +176,6 @@ def _cmd_basin(args) -> dict:
             line_samples=args.line_samples,
             seed=args.seed,
             max_iter=args.max_iter,
-            tol=args.tol if args.tol is not None else dynamics.DEFAULT_TOL,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

@@ -13,24 +13,25 @@ resolves into the forward basin of the attractive point or the backward
 basin of the repulsive one.
 
 Parabolic orbits approach their fixed point only polynomially, so the
-coverage check combines two resolution rules: strong convergence
-(successive displacement below tol) and asymptotic capture (distance to
-the target below a capture radius and still decreasing).  The resolver
-(_resolve_batch) steps every live sample by strides of 8 steps, y = S x
-with S = m^8 rescaled and then x = y / max|y|, one stride at a time.  It
-advances the live samples k strides per round, k = _BLOCK_COLUMNS // live
-clamped to [1, 64] and to the largest power of two at most half the
-strides already run, then tests the whole 3 x (k live) block at once; a sample's decision is its
-first decided stride, so statuses are those of one test per stride.
-Rounds over more than _BLOCK_COLUMNS / 2 samples (the CLI's default 1,100)
-take one stride; the tail of slow parabolic and near-tangent samples runs
-64 strides per round.  Samples still undecided when the budget of
-max_iter // 8 strides runs out are certified if their distance record is
-within _END_RADIUS and was set in the last _END_STALE strides: with S
-strides, that holds exactly when the smallest distance of strides
-S - _END_STALE .. S is below that of strides 0 .. S - _END_STALE - 1 (or
-always, when S <= _END_STALE), so rounds stop at stride S - _END_STALE - 1
-and only keep a running minimum on each side.
+coverage check certifies a sample by asymptotic capture: its distance to
+the target is below a capture radius at two successive strides and
+strictly decreasing between them.  The resolver (_resolve_batch) steps
+every live sample by strides of 8 steps, x = S x / max|S x| with S = m^8
+rescaled.  It advances the live samples k strides per round,
+k = _BLOCK_COLUMNS // live clamped to [1, 64] and to the largest power of
+two at most half the strides already run, in place in one 3 x (k live)
+block, then tests the whole block at once.  Rounds over more than
+_BLOCK_COLUMNS / 2 samples (the CLI's default 1,100) take one stride; the
+tail of slow parabolic and near-tangent samples runs 64 strides per round.
+Samples still undecided when the budget of max_iter // 8 strides runs out
+are certified if their distance record is within _END_RADIUS and was set
+in the last _END_STALE strides: with S strides, that holds exactly when
+the smallest distance of strides S - _END_STALE .. S is below that of
+strides 0 .. S - _END_STALE - 1 (or always, when S <= _END_STALE), so
+rounds stop at stride S - _END_STALE - 1 and only keep a running minimum
+on each side.  Samples left undecided are resolved backward toward p- by
+the same rules; at budgets of a few strides that certifies samples still
+far from p+.
 
 Sampling gives each sample its own counter-based stream, so a report
 depends only on the seed and the sample counts, never on evaluation
@@ -75,7 +76,6 @@ DEFAULT_TOL = 1e-8
 CAPTURE_RADIUS = 5e-3    # asymptotic capture radius for slow parabolic orbits
 LINE_ANGLE_TOL = 1e-6    # sampled lines must differ from the tangent line by this
 _STRIDE = 8              # iterations folded into one resolver step
-_NEAR_FIXED_RADIUS = 1e-2
 # end-of-budget fallback: lines passing close to the tangent line converge
 # like 1/n with a constant proportional to the inverse angle, so they may
 # not reach the capture radius; an orbit whose distance record to the
@@ -357,15 +357,14 @@ def _norms2(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", x.conj(), x).real
 
 
-def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
-                   fixed_vecs: list[np.ndarray], max_iter: int, tol: float,
+def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_iter: int,
                    capture_radius: float) -> np.ndarray:
     """Resolve each column of points toward the target fixed point.
 
-    Returns a status per column: 1 resolved to target, 2 converged to a
-    different fixed point, 0 undecided within the iteration budget.  Rounds
-    of k strides and the window form of the fallback are described in the
-    module docstring.
+    Returns a status per column: 1 resolved to the target, by capture or by
+    the end-of-budget fallback, and 0 undecided within the iteration budget.
+    Rounds of k strides and the window form of the fallback are described in
+    the module docstring.
     """
     n = points.shape[1]
     status = np.zeros(n, dtype=np.int8)
@@ -374,16 +373,11 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
 
     stride_mat = _normalized_power(m, 3)  # m^8, rescaled
     t_hat = (target / np.linalg.norm(target)).reshape(3, 1)
-    f_hats = [(f / np.linalg.norm(f)).reshape(3, 1) for f in fixed_vecs]
-    t_index = min(range(len(f_hats)), key=lambda i: np.linalg.norm(f_hats[i] - t_hat))
-    tol2 = tol * tol
     cap2 = capture_radius * capture_radius
-    near2 = _NEAR_FIXED_RADIUS ** 2
 
     x = points / np.abs(points).max(axis=0)
     alive = np.arange(n)
-    norms2 = _norms2(x)
-    d_prev = _cross_norm2(t_hat, x) / norms2
+    d_prev = _cross_norm2(t_hat, x) / _norms2(x)
     budget = max_iter // _STRIDE
     window = budget - _END_STALE  # first stride of the staleness window
     # smallest distance to the target before the window and within it;
@@ -400,43 +394,26 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
         # not carried far past their decision
         ramp = 1 << max((done // 2).bit_length() - 1, 0)
         k = min(max(_BLOCK_COLUMNS // a, 1), _BLOCK_STRIDES, ramp, end - done)
-        # k x a stride-columns, stride-major; "from" is the stride each step starts at
-        y = np.empty((3, k * a), dtype=complex)
-        x_next = np.empty_like(y)
-        x_j = x
+        # k x a stride-columns, stride-major: S x, then its rescaling, in place
+        block = np.empty((3, k * a), dtype=complex)
         for j in range(k):
-            cols = slice(j * a, (j + 1) * a)
-            np.matmul(stride_mat, x_j, out=y[:, cols])
-            x_j = x_next[:, cols]
-            np.divide(y[:, cols], np.abs(y[:, cols]).max(axis=0), out=x_j)
+            y = block[:, j * a:(j + 1) * a]
+            np.matmul(stride_mat, x, out=y)
+            np.divide(y, np.abs(y).max(axis=0), out=y)
+            x = y
         done += k
 
-        n2 = _norms2(x_next)
-        d = _cross_norm2(t_hat, x_next) / n2
-        if k > 1:
-            x_from = np.concatenate((x, x_next[:, :-a]), axis=1)
-            n2_from = np.concatenate((norms2, n2[:-a]))
-            d_from = np.concatenate((d_prev, d[:-a]))
-        else:
-            x_from, n2_from, d_from = x, norms2, d_prev
-        step2 = _cross_norm2(x_from, y) / (n2_from * _norms2(y))
+        d = _cross_norm2(t_hat, block) / _norms2(block)
+        # "from" is the distance at the stride each step starts at
+        d_from = np.concatenate((d_prev, d[:-a]))
+        captured = (d <= cap2) & (d_from <= cap2) & (d < d_from)
+        d_min = np.minimum(d_min, d.reshape(k, a).min(axis=0))
 
-        # 1 for capture, then 1 or 2 for strong convergence, which wins
-        verdict = ((d <= cap2) & (d_from <= cap2) & (d < d_from)).astype(np.int8)
-        converged = step2 <= tol2
-        if converged.any():
-            dists = np.stack([_cross_norm2(f, x_next) / n2 for f in f_hats])
-            settle = converged & (dists.min(axis=0) <= near2)
-            verdict[settle] = np.where(dists[:, settle].argmin(axis=0) == t_index, 1, 2)
-        d_min = np.minimum(d_min, d.reshape(k, a).min(axis=0) if k > 1 else d)
-
-        x, norms2, d_prev = x_next[:, -a:], n2[-a:], d[-a:]
-        if verdict.any():
-            v = verdict.reshape(k, a)
-            decision = v[(v != 0).argmax(axis=0), np.arange(a)] if k > 1 else verdict
-            keep = decision == 0
-            status[alive[~keep]] = decision[~keep]
-            x, norms2, d_prev = x[:, keep], norms2[keep], d_prev[keep]
+        d_prev = d[-a:]
+        if captured.any():
+            keep = ~captured.reshape(k, a).any(axis=0)
+            status[alive[~keep]] = 1
+            x, d_prev = x[:, keep], d_prev[keep]
             d_min, d_min_before, alive = d_min[keep], d_min_before[keep], alive[keep]
             if not alive.size:
                 return status
@@ -450,7 +427,6 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray,
 
 def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
                          seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
-                         tol: float = DEFAULT_TOL,
                          capture_radius: float = CAPTURE_RADIUS) -> BasinReport:
     """Empirical check that the sampled ball and lines through the
     attractive point resolve into forward-basin(p+) or backward-basin(p-).
@@ -459,9 +435,11 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     affine chart, plus line_samples points (default samples // 10) on
     random projective lines through the attractive fixed point, excluding
     its tangent line.  Each point is iterated forward toward p+ and, if
-    undecided, backward toward p-.  Raises ValueError for a seed outside
-    [0, 2^128), a negative sample count, max_iter below one stride, or a
-    tol or capture_radius that is not finite and > 0.
+    undecided, backward toward p-, and counts as resolved when the
+    resolver's capture rule or its end-of-budget fallback certifies it
+    (module docstring).  Raises ValueError for a seed outside [0, 2^128),
+    a negative sample count, max_iter below one stride, or a
+    capture_radius that is not finite and > 0.
     """
     seed = operator.index(seed)
     if not 0 <= seed < _SEED_LIMIT:
@@ -470,7 +448,6 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
         raise ValueError("sample counts must be non-negative")
     if max_iter < _STRIDE:
         raise ValueError(f"max_iter must be at least {_STRIDE}, one resolver stride")
-    _check_positive("tol", tol)
     _check_positive("capture_radius", capture_radius)
     m = _as_group_matrix(a, tol=1e-7)
     cls = classify(m)
@@ -486,18 +463,17 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     points = _sample_points(seed, samples, line_samples, p_plus.vector, l_plus.vector)
     total = points.shape[1]
 
-    fixed_vecs = [fp.point.vector for fp in cls.fixed_points]
-    forward = _resolve_batch(m, points, p_plus.vector, fixed_vecs, max_iter, tol, capture_radius)
+    forward = _resolve_batch(m, points, p_plus.vector, max_iter, capture_radius)
 
-    rest = forward != 1
+    rest = forward == 0
     backward_count = 0
     if rest.any():
         m_inv = J @ m.conj().T @ J
-        backward = _resolve_batch(m_inv, points[:, rest], p_minus.vector, fixed_vecs,
-                                  max_iter, tol, capture_radius)
-        backward_count = int((backward == 1).sum())
+        backward = _resolve_batch(m_inv, points[:, rest], p_minus.vector, max_iter,
+                                  capture_radius)
+        backward_count = int(backward.sum())
 
-    forward_count = int((forward == 1).sum())
+    forward_count = int(forward.sum())
     unresolved = total - forward_count - backward_count
     return BasinReport(
         samples=total,

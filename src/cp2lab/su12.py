@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -419,6 +419,13 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
     if max(abs(abs(pair.value) - 1.0) for pair in eig.pairs) > unit_tol:
         if any(pair.multiplicity > 1 or len(pair.vectors) != 1 for pair in eig.pairs):
             raise AmbiguousClustering("off-unit eigenvalues merged; classification unstable")
+        # Q(Av, Av) = Q(v, v) gives (1 - |lambda|^2) Q(v, v) = 0, so a fixed point
+        # whose eigenvalue is off the unit circle lies on the sphere, however
+        # far its computed eigenvector misses it
+        data = replace(data, points=tuple(
+            replace(fp, location=Location.BOUNDARY)
+            if abs(abs(fp.eigenvalue) - 1.0) > unit_tol else fp for fp in data.points))
+        boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
         outside = [fp for fp in data.points if fp.location == Location.OUTSIDE]
         if len(boundary) != 2 or len(outside) != 1:
             raise AmbiguousClustering(

@@ -295,8 +295,9 @@ def reference_resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarra
                             fixed_vecs: list[np.ndarray], max_iter: int, tol: float,
                             capture_radius: float) -> np.ndarray:
     """Status per column (1 to target, 2 to another fixed point, 0 undecided)
-    under the rules of dynamics._resolve_batch: strong convergence, capture,
-    and the end-of-budget fallback with its staleness counter."""
+    under strong convergence, capture, and the end-of-budget fallback with its
+    staleness counter.  dynamics._resolve_batch keeps only the last two rules,
+    which give the same statuses on columns that do not lie on a fixed point."""
     stride, near_fixed, end_radius, end_stale = 8, 1e-2, 0.25, 64
     n = points.shape[1]
     status = np.zeros(n, dtype=np.int8)

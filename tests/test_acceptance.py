@@ -150,7 +150,7 @@ def test_criterion_05_basin_coverage():
     for idx, m in enumerate(elements):
         report = basin_coverage_check(
             m, samples=10_000, line_samples=1_000,
-            seed=SEED + idx, max_iter=10_000, tol=1e-8,
+            seed=SEED + idx, max_iter=10_000,
         )
         assert report.unresolved == 0, f"element {idx}: {report}"
         assert report.samples == 11_000

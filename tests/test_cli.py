@@ -418,6 +418,21 @@ def test_tol_must_be_finite_and_positive(run, tmp_path, monkeypatch, value):
     assert json.loads(out)["kind"] == "hyperbolic"
 
 
+def test_basin_output_does_not_depend_on_the_tolerance(run, tmp_path, monkeypatch):
+    # --tol and CP2LAB_TOL set classify's tolerances; basin only validates them
+    rng = np.random.default_rng(4242 + 5)
+    m = conjugate(mat_exp(AlgebraElement.parabolic_normal(0.7, 0.5, 0.4 + 0.2j).matrix()),
+                  random_conjugator(rng, 0.8))
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    argv = ["basin", path, "--samples", "300", "--seed", "3"]
+    code, out, err = run(argv)
+    assert code == 0 and err == ""
+    assert run(["--tol", "1e-3", *argv]) == (0, out, "")
+    monkeypatch.setenv("CP2LAB_TOL", "1e-12")
+    assert run(argv) == (0, out, "")
+    _assert_usage_error(*run(["--tol", "nan", *argv]))
+
+
 def test_tol_env_is_read_on_every_call(run, tmp_path, monkeypatch):
     m = mat_exp(AlgebraElement.hyperbolic_normal(0.5, 0.1).matrix())
     path = _write_json(tmp_path / "mat.json", mat3_to_json(m))

@@ -20,7 +20,7 @@ from cp2lab import (
 from cp2lab import dynamics, linalg3
 from cp2lab.dynamics import _nearest_fixed_point
 from cp2lab.errors import NotNonElliptic
-from cp2lab.su12 import J, fixed_points, tangent_line
+from cp2lab.su12 import J, fixed_points, is_group_member, tangent_line
 
 from helpers import (
     conjugate,
@@ -270,13 +270,21 @@ def test_basin_coverage_hyperbolic():
 
 
 def test_basin_coverage_strongly_contracting():
-    # at l = 3 every sample settles by the step-size rule before capture
+    # at large translation lengths an orbit reaches p+ within a stride or
+    # two, and capture alone certifies every sample.  Conjugates whose
+    # entries (about e^l) push the form error past the group check are
+    # left out; at l = 3 the conjugate is kept
     rng = np.random.default_rng(RNG_SEED + 8)
-    m = _hyperbolic(3.0, 0.4)
-    for element in (m, conjugate(m, random_conjugator(rng))):
+    elements = []
+    for l in (3.0, 5.0, 8.0):
+        m = _hyperbolic(l, 0.4)
+        c = conjugate(m, random_conjugator(rng))
+        elements += [m, c] if is_group_member(c) else [m]
+    assert len(elements) >= 4
+    for element in elements:
         report = basin_coverage_check(element, samples=1000, seed=17)
         assert report.samples == 1100
-        assert report.unresolved == 0
+        assert report.resolved_forward == 1100
 
 
 def test_basin_coverage_parabolic_subtypes():
@@ -300,12 +308,11 @@ def test_basin_coverage_rejects_elliptic():
         basin_coverage_check(m, samples=10, seed=0)
 
 
-@pytest.mark.parametrize("name", ["tol", "capture_radius"])
 @pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf])
-def test_basin_coverage_rejects_a_tol_or_radius_that_is_not_finite_and_positive(name, value):
+def test_basin_coverage_rejects_a_tol_or_radius_that_is_not_finite_and_positive(value):
     # a nan or -1 capture radius used to certify every sample
-    with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
-        basin_coverage_check(_hyperbolic(), samples=10, seed=0, **{name: value})
+    with pytest.raises(ValueError, match="capture_radius must be a finite number > 0"):
+        basin_coverage_check(_hyperbolic(), samples=10, seed=0, capture_radius=value)
 
 
 def test_basin_counts_are_disjoint_partition():
@@ -340,21 +347,23 @@ RESOLVER_BUDGETS = (8, 16, 24, 512, 520, 528, 10_000)
 
 
 def _resolver_points(rng, cls, seed):
-    """Default basin samples plus samples at every fixed point, which take the
-    status-2 path toward another target, and points of the invariant line
-    through p+ and the exterior point, some of which the staleness rule voids."""
+    """Default basin samples plus points of the invariant line through p+ and
+    the exterior point, some of which the staleness rule voids."""
     p_plus = cls.attractive.point.vector
     points = dynamics._sample_points(seed, 1000, 100, p_plus,
                                      tangent_line(cls.attractive.point).vector)
-    extra = [fp.point.vector for fp in cls.fixed_points]
     if cls.exterior is not None:
         t = 0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12))
-        extra += list((p_plus[:, None] + cls.exterior.point.vector[:, None] * t).T)
-    return np.column_stack([points, *extra])
+        line = p_plus[:, None] + cls.exterior.point.vector[:, None] * t
+        points = np.column_stack([points, line])
+    return points
 
 
 @pytest.mark.parametrize("kind", ["hyperbolic", "rotational", "line_fixing", "three_step"])
 def test_resolver_statuses_match_the_reference(kind):
+    # the reference keeps the strong-convergence rule and status 2, which only
+    # columns placed exactly on a fixed point reach; no sampled column lies on
+    # one, so on these columns capture and the fallback give the same statuses
     rng = np.random.default_rng([RNG_SEED, 10, len(kind)])
     m = random_element(rng, kind)
     cls = classify(m)
@@ -364,21 +373,20 @@ def test_resolver_statuses_match_the_reference(kind):
     seen = Counter()
     for max_iter in RESOLVER_BUDGETS:
         for a, target in ((m, cls.attractive.point), (backward, cls.repulsive.point)):
-            args = (a, points, target.vector, fixed, max_iter, 1e-8, dynamics.CAPTURE_RADIUS)
-            expected = reference_resolve_batch(*args)
-            np.testing.assert_array_equal(dynamics._resolve_batch(*args), expected,
-                                          err_msg=f"{kind} max_iter={max_iter}")
+            expected = reference_resolve_batch(a, points, target.vector, fixed, max_iter, 1e-8,
+                                               dynamics.CAPTURE_RADIUS)
+            got = dynamics._resolve_batch(a, points, target.vector, max_iter,
+                                          dynamics.CAPTURE_RADIUS)
+            np.testing.assert_array_equal(got, expected, err_msg=f"{kind} max_iter={max_iter}")
             seen.update(expected.tolist())
     assert seen[1] > 0
-    if len(fixed) > 1:
-        assert seen[2] > 0
 
 
 def test_resolver_tail_runs_many_strides_per_round(monkeypatch):
-    # nothing decides at tol = capture_radius = 1e-300, so every column runs
-    # the whole budget.  One stride per round made 2 stride tests per stride,
-    # 15,000 more for 7,500 more strides; at 64 strides per round it is
-    # 2 per 64 strides
+    # nothing is captured at capture_radius = 1e-300, so every column runs the
+    # whole budget.  A round makes one _cross_norm2 call: one stride per round
+    # would make 7,500 more calls for 7,500 more strides, 64 strides per round
+    # make one per 64 strides
     calls = Counter()
     inner = dynamics._cross_norm2
 
@@ -392,12 +400,10 @@ def test_resolver_tail_runs_many_strides_per_round(monkeypatch):
     cls = classify(m)
     points = dynamics._sample_points(3, 10, 0, cls.attractive.point.vector,
                                      tangent_line(cls.attractive.point).vector)
-    fixed = [fp.point.vector for fp in cls.fixed_points]
     counts = []
     for max_iter in (20_000, 80_000):
         calls.clear()
-        dynamics._resolve_batch(m, points, cls.attractive.point.vector, fixed, max_iter,
-                                1e-300, 1e-300)
+        dynamics._resolve_batch(m, points, cls.attractive.point.vector, max_iter, 1e-300)
         counts.append(calls["cross"])
     assert counts[0] > 0
-    assert counts[1] - counts[0] <= 7_500 / 32
+    assert counts[1] - counts[0] <= 7_500 / 64

@@ -1,10 +1,13 @@
-"""Independent oracles for the spectral layer: 50-digit eigenvector residuals
-(mpmath) and Goldman's trace discriminant for the trichotomy."""
+"""Independent oracles: 50-digit eigenvector residuals (mpmath) and Goldman's
+trace discriminant for the spectral layer, and the fixed-point geometry of
+the forward basin for the basin resolver."""
 
 import mpmath
 import numpy as np
+import pytest
 
-from cp2lab import AlgebraElement, Kind, classify, eig3, mat_exp
+from cp2lab import AlgebraElement, Kind, classify, dynamics, eig3, mat_exp
+from cp2lab.su12 import J, tangent_line
 
 from helpers import conjugate, random_conjugator, random_element
 
@@ -106,3 +109,30 @@ def test_classify_agrees_with_goldman_discriminant():
         if cls.kind == Kind.PARABOLIC:
             assert abs(f) <= 1e-10, (kind, f)
     assert seen == {kind: 200 for kind in KINDS}
+
+
+# forward basins from the fixed-point geometry -----------------------------------
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "rotational", "line_fixing", "three_step"])
+def test_forward_status_follows_the_fixed_point_geometry(kind):
+    # a point v flows to p+ iff Q(v, w) != 0, with w = p- for a hyperbolic
+    # element and w = p for a rotational or line-fixing one, and always for a
+    # three-step one (Goldman, Complex Hyperbolic Geometry, 6.2); the resolver
+    # must certify exactly the default samples with margin
+    # |Q(v, w)| / (|v| |w|) > 1e-12
+    rng = np.random.default_rng([RNG_SEED, 2, len(kind)])
+    for seed in range(3):
+        m = random_element(rng, kind)
+        cls = classify(m)
+        p = cls.attractive.point
+        points = dynamics._sample_points(seed, 1000, 100, p.vector, tangent_line(p).vector)
+        status = dynamics._resolve_batch(m, points, p.vector, dynamics.DEFAULT_MAX_ITER,
+                                         dynamics.CAPTURE_RADIUS)
+        if kind == "three_step":
+            expected = np.ones(points.shape[1], dtype=bool)
+        else:
+            w = (cls.repulsive if kind == "hyperbolic" else cls.attractive).point.vector
+            margin = np.abs((J @ w).conj() @ points) / (
+                np.linalg.norm(points, axis=0) * np.linalg.norm(w))
+            expected = margin > 1e-12
+        np.testing.assert_array_equal(status == 1, expected, err_msg=f"{kind} seed {seed}")

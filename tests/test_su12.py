@@ -27,6 +27,7 @@ from cp2lab import (
     tangent_line,
 )
 from cp2lab.errors import (
+    AmbiguousClustering,
     DegenerateElement,
     NotFixed,
     NotInGroup,
@@ -307,6 +308,25 @@ def test_hyperbolic_derivative_moduli_pattern():
         assert max(at) < 1.0
         assert min(rp) > 1.0
         assert min(ex) < 1.0 < max(ex)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_near_parabolic_hyperbolics_are_classified_hyperbolic(eps):
+    # |lambda| - 1 is 100 to 1,000 times unit_tol from eps = 1e-4 down, while the
+    # computed eigenvectors miss the sphere by up to ~1e-6 |v|^2 at eps = 1e-5;
+    # an eigenvalue off the unit circle puts its fixed point on the sphere.  At
+    # eps = 1e-6 the ranks are undecidable, so ambiguity is a right answer too
+    rng = np.random.default_rng([RNG_SEED, 6, int(-math.log10(eps))])
+    base = mat_exp(AlgebraElement.hyperbolic_normal(eps, 0.3).matrix())
+    for _ in range(20):
+        m = conjugate(base, random_conjugator(rng, 0.8))
+        try:
+            cls = classify(m)
+        except AmbiguousClustering:
+            assert eps == 1e-6
+            continue
+        assert cls.kind == Kind.HYPERBOLIC
+        assert max(abs(v) for v in cls.derivative_eigenvalues(cls.attractive)) < 1.0
 
 
 # one spectral pass ---------------------------------------------------------------
