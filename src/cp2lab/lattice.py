@@ -10,10 +10,13 @@ square-one scan on Hirzebruch lattices, and the enumeration of exceptional
 classes in a coefficient box, which solves two coordinates exactly and
 scans the other rank - 2.
 
-All arithmetic is exact: Python integers and Fractions throughout.  Every
-lattice is validated on construction (square, symmetric, unimodular,
-signature (1, rank - 1)) by one congruence pass that yields both the
-inertia and the determinant; pairings skip zero coefficients, which keeps
+All arithmetic is exact: Python integers and Fractions throughout.  The
+public constructor validates every lattice built from user input (square,
+symmetric, unimodular, signature (1, rank - 1)) by one congruence pass that
+yields both the inertia and the determinant.  The results of surgery are
+valid by construction and skip that pass: a blow-up is G + <-1>, and a
+contraction is the orthogonal complement of a class of square -1 (see
+`PicardLattice.contract`).  Pairings skip zero coefficients, which keeps
 the diagonal Gram matrices of repeated blow-ups cheap.
 """
 
@@ -47,6 +50,13 @@ class DivisorClass:
         # and over repeated blow-ups the per-size tuple free lists then fill
         # to their cap (about 4 MB more peak memory)
         object.__setattr__(self, "coeffs", tuple([int(c) for c in self.coeffs]))
+
+    @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "DivisorClass":
+        """A class from a tuple that already holds ints: no re-coercion."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "coeffs", coeffs)
+        return d
 
     @property
     def rank(self) -> int:
@@ -175,7 +185,7 @@ class PushforwardMap:
     def __call__(self, d: DivisorClass) -> DivisorClass:
         if d.rank != len(self.matrix[0]):
             raise RankMismatch(f"class has rank {d.rank}, map expects {len(self.matrix[0])}")
-        return DivisorClass(tuple(sum(map(mul, row, d.coeffs)) for row in self.matrix))
+        return DivisorClass._of(tuple([sum(map(mul, row, d.coeffs)) for row in self.matrix]))
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,16 @@ class PicardLattice:
         if inertia != (1, n - 1):
             raise ValueError("lattice must have Lorentzian signature (1, rank-1)")
 
+    @classmethod
+    def _derived(cls, gram: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 canonical: DivisorClass) -> "PicardLattice":
+        """A lattice that surgery proved valid: no validation pass."""
+        lat = object.__new__(cls)
+        object.__setattr__(lat, "gram", gram)
+        object.__setattr__(lat, "labels", labels)
+        object.__setattr__(lat, "canonical", canonical)
+        return lat
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -283,13 +303,17 @@ class PicardLattice:
     # surgery
 
     def blow_up(self) -> "PicardLattice":
-        """Append an exceptional vector: gram gains a -1 entry, K gains E."""
+        """Append an exceptional vector: gram gains a -1 entry, K gains E.
+
+        G + <-1> is unimodular with signature (1, rank), so the result is
+        not re-validated.
+        """
         n = self.rank
-        gram = tuple(tuple(row) + (0,) for row in self.gram) + (tuple([0] * n + [-1]),)
+        gram = tuple([row + (0,) for row in self.gram] + [tuple([0] * n + [-1])])
         existing = sum(1 for lab in self.labels if lab.startswith("E") and lab[1:].isdigit())
         labels = self.labels + (f"E{existing + 1}",)
-        canonical = DivisorClass(self.canonical.coeffs + (1,))
-        return PicardLattice(gram, labels, canonical)
+        canonical = DivisorClass._of(self.canonical.coeffs + (1,))
+        return PicardLattice._derived(gram, labels, canonical)
 
     def proper_transform(self, d: DivisorClass, multiplicity: int) -> DivisorClass:
         """Class of a curve of the given multiplicity through the blown-up point.
@@ -302,7 +326,7 @@ class PicardLattice:
             raise RankMismatch(
                 f"expected a rank-{self.rank - 1} class from before the blow-up, got rank {d.rank}"
             )
-        return DivisorClass(d.coeffs + (-int(multiplicity),))
+        return DivisorClass._of(d.coeffs + (-int(multiplicity),))
 
     def contract(self, e: DivisorClass) -> tuple["PicardLattice", PushforwardMap]:
         """Contract an exceptional class; returns the complement lattice and
@@ -320,7 +344,7 @@ class PicardLattice:
 
         basis = [[v[i][c] for i in range(n)] for c in range(1, n)]  # columns 1..n-1
         g_basis = [[sum(map(mul, row, b)) for row in g] for b in basis]
-        new_gram = tuple(tuple(sum(map(mul, a, gb)) for gb in g_basis) for a in basis)
+        new_gram = tuple([tuple([sum(map(mul, a, gb)) for gb in g_basis]) for a in basis])
 
         # rows 1..n-1 of Vinv composed with x -> x + (x.E) E, that is
         # row + (row . e) w with w = G e
@@ -334,11 +358,10 @@ class PicardLattice:
 
         new_canonical = push(self.canonical + e)
         labels = tuple(f"v{i + 1}" for i in range(n - 1))
-        try:
-            contracted = PicardLattice(new_gram, labels, new_canonical)
-        except ValueError as exc:
-            raise NonUnimodularComplement(str(exc)) from exc
-        return contracted, push
+        # valid by construction: since E.E = -1, every x is
+        # (x + (x.E) E) - (x.E) E, so L = E-perp + Z E, an orthogonal sum;
+        # E-perp is then unimodular with signature (1, n - 2)
+        return PicardLattice._derived(new_gram, labels, new_canonical), push
 
     # forms and isometries
 

@@ -7,6 +7,11 @@ assert exact intersection data at any step.  Built-in scripts reproduce
 the singular-sphere constructions: two blow-ups on a tangent line followed
 by contraction of its transform lands on the quadric lattice, and the
 fibre/base induction walks the Hirzebruch index upward one step at a time.
+
+The squares logged before and after each surgery step are derived, not
+recomputed: a blow-up with multiplicity m takes D.D to D.D - m^2 and adds
+E.E = -1, and a contraction of E takes D.D to D.D + (D.E)^2, one pairing per
+curve.
 """
 
 from __future__ import annotations
@@ -61,10 +66,15 @@ class Script:
 
 @dataclass
 class SurfaceState:
-    """Lattice plus named curve classes, point incidences and a step log."""
+    """Lattice plus named curve classes, point incidences and a step log.
+
+    squares holds each curve's self-intersection, in the order of curves.
+    It is replaced, never mutated, since the log keeps references to it.
+    """
 
     lattice: PicardLattice
     curves: dict[str, DivisorClass]
+    squares: dict[str, int]
     points: dict[str, tuple[tuple[str, int], ...]] = field(default_factory=dict)
     log: list[dict] = field(default_factory=list)
     n_blowups: int = 0
@@ -97,11 +107,8 @@ def _initial_state(initial: InitialSurface) -> SurfaceState:
         if name in curves:
             raise InputFormatError(f"initial curve {name!r} collides with a basis label")
         curves[name] = lat.class_from(coeffs)
-    return SurfaceState(lattice=lat, curves=curves)
-
-
-def _squares(state: SurfaceState) -> dict[str, int]:
-    return {name: state.self_intersection(name) for name in state.curves}
+    squares = {name: lat.intersect(d, d) for name, d in curves.items()}
+    return SurfaceState(lattice=lat, curves=curves, squares=squares)
 
 
 def _run_blow_up(state: SurfaceState, step: BlowUpStep, index: int) -> None:
@@ -109,18 +116,30 @@ def _run_blow_up(state: SurfaceState, step: BlowUpStep, index: int) -> None:
     for curve_name, m in step.on:
         if curve_name not in state.curves:
             raise UnknownName(f"blow_up at step {index} references unknown curve {curve_name!r}")
+        if int(m) < 0:
+            raise InputFormatError(f"blow_up at step {index}: negative multiplicity on {curve_name!r}")
         mults[curve_name] = int(m)
-    before = _squares(state)
     new_lat = state.lattice.blow_up()
+    before = state.squares
     new_curves = {}
+    after = {}
     for name, d in state.curves.items():
-        new_curves[name] = new_lat.proper_transform(d, mults.get(name, 0))
-    exceptional_name = step.name or new_lat.labels[-1]
+        m = mults.get(name, 0)
+        new_curves[name] = new_lat.proper_transform(d, m)
+        after[name] = before[name] - m * m
+    # a default name that is taken (contraction relabels the basis v1, v2,
+    # ...) moves on to the first free E<j> past the blow-up count
+    exceptional_name, j = step.name or new_lat.labels[-1], state.n_blowups
+    while not step.name and exceptional_name in new_curves:
+        j += 1
+        exceptional_name = f"E{j}"
     if exceptional_name in new_curves:
         raise InputFormatError(f"new curve name {exceptional_name!r} already in use")
     new_curves[exceptional_name] = new_lat.basis_class(new_lat.labels[-1])
+    after[exceptional_name] = -1
     state.lattice = new_lat
     state.curves = new_curves
+    state.squares = after
     state.points[step.point] = tuple(mults.items())
     state.n_blowups += 1
     state.log.append(
@@ -130,18 +149,24 @@ def _run_blow_up(state: SurfaceState, step: BlowUpStep, index: int) -> None:
             "point": step.point,
             "exceptional": exceptional_name,
             "squares_before": before,
-            "squares_after": _squares(state),
+            "squares_after": after,
         }
     )
 
 
 def _run_contract(state: SurfaceState, step: ContractStep, index: int) -> None:
     e = state.curve(step.curve)
-    before = _squares(state)
     new_lat, push = state.lattice.contract(e)
-    new_curves = {name: push(d) for name, d in state.curves.items() if name != step.curve}
+    before = state.squares
+    new_curves = {}
+    after = {}
+    for name, d in state.curves.items():
+        if name != step.curve:
+            new_curves[name] = push(d)
+            after[name] = before[name] + state.lattice.intersect(d, e) ** 2
     state.lattice = new_lat
     state.curves = new_curves
+    state.squares = after
     state.n_contractions += 1
     state.log.append(
         {
@@ -149,7 +174,7 @@ def _run_contract(state: SurfaceState, step: ContractStep, index: int) -> None:
             "op": "contract",
             "curve": step.curve,
             "squares_before": before,
-            "squares_after": _squares(state),
+            "squares_after": after,
         }
     )
 
@@ -201,6 +226,9 @@ def run(script: Script) -> SurfaceState:
                 raise InputFormatError(f"rename target {step.new!r} already exists")
             state.curves[step.new] = state.curve(step.old)
             del state.curves[step.old]
+            squares = dict(state.squares)
+            squares[step.new] = squares.pop(step.old)
+            state.squares = squares
             state.log.append({"step": index, "op": "rename", "old": step.old, "new": step.new})
         elif isinstance(step, AssertStep):
             _run_assert(state, step, index)

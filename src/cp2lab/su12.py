@@ -57,7 +57,7 @@ from .linalg3 import (
     mat_exp,
 )
 
-GROUP_TOL = 1e-9      # membership tolerance on the form and determinant
+GROUP_TOL = 1e-9      # form and determinant tolerance, relative to max(1, max|M_ij|^2)
 BOUNDARY_TOL = 1e-8   # |Q| below this (times |v|^2) counts as boundary
 UNIT_MODULUS_TOL = 1e-7  # eigenvalue modulus deviation separating hyperbolic
 
@@ -113,11 +113,14 @@ def locate(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> Location:
 
 
 def is_group_member(m, tol: float = GROUP_TOL) -> bool:
-    """True iff M preserves the form within tol and det M = 1 within tol."""
+    """True iff M preserves the form and det M = 1, both within tol relative
+    to max(1, max|M_ij|^2): the rounding error of M^dagger J M grows like
+    the square of the entries, so an absolute tol refuses large elements."""
     a = as_mat3(m)
+    scale = max(1.0, float(np.abs(a).max()) ** 2)
     form_err = float(np.abs(a.conj().T @ J @ a - J).max())
     det_err = abs(det3(a) - 1.0)
-    return form_err <= tol and det_err <= tol
+    return form_err <= tol * scale and det_err <= tol * scale
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,18 @@ def test_classify_undecidable_rank_is_ambiguous(run, tmp_path, algebra, kind):
             assert json.loads(err)["error"] == "AmbiguousClustering"
 
 
+def test_classify_doubled_group_element_is_not_in_group(run, tmp_path):
+    # 2 g for g the exponential of a scale-0.8 algebra element, as the
+    # benchmark's invalid classify input
+    rng = np.random.default_rng(12)
+    for i in range(20):
+        g = random_conjugator(rng, 0.8)
+        code, out, err = run(["classify", _write_json(tmp_path / f"g{i}.json",
+                                                      mat3_to_json(2.0 * g))])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "NotInGroup"
+
+
 def test_classify_three_step_subtype(run, tmp_path):
     path = _write_json(tmp_path / "alg.json",
                        _algebra_json(l2=1.0 + 0j, c=1.0 + 0j))

@@ -271,20 +271,31 @@ def test_basin_coverage_hyperbolic():
 
 def test_basin_coverage_strongly_contracting():
     # at large translation lengths an orbit reaches p+ within a stride or
-    # two, and capture alone certifies every sample.  Conjugates whose
-    # entries (about e^l) push the form error past the group check are
-    # left out; at l = 3 the conjugate is kept
+    # two, and capture alone certifies every sample.  The conjugates'
+    # entries grow like e^l; the relative group check accepts them all
     rng = np.random.default_rng(RNG_SEED + 8)
     elements = []
     for l in (3.0, 5.0, 8.0):
         m = _hyperbolic(l, 0.4)
-        c = conjugate(m, random_conjugator(rng))
-        elements += [m, c] if is_group_member(c) else [m]
-    assert len(elements) >= 4
+        elements += [m, conjugate(m, random_conjugator(rng))]
     for element in elements:
         report = basin_coverage_check(element, samples=1000, seed=17)
         assert report.samples == 1100
         assert report.resolved_forward == 1100
+
+
+def test_basin_coverage_accepts_large_elements_it_validated():
+    # the entries of these conjugates reach ~10^3, so rounding puts their
+    # form error near 10^-9; the relative group check accepts them at
+    # classify's tolerance as well as at basin's
+    rng = np.random.default_rng(0)
+    for l in (5.0, 8.0):
+        m = _hyperbolic(l, 0.4)
+        for _ in range(10):
+            c = conjugate(m, random_conjugator(rng))
+            assert is_group_member(c, 1e-7)
+            report = basin_coverage_check(c, samples=100, seed=3)
+            assert report.unresolved == 0
 
 
 def test_basin_coverage_parabolic_subtypes():

@@ -1,6 +1,13 @@
 """Scripted surgery: built-ins, JSON scripts, invariants, failure paths."""
 
+import contextlib
+import copy
+import io
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cp2lab import (
     builtin_sigma0_singular,
@@ -12,9 +19,18 @@ from cp2lab import (
     run,
     script_from_json,
 )
+from cp2lab import cli, lattice
 from cp2lab.errors import AssertionFailed, InputFormatError, NotExceptionalClass, UnknownName
 from cp2lab.jsonio import lattice_to_json
-from cp2lab.replay import InitialSurface, Script, state_to_json
+from cp2lab.lattice import PicardLattice, _signature
+from cp2lab.replay import (
+    BlowUpStep,
+    ContractStep,
+    InitialSurface,
+    RenameStep,
+    Script,
+    state_to_json,
+)
 
 
 def test_empty_script_on_p2():
@@ -165,3 +181,156 @@ def test_initial_hirzebruch_provides_rulings():
     state = run(Script(InitialSurface(kind="Hirzebruch", n=4), ()))
     assert set(state.curves) == {"F", "B"}
     assert state.lattice.intersect(state.curves["B"], state.curves["B"]) == -4
+
+
+def test_default_exceptional_name_skips_a_tracked_curve():
+    # contraction relabels the basis v1, v2, so the next blow-up's basis
+    # label is E1 again, while the curve E1 is still tracked
+    script = script_from_json({
+        "initial": {"type": "P2", "curves": {"L": [1]}},
+        "steps": [
+            {"op": "blow_up", "point": "x1", "on": [["L", 1]]},
+            {"op": "blow_up", "point": "x2", "on": [["L", 1]]},
+            {"op": "contract", "curve": "L"},
+            {"op": "blow_up", "point": "x3"},
+            {"op": "blow_up", "point": "x4"},
+        ],
+    })
+    state = run(script)
+    assert state.lattice.labels == ("v1", "v2", "E1", "E2")
+    assert [e["exceptional"] for e in state.log if e["op"] == "blow_up"] == ["E1", "E2", "E3", "E4"]
+    assert state.squares == {"H": 2, "E1": 0, "E2": 0, "E3": -1, "E4": -1}
+
+
+def test_default_exceptional_name_keeps_the_basis_label_when_free():
+    def names(*explicit):
+        steps = [{"op": "blow_up", "point": f"x{i}", **({"name": n} if n else {})}
+                 for i, n in enumerate(explicit)]
+        state = run(script_from_json({"initial": {"type": "P2"}, "steps": steps}))
+        return [e["exceptional"] for e in state.log]
+
+    assert names("X", None) == ["X", "E2"]
+    # the basis label E2 is taken: the first free E<j> past one blow-up
+    assert names("E2", None, None) == ["E2", "E3", "E4"]
+
+
+def test_explicit_exceptional_name_clash_is_an_input_error():
+    script = script_from_json({
+        "initial": {"type": "P2", "curves": {"L": [1]}},
+        "steps": [{"op": "blow_up", "point": "x1", "name": "L"}],
+    })
+    with pytest.raises(InputFormatError):
+        run(script)
+
+
+def test_negative_multiplicity_is_an_input_error():
+    script = script_from_json({
+        "initial": {"type": "P2", "curves": {"L": [1]}},
+        "steps": [{"op": "blow_up", "point": "x1", "on": [["L", -1]]}],
+    })
+    with pytest.raises(InputFormatError):
+        run(script)
+
+
+# derived lattices against full validation -----------------------------------------
+
+def _check_state(state, previous_log, previous_squares):
+    """The state after one step against full validation and recomputed squares."""
+    lat = state.lattice
+    assert PicardLattice(lat.gram, lat.labels, lat.canonical) == lat
+    inertia, det = _signature(lat.gram)
+    assert inertia == (1, lat.rank - 1) and abs(det) == 1
+    k = lat.canonical
+    assert lat.intersect(k, k) + lat.rank == 10    # true of every rational surface
+    squares = {name: lat.intersect(d, d) for name, d in state.curves.items()}
+    assert list(state.squares.items()) == list(squares.items())
+    assert state.log[:len(previous_log)] == previous_log    # logged dicts never change
+    entry = state.log[-1] if len(state.log) > len(previous_log) else None
+    if entry is not None and "squares_after" in entry:
+        assert list(entry["squares_before"].items()) == list(previous_squares.items())
+        assert list(entry["squares_after"].items()) == list(squares.items())
+    return copy.deepcopy(state.log), squares
+
+
+def _replay_checked(initial, choose, count):
+    """Replay one more step at a time, checking the state after each; the
+    step at index i is choose(state after i steps, i)."""
+    steps = []
+    state = run(Script(initial, ()))
+    log, squares = _check_state(state, [], {})
+    for i in range(count):
+        steps.append(choose(state, i))
+        state = run(Script(initial, tuple(steps)))
+        log, squares = _check_state(state, log, squares)
+
+
+@pytest.mark.parametrize("script", [
+    builtin_sigma0_singular(),
+    builtin_sigma2_singular(),
+    builtin_sigma_chain(6),
+    builtin_standard_blowups(9),
+], ids=["sigma0", "sigma2", "sigma-steps-6", "standard-9"])
+def test_builtin_replays_match_full_validation(script):
+    _replay_checked(script.initial, lambda state, i: script.steps[i], len(script.steps))
+
+
+_INITIAL = st.one_of(
+    st.builds(lambda d: InitialSurface(kind="P2", curves=(("C", (d,)),)), st.integers(1, 3)),
+    st.builds(lambda n: InitialSurface(kind="Hirzebruch", n=n), st.integers(0, 4)),
+)
+# (op, pick, multiplicities): op 0 blows up, 1 contracts an exceptional curve,
+# 2 renames; pick chooses the curve, the multiplicities go to the curves in order
+_MOVES = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 50), st.lists(st.integers(0, 2), max_size=5)),
+    max_size=10,
+)
+
+
+def _next_step(state, move, i):
+    op, pick, mults = move
+    names = list(state.curves)
+    if op == 1:
+        k = state.lattice.canonical
+        exceptional = [name for name, d in state.curves.items()
+                       if state.squares[name] == -1 and state.lattice.intersect(d, k) == -1]
+        if exceptional:
+            return ContractStep(curve=exceptional[pick % len(exceptional)])
+    if op == 2:
+        return RenameStep(old=names[pick % len(names)], new=f"R{i}")
+    on = tuple((name, m) for name, m in zip(names, mults) if m)
+    return BlowUpStep(point=f"p{i}", on=on, name=f"N{i}" if pick % 4 == 0 else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(initial=_INITIAL, moves=_MOVES)
+def test_random_surgery_chains_match_full_validation(initial, moves):
+    _replay_checked(initial, lambda state, i: _next_step(state, moves[i], i), len(moves))
+
+
+# cost of a replay ------------------------------------------------------------------
+
+def _lattice_calls(monkeypatch, argv) -> Counter:
+    calls = Counter()
+    intersect, signature = PicardLattice.intersect, lattice._signature
+
+    def counted_intersect(self, d1, d2):
+        calls["intersect"] += 1
+        return intersect(self, d1, d2)
+
+    def counted_signature(gram):
+        calls["_signature"] += 1
+        return signature(gram)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PicardLattice, "intersect", counted_intersect)
+        patch.setattr(lattice, "_signature", counted_signature)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return calls
+
+
+def test_standard_replay_makes_linearly_many_lattice_calls(monkeypatch):
+    small = _lattice_calls(monkeypatch, ["replay", "--builtin", "standard", "--k", "40"])
+    large = _lattice_calls(monkeypatch, ["replay", "--builtin", "standard", "--k", "80"])
+    for name in ("intersect", "_signature"):
+        assert 0 < large[name] <= 2 * small[name], (name, small, large)

@@ -103,6 +103,19 @@ def test_membership_rejects_diagonal_stretch():
     assert not is_group_member(np.diag([2.0, 1.0, 0.5]))
 
 
+def test_membership_is_relative_to_the_entries():
+    # conjugates with entries ~10^3 carry a rounding error near 10^-9 in
+    # A^dagger J A; doubling still breaks the form by 3 |J|
+    rng = np.random.default_rng(RNG_SEED + 9)
+    m = mat_exp(AlgebraElement.hyperbolic_normal(8.0, 0.4).matrix())
+    for _ in range(10):
+        c = conjugate(m, random_conjugator(rng))
+        assert np.abs(c).max() > 100
+        assert is_group_member(c)
+        assert not is_group_member(2.0 * c)
+        assert not is_group_member(c * np.exp(0.1j))
+
+
 def test_exponential_lands_in_group():
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(1000):
