@@ -36,19 +36,22 @@ far from p+.
 Sampling gives each sample its own counter-based stream, so a report
 depends only on the seed and the sample counts, never on evaluation
 order, and the first n ball (or line) samples are the same for any count
->= n.  Sample i of stream s (0 for the ball, 1 for the lines) reads
-Philox4x64-10 blocks (Salmon et al., SC'11) with key [seed mod 2^64,
-seed >> 64] and counter [c, 0, s, i], each word w as the double
-(w >> 11) * 2^-53; these are the words of numpy's Philox started at
-counter [0, 0, s, i].  Attempt a (from 0) of a ball sample reads block
-c = a + 1: radius and angle of y, then of z, in the chart x = 1.  Attempt a
-of a line sample reads blocks c = 3a + 1, 3a + 2, 3a + 3; words 2k, 2k+1
-give the complex Gaussian g_k = rho cos phi + i rho sin phi by Box-Muller,
+>= n.  Samples read Philox4x64-10 blocks (Salmon et al., SC'11) with key
+[seed mod 2^64, seed >> 64], each word w as the double (w >> 11) * 2^-53.
+Attempt a (from 0) of sample i in stream s (0 for the ball, 1 for the
+lines), with `blocks` blocks per attempt (1 for the ball, 3 for the
+lines), reads block j at the counter words [blocks i + j, a + 1, s, 0],
+least significant first.  The blocks of attempt a of samples i0 .. i1-1
+are therefore contiguous, and a rejection pass over the pending samples
+among them is one random_raw call of numpy's C Philox, started at the
+256-bit counter blocks i0 + (a + 1) 2^64 + s 2^128 less one (numpy steps
+the counter before each block).  A ball attempt reads radius and angle of
+y, then of z, in the chart x = 1.  In a line attempt, words 2k, 2k+1 give
+the complex Gaussian g_k = rho cos phi + i rho sin phi by Box-Muller,
 rho = sqrt(-2 log(1 - u_2k)), phi = 2 pi u_2k+1, and the point is
 alpha p + beta r with r = (g0, g1, g2), alpha = g3, beta = g4 (words 10
-and 11 are unused).  A sample keeps its first accepted attempt.  Both
-streams are computed for all indices at once by one vectorised Philox
-per rejection pass; no numpy Generator is built.
+and 11 are unused).  A sample keeps its first accepted attempt.  No numpy
+Generator is built.
 """
 
 from __future__ import annotations
@@ -182,71 +185,45 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
 _BALL_STREAM, _LINE_STREAM = 0, 1
 _SEED_LIMIT = 1 << 128   # a Philox key is two 64-bit words
-_PASS_WIDTH = 1024       # attempts a pass fills up to while fewer samples are pending
 _CHUNK = 1 << 15         # samples per run of rejection passes
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_MASK64 = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
 _U11 = np.uint64(11)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = m & _LO32, m >> _U32
-    x_lo, x_hi = x & _LO32, x >> _U32
-    t = m_hi * x_lo + ((m_lo * x_lo) >> _U32)
-    w = (t & _LO32) + m_lo * x_hi
-    return m_hi * x_hi + (t >> _U32) + (w >> _U32), m * x
-
-
-def _philox4x64(key: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
-    """Philox4x64-10 blocks of the counters (c0, c1, c2, c3), uint64 arrays
-    that broadcast together, with c0 the least significant word; the key is
-    split into the words [key mod 2^64, key >> 64]."""
-    k0, k1 = key & _MASK64, key >> 64
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0 = (k0 + _PHILOX_W[0]) & _MASK64
-        k1 = (k1 + _PHILOX_W[1]) & _MASK64
-    return c0, c1, c2, c3
+def _pass_words(seed: int, stream: int, blocks: int, attempt: int,
+                pending: np.ndarray) -> np.ndarray:
+    """Philox words of one attempt of the pending samples (ascending
+    indices), a 4*blocks x len(pending) uint64 array with the words of each
+    sample in block order.  The blocks of samples pending[0] .. pending[-1]
+    have contiguous counters (layout in the module docstring), so they come
+    from one call of numpy's Philox, started one block before the first."""
+    i0 = int(pending[0])
+    count = int(pending[-1]) + 1 - i0
+    start = blocks * i0 + ((attempt + 1) << 64) + (stream << 128)
+    words = np.random.Philox(key=seed, counter=start - 1).random_raw(4 * blocks * count)
+    return words.reshape(count, 4 * blocks)[pending - i0].T
 
 
 def _rejection_samples(seed: int, stream: int, blocks: int, draw, out: np.ndarray) -> None:
     """Write samples 0..n-1 of a stream into the 3 x n complex array out,
     with `blocks` Philox blocks per attempt (layout in the module docstring).
 
-    draw maps the uniforms of many attempts, one array per word in block
-    order, to an acceptance mask and the 3 x k candidate points.  Samples
-    are taken _CHUNK at a time, which bounds the memory of a pass.  Each
-    pass runs every pending sample's next attempts, as many as fit in
-    _PASS_WIDTH (at least one), through one Philox call.  The two constant
-    counter words are one-element arrays that broadcast, so the first
-    rounds do part of their work on single words.
+    draw maps the uniforms of a pass, one array per word in block order,
+    to an acceptance mask and the 3 x m candidate points.  Samples are
+    taken _CHUNK at a time, which bounds the memory of a pass.  Pass a
+    runs attempt a of every pending sample of the chunk: its words are one
+    bulk draw of numpy's C Philox over the counters of the first to the
+    last pending sample, of which the pending ones are kept.
     """
     n = out.shape[1]
-    zero, stream_word = np.zeros(1, dtype=np.uint64), np.full(1, stream, dtype=np.uint64)
     for start in range(0, n, _CHUNK):
         pending = np.arange(start, min(n, start + _CHUNK))
         attempt = 0
         while pending.size:
-            m = pending.size
-            tries = max(1, min(n, _PASS_WIDTH) // m)
-            index = np.tile(pending.astype(np.uint64), tries * blocks)
-            base = np.arange(attempt, attempt + tries, dtype=np.uint64).repeat(m) * np.uint64(blocks)
-            counter = (base + np.arange(1, blocks + 1, dtype=np.uint64)[:, None]).ravel()
-            words = _philox4x64(seed, counter, zero, stream_word, index)
-            w = (np.stack(words) >> _U11).reshape(4, blocks, tries * m).swapaxes(0, 1)
-            ok, points = draw(w.reshape(4 * blocks, tries * m) * 2.0 ** -53)
-            ok = ok.reshape(tries, m)
-            first = ok.argmax(axis=0)
-            done = ok[first, np.arange(m)]
-            out[:, pending[done]] = points[:, first[done] * m + np.flatnonzero(done)]
-            pending = pending[~done]
-            attempt += tries
+            words = _pass_words(seed, stream, blocks, attempt, pending)
+            ok, points = draw((words >> _U11) * 2.0 ** -53)
+            out[:, pending[ok]] = points[:, ok]
+            pending = pending[~ok]
+            attempt += 1
 
 
 def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -399,7 +376,9 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_it
         for j in range(k):
             y = block[:, j * a:(j + 1) * a]
             np.matmul(stride_mat, x, out=y)
-            np.divide(y, np.abs(y).max(axis=0), out=y)
+            # times the reciprocal: the values of y / max|y| (numpy divides
+            # by a real as by m + 0j, i.e. by 1/m) without complex division
+            np.multiply(y, 1.0 / np.abs(y).max(axis=0), out=y)
             x = y
         done += k
 

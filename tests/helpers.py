@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -74,11 +74,14 @@ def random_element(rng: np.random.Generator, kind: str) -> np.ndarray:
     return conjugate(m, random_conjugator(rng, 0.8))
 
 
-# scalar reference for basin ball sampling: one numpy Generator per sample,
-# one uniform draw at a time
+# scalar references for basin sampling: one numpy Philox per attempt of a
+# sample, started one block before the attempt's first counter
+# [blocks * index, attempt + 1, stream, 0]
 
-def sample_rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, stream, index]))
+def sample_rng(seed: int, stream: int, index: int, attempt: int,
+               blocks: int = 1) -> np.random.Philox:
+    counter = blocks * index + ((attempt + 1) << 64) + (stream << 128)
+    return np.random.Philox(key=seed, counter=counter - 1)
 
 
 def unit_disc(rng: np.random.Generator) -> complex:
@@ -87,17 +90,20 @@ def unit_disc(rng: np.random.Generator) -> complex:
     return complex(r * np.cos(phi), r * np.sin(phi))
 
 
-def ball_sample(rng: np.random.Generator) -> np.ndarray:
+def ball_sample(seed: int, index: int) -> np.ndarray:
+    """Ball sample `index` of the seed: each attempt draws one uniform at a
+    time from a numpy Generator on its own block."""
     # the ball {Q < 0} lies inside the affine chart x = 1
-    while True:
+    for attempt in count():
+        rng = np.random.Generator(sample_rng(seed, 0, index, attempt))
         y = unit_disc(rng)
         z = unit_disc(rng)
         if abs(y) ** 2 + abs(z) ** 2 < 1.0:
             return np.array([1.0, y, z], dtype=complex)
 
 
-# scalar reference for basin line sampling: numpy's own Philox words, three
-# blocks per attempt, Box-Muller and the acceptance tests on numpy scalars
+# line sampling: numpy's own Philox words, three blocks per attempt,
+# Box-Muller and the acceptance tests on numpy scalars
 
 def _uniforms(words) -> list[np.float64]:
     return [np.float64((int(w) >> 11) * 2.0 ** -53) for w in words]
@@ -114,10 +120,9 @@ def line_sample(seed: int, index: int, p_vec: np.ndarray, dual: np.ndarray,
     """Line sample `index` of the seed: attempt after attempt of 12 words,
     r = (g0, g1, g2), alpha = g3, beta = g4, kept when |r| >= 1e-8,
     |<dual, r>| > angle_tol |dual| |r| and |alpha p + beta r| > 1e-8."""
-    bits = np.random.Philox(key=seed, counter=[0, 0, 1, index])
     l_norm = float(np.linalg.norm(dual))
-    while True:
-        u = _uniforms(bits.random_raw(12))
+    for attempt in count():
+        u = _uniforms(sample_rng(seed, 1, index, attempt, blocks=3).random_raw(12))
         g = [_gaussian(u[2 * k], u[2 * k + 1]) for k in range(5)]
         (a_re, a_im), (b_re, b_im) = g[3], g[4]
         d_re = d_im = r2 = x2 = 0.0

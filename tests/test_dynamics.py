@@ -333,23 +333,48 @@ def test_basin_counts_are_disjoint_partition():
     assert report.resolved_forward + report.resolved_backward + report.unresolved == 880
 
 
-def test_basin_path_builds_no_numpy_generator(monkeypatch):
-    # every sample comes from the package's own vectorised Philox blocks
+def test_basin_path_builds_one_philox_per_pass_and_no_generator(monkeypatch):
+    # nothing is built per sample: each rejection pass makes one bulk draw
+    # from a numpy Philox, and no numpy Generator is built
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy Generator or Philox built on the basin path")
+        raise AssertionError("numpy Generator built on the basin path")
+
+    built = Counter()
+    real_philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built[samples] += 1
+        return real_philox(*args, **kwargs)
 
     rng = np.random.default_rng(RNG_SEED + 9)
     elements = (_hyperbolic(0.8, 0.1), random_parabolic(rng, "three_step"))
     modules = [np.random] + [mod for name, mod in sys.modules.items()
                              if name.startswith("cp2lab")]
-    for name in ("Generator", "Philox"):
-        for module in modules:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    for m in elements:
-        report = basin_coverage_check(m, samples=300, seed=21)
-        assert report.samples == 330
-        assert report.unresolved == 0
+    for module in modules:
+        if hasattr(module, "Generator"):
+            monkeypatch.setattr(module, "Generator", refuse)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    for samples in (300, 600):
+        for m in elements:
+            report = basin_coverage_check(m, samples=samples, seed=21)
+            assert report.samples == samples + samples // 10
+            assert report.unresolved == 0
+    # two streams of one chunk per element, at most 64 passes each; the
+    # pass count grows with the log of the sample count, not with the count
+    assert 0 < built[300] <= len(elements) * 2 * 64
+    assert built[600] <= built[300]
+
+
+def test_reciprocal_scaling_equals_division():
+    # the resolver rescales a stride by y * (1 / max|y|) instead of y / max|y|;
+    # numpy divides a complex by a real m + 0j as (re, im) * (1 / m), so the
+    # values agree (a -0 may become +0, hence == and not the bits)
+    rng = np.random.default_rng(RNG_SEED + 10)
+    scale = 10.0 ** rng.uniform(-30, 30, size=(3, 20_000))
+    y = (rng.normal(size=(3, 20_000)) + 1j * rng.normal(size=(3, 20_000))) * scale
+    y[:, :50] = rng.normal(size=(3, 50))
+    m = np.abs(y).max(axis=0)
+    assert (y * (1.0 / m) == y / m).all()
 
 
 # budgets of 1, 2 and 3 strides, of 64, 65 and 66 (the staleness window's

@@ -1,34 +1,51 @@
-"""Basin sampling streams: the vectorised Philox against numpy's generator."""
+"""Basin sampling streams: the bulk Philox passes against numpy's Philox
+built per sample and attempt, and the sampled laws.
+
+Attempt a of sample i in stream s reads its blocks at the counters
+[blocks * i + j, a + 1, s, 0], so one pass over the pending samples is one
+contiguous draw of numpy's Philox; the scalar references in helpers build
+one numpy Philox per attempt instead.
+"""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cp2lab import AlgebraElement, dynamics, mat_exp
-from cp2lab.dynamics import _ball_samples, _philox4x64, _sample_points
+from cp2lab.dynamics import _CHUNK, _ball_samples, _pass_words, _sample_points
 from cp2lab.su12 import classify, tangent_line
 
-from helpers import ball_sample, line_sample, sample_rng
-
-SEEDS = [0, 1, 2**64 - 1, 2**64 + 3, 2**128 - 1]
+from helpers import ball_sample, line_sample
 
 
 def _same_bits(x, y):
     return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
+SEEDS = [0, 1, 2**64 - 1, 2**64 + 3, 2**128 - 1]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("stream", [0, 1])
 def test_philox_blocks_match_numpy_stream(seed, stream):
-    index = np.array(list(range(300)) + [2**40], dtype=np.uint64)
-    blocks = []
-    for b in (1, 2, 3):
-        words = _philox4x64(seed, np.full_like(index, b), np.zeros_like(index),
-                            np.full_like(index, stream), index)
-        blocks.append(np.stack(words, axis=1))
-    got = np.concatenate(blocks, axis=1)
-    for row, i in zip(got, index.tolist()):
-        expected = np.random.Philox(key=seed, counter=[0, 0, stream, i]).random_raw(12)
-        np.testing.assert_array_equal(row, expected)
+    # the words of a pass are numpy Philox blocks at the layout's counters;
+    # index 0 starts its Philox at a counter that borrows from the attempt
+    # word, and the chunk-boundary and >= 2^32 indices leave gaps in the pass
+    blocks = (1, 3)[stream]
+    pending = np.array([0, 1, 4, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 3,
+                        2**32 - 1, 2**32, 2**32 + 5])
+    for attempt in (0, 5):
+        for part in (pending[:7], pending[3:7], pending[7:]):
+            words = _pass_words(seed, stream, blocks, attempt, part)
+            assert words.shape == (4 * blocks, part.size)
+            for column, i in zip(words.T, part.tolist()):
+                # numpy's Philox steps its counter before each block, so it
+                # starts at the word list of the counter one block earlier
+                before = ([blocks * i - 1, attempt + 1, stream, 0] if i
+                          else [2**64 - 1, attempt, stream, 0])
+                expected = np.random.Philox(key=seed, counter=np.array(before, dtype=np.uint64)
+                                            ).random_raw(4 * blocks)
+                np.testing.assert_array_equal(column, expected)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 2**63 + 5])
@@ -36,14 +53,40 @@ def test_ball_samples_bitwise_equal_scalar_reference(seed):
     n = 5000
     got = np.empty((3, n), dtype=complex)
     _ball_samples(seed, got)
-    expected = np.column_stack([ball_sample(sample_rng(seed, 0, i)) for i in range(n)])
+    expected = np.column_stack([ball_sample(seed, i) for i in range(n)])
     assert _same_bits(got, expected)
+
+
+def test_ball_samples_are_uniform_in_the_ball():
+    # uniform in the unit 4-ball of the chart x = 1: s = |y|^2 + |z|^2 has
+    # CDF s^2 and |y|^2 has CDF 2t - t^2
+    points = np.empty((3, 20_000), dtype=complex)
+    _ball_samples(2024, points)
+    assert (points[0] == 1.0).all()
+    y2, z2 = np.abs(points[1]) ** 2, np.abs(points[2]) ** 2
+    assert (y2 + z2 < 1.0).all()
+    assert stats.kstest(y2 + z2, lambda s: s * s).pvalue > 1e-3
+    assert stats.kstest(y2, lambda t: 2 * t - t * t).pvalue > 1e-3
 
 
 def _line_data():
     m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
     p_plus = classify(m).attractive.point
     return p_plus.vector, tangent_line(p_plus).vector
+
+
+def test_line_samples_lie_on_lines_through_p_off_its_tangent_line():
+    p_vec, dual = _line_data()
+    points = _sample_points(2024, 0, 2000, p_vec, dual)
+    norms = np.linalg.norm(points, axis=0)
+    # the tangent line contains p; a sample off it spans a line through p
+    # other than the tangent line
+    assert abs(np.dot(dual, p_vec)) < 1e-12 * np.linalg.norm(dual) * np.linalg.norm(p_vec)
+    assert (norms > 1e-8).all()
+    off = np.abs(dual @ points) / (np.linalg.norm(dual) * norms)
+    assert (off > 1e-9).all()
+    cross = np.linalg.norm(np.cross(p_vec, points, axis=0), axis=0)
+    assert (cross > 1e-9 * np.linalg.norm(p_vec) * norms).all()
 
 
 def test_samples_do_not_depend_on_sample_counts():
