@@ -256,18 +256,20 @@ def main(argv=None) -> int:
         _emit_error("usage", exc)
         return 2
 
-    np.seterr(all="ignore")
     try:
-        if args.command == "classify":
-            payload = _cmd_classify(args)
-        elif args.command == "basin":
-            payload = _cmd_basin(args)
-        elif args.command == "lattice":
-            payload = _cmd_lattice(args)
-        elif args.command == "replay":
-            payload = _cmd_replay(args)
-        else:
-            raise _UsageError(f"unknown command {args.command!r}")
+        # floating-point warnings are silenced for this call only, leaving the
+        # caller's numpy error state as it was
+        with np.errstate(all="ignore"):
+            if args.command == "classify":
+                payload = _cmd_classify(args)
+            elif args.command == "basin":
+                payload = _cmd_basin(args)
+            elif args.command == "lattice":
+                payload = _cmd_lattice(args)
+            elif args.command == "replay":
+                payload = _cmd_replay(args)
+            else:
+                raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2

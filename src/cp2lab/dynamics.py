@@ -17,12 +17,27 @@ coverage check certifies a sample by asymptotic capture: its distance to
 the target is below a capture radius at two successive strides and
 strictly decreasing between them.  The resolver (_resolve_batch) steps
 every live sample by strides of 8 steps, x = S x / max|S x| with S = m^8
-rescaled.  It advances the live samples k strides per round,
-k = _BLOCK_COLUMNS // live clamped to [1, 64] and to the largest power of
-two at most half the strides already run, in place in one 3 x (k live)
-block, then tests the whole block at once.  Rounds over more than
-_BLOCK_COLUMNS / 2 samples (the CLI's default 1,100) take one stride; the
-tail of slow parabolic and near-tangent samples runs 64 strides per round.
+rescaled.  Since the report only says whether a sample is captured within
+the budget, not when, the resolver first probes at power-of-two strides
+(_probe_captures).  With P_j = S^(2^j) from repeated rescaled squaring,
+for every N = 2^j with N + 1 <= the budget, it forms x_N = P_j x_0
+(rescaled) and x_(N+1) = S x_N, and certifies a sample when
+d_N <= (1 - delta) r^2 and d_(N+1) < (1 - delta) d_N, for squared chordal
+distances d to the target, capture radius r and delta = _PROBE_MARGIN
+(so d_(N+1) <= (1 - delta) r^2 as well).  The stride loop below tests
+capture at every stride up to the budget, so it would certify that sample
+at stride N + 1 or earlier; the margin keeps the rounding of the jump from
+flipping a decision.  converge() and iterate() never probe, since their
+iteration counts are exact.  Probes and strides run in a unitary frame
+whose first axis is the target (_target_frame), where the squared
+distance of y is (|y_1|^2 + |y_2|^2) / |y|^2.  The samples no probe
+certifies go on to the stride loop, which advances them k strides per
+round, k = _BLOCK_COLUMNS // live clamped to [1, 64] and to the largest
+power of two at most half the strides already run, in place in one
+3 x (k live) block, then tests the whole block at once.  Rounds over more
+than _BLOCK_COLUMNS / 2 samples (the CLI's default 1,100) take one stride;
+the tail of slow parabolic and near-tangent samples runs 64 strides per
+round.
 Samples still undecided when the budget of max_iter // 8 strides runs out
 are certified if their distance record is within _END_RADIUS and was set
 in the last _END_STALE strides: with S strides, that holds exactly when
@@ -65,6 +80,7 @@ import numpy as np
 from .errors import NotNonElliptic
 from .linalg3 import ProjectivePoint, _canonical, _chordal, chordal_distance
 from .su12 import (
+    ENTRY_GROUP_TOL,
     J,
     FixedPointData,
     Kind,
@@ -127,7 +143,7 @@ def iterate(a, p: ProjectivePoint, n: int) -> ProjectivePoint:
     """Canonical form of A^n p by repeated multiply-then-canonicalize."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    rows = _as_group_matrix(a, tol=1e-7).tolist()
+    rows = _as_group_matrix(a, tol=ENTRY_GROUP_TOL).tolist()
     v = p.vector.tolist()
     for _ in range(n):
         v = _step(rows, v)
@@ -166,8 +182,8 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_positive("tol", tol)
-    m = _as_group_matrix(a, tol=1e-7)
-    data = fixed_points(m, tol=1e-7)
+    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
+    data = fixed_points(m, tol=ENTRY_GROUP_TOL)
     rows = m.tolist()
     v = p.vector.tolist()
     dist = float("inf")
@@ -189,17 +205,21 @@ _CHUNK = 1 << 15         # samples per run of rejection passes
 _U11 = np.uint64(11)
 
 
-def _pass_words(seed: int, stream: int, blocks: int, attempt: int,
+def _pass_words(bit_gen: np.random.Philox, state: dict, stream: int, blocks: int, attempt: int,
                 pending: np.ndarray) -> np.ndarray:
     """Philox words of one attempt of the pending samples (ascending
     indices), a 4*blocks x len(pending) uint64 array with the words of each
     sample in block order.  The blocks of samples pending[0] .. pending[-1]
     have contiguous counters (layout in the module docstring), so they come
-    from one call of numpy's Philox, started one block before the first."""
+    from one draw of the numpy Philox bit_gen.  state is a state of bit_gen
+    with the seed's key and an empty buffer; the pass sets its counter."""
     i0 = int(pending[0])
     count = int(pending[-1]) + 1 - i0
-    start = blocks * i0 + ((attempt + 1) << 64) + (stream << 128)
-    words = np.random.Philox(key=seed, counter=start - 1).random_raw(4 * blocks * count)
+    # numpy steps the counter before each block, so it starts one block early
+    start = blocks * i0 + ((attempt + 1) << 64) + (stream << 128) - 1
+    state["state"]["counter"] = np.frombuffer(start.to_bytes(32, "little"), dtype="<u8")
+    bit_gen.state = state
+    words = bit_gen.random_raw(4 * blocks * count)
     return words.reshape(count, 4 * blocks)[pending - i0].T
 
 
@@ -212,14 +232,18 @@ def _rejection_samples(seed: int, stream: int, blocks: int, draw, out: np.ndarra
     taken _CHUNK at a time, which bounds the memory of a pass.  Pass a
     runs attempt a of every pending sample of the chunk: its words are one
     bulk draw of numpy's C Philox over the counters of the first to the
-    last pending sample, of which the pending ones are kept.
+    last pending sample, of which the pending ones are kept.  One bit
+    generator serves every pass: setting its counter is cheaper than
+    building one, which also reads OS entropy that a keyed Philox never uses.
     """
     n = out.shape[1]
+    bit_gen = np.random.Philox(key=seed)
+    state = bit_gen.state  # the key, and the empty buffer of a new generator
     for start in range(0, n, _CHUNK):
         pending = np.arange(start, min(n, start + _CHUNK))
         attempt = 0
         while pending.size:
-            words = _pass_words(seed, stream, blocks, attempt, pending)
+            words = _pass_words(bit_gen, state, stream, blocks, attempt, pending)
             ok, points = draw((words >> _U11) * 2.0 ** -53)
             out[:, pending[ok]] = points[:, ok]
             pending = pending[~ok]
@@ -311,6 +335,7 @@ def _sample_points(seed: int, samples: int, line_samples: int, p_vec: np.ndarray
 
 _BLOCK_COLUMNS = 2048    # stride-columns (strides x live samples) one resolver round tests
 _BLOCK_STRIDES = 64      # most strides one resolver round advances
+_PROBE_MARGIN = 1e-6     # relative margin of a probe's capture test, against the jump's rounding
 
 
 def _normalized_power(m: np.ndarray, log2_exp: int) -> np.ndarray:
@@ -321,17 +346,52 @@ def _normalized_power(m: np.ndarray, log2_exp: int) -> np.ndarray:
     return a
 
 
-def _cross_norm2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|column cross products|^2 for 3xN (or 3x1) complex arrays."""
-    c01 = x[0] * y[1] - x[1] * y[0]
-    c02 = x[0] * y[2] - x[2] * y[0]
-    c12 = x[1] * y[2] - x[2] * y[1]
-    return (c01 * c01.conj() + c02 * c02.conj() + c12 * c12.conj()).real
+def _target_frame(m: np.ndarray, points: np.ndarray, target: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The stride matrix S = m^8 (rescaled) and the columns of points (each
+    rescaled), both in a unitary frame whose first axis is the target."""
+    t_hat = (target / np.linalg.norm(target)).reshape(3, 1)
+    # unitary, its first row the target's conjugate up to a phase
+    frame = np.linalg.qr(np.column_stack([t_hat, np.eye(3)]))[0].conj().T
+    step = frame @ _normalized_power(m, 3) @ frame.conj().T
+    y = frame @ points
+    return step, y / np.abs(y).max(axis=0)
 
 
-def _norms2(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the columns of a 3xN complex array."""
-    return np.einsum("ij,ij->j", x.conj(), x).real
+def _target_dist2(y: np.ndarray) -> np.ndarray:
+    """Squared chordal distances of the columns of y to the target, the
+    first axis of the frame: (|y_1|^2 + |y_2|^2) / |y|^2."""
+    w = y.real * y.real + y.imag * y.imag
+    off = w[1] + w[2]
+    return off / (off + w[0])
+
+
+def _probe_captures(step: np.ndarray, y: np.ndarray, budget: int, cap2: float) -> np.ndarray:
+    """Mask of the columns of y that the power-of-two probes certify within
+    budget strides of step (both in the target frame; rule in the module
+    docstring)."""
+    certified = np.zeros(y.shape[1], dtype=bool)
+    live = np.arange(y.shape[1])
+    lim = (1.0 - _PROBE_MARGIN) * cap2
+    power = step  # S^N, rescaled
+    big_n = 1
+    while big_n + 1 <= budget and live.size:
+        a = live.size
+        # y_N and y_(N+1) side by side, so one pass measures both
+        pair = np.empty((3, 2 * a), dtype=complex)
+        y_n = pair[:, :a]
+        np.matmul(power, y, out=y_n)
+        np.multiply(y_n, 1.0 / np.abs(y_n).max(axis=0), out=y_n)
+        np.matmul(step, y_n, out=pair[:, a:])
+        d = _target_dist2(pair)
+        d_n, d_next = d[:a], d[a:]
+        ok = (d_n <= lim) & (d_next < (1.0 - _PROBE_MARGIN) * d_n)
+        if ok.any():
+            certified[live[ok]] = True
+            live, y = live[~ok], y[:, ~ok]
+        power = _normalized_power(power, 1)
+        big_n *= 2
+    return certified
 
 
 def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_iter: int,
@@ -340,26 +400,28 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_it
 
     Returns a status per column: 1 resolved to the target, by capture or by
     the end-of-budget fallback, and 0 undecided within the iteration budget.
-    Rounds of k strides and the window form of the fallback are described in
-    the module docstring.
+    The probes, rounds of k strides and the window form of the fallback are
+    described in the module docstring.
     """
     n = points.shape[1]
     status = np.zeros(n, dtype=np.int8)
     if n == 0:
         return status
 
-    stride_mat = _normalized_power(m, 3)  # m^8, rescaled
-    t_hat = (target / np.linalg.norm(target)).reshape(3, 1)
+    step, x = _target_frame(m, points, target)
     cap2 = capture_radius * capture_radius
-
-    x = points / np.abs(points).max(axis=0)
-    alive = np.arange(n)
-    d_prev = _cross_norm2(t_hat, x) / _norms2(x)
     budget = max_iter // _STRIDE
+    certified = _probe_captures(step, x, budget, cap2)
+    status[certified] = 1
+    alive = np.flatnonzero(~certified)
+    if not alive.size:
+        return status
+    x = x[:, alive]
+    d_prev = _target_dist2(x)
     window = budget - _END_STALE  # first stride of the staleness window
     # smallest distance to the target before the window and within it;
     # stride 0 lies in the window when the budget is at most _END_STALE
-    d_min_before, d_min = np.full(n, np.inf), d_prev
+    d_min_before, d_min = np.full(alive.size, np.inf), d_prev
     done = 0
     while done < budget:
         if done + 1 == window:
@@ -375,14 +437,14 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_it
         block = np.empty((3, k * a), dtype=complex)
         for j in range(k):
             y = block[:, j * a:(j + 1) * a]
-            np.matmul(stride_mat, x, out=y)
+            np.matmul(step, x, out=y)
             # times the reciprocal: the values of y / max|y| (numpy divides
             # by a real as by m + 0j, i.e. by 1/m) without complex division
             np.multiply(y, 1.0 / np.abs(y).max(axis=0), out=y)
             x = y
         done += k
 
-        d = _cross_norm2(t_hat, block) / _norms2(block)
+        d = _target_dist2(block)
         # "from" is the distance at the stride each step starts at
         d_from = np.concatenate((d_prev, d[:-a]))
         captured = (d <= cap2) & (d_from <= cap2) & (d < d_from)
@@ -428,7 +490,7 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     if max_iter < _STRIDE:
         raise ValueError(f"max_iter must be at least {_STRIDE}, one resolver stride")
     _check_positive("capture_radius", capture_radius)
-    m = _as_group_matrix(a, tol=1e-7)
+    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
     cls = classify(m)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("basin coverage applies to hyperbolic and parabolic elements only")

@@ -58,6 +58,9 @@ from .linalg3 import (
 )
 
 GROUP_TOL = 1e-9      # form and determinant tolerance, relative to max(1, max|M_ij|^2)
+# the same check where a matrix may itself be computed: an exponential, a
+# product or an inverse of elements, whose rounding GROUP_TOL would refuse
+ENTRY_GROUP_TOL = 1e-7
 BOUNDARY_TOL = 1e-8   # |Q| below this (times |v|^2) counts as boundary
 UNIT_MODULUS_TOL = 1e-7  # eigenvalue modulus deviation separating hyperbolic
 
@@ -177,15 +180,15 @@ class GroupElement:
         self.matrix = a
 
     @classmethod
-    def exp(cls, algebra: AlgebraElement, tol: float = 1e-7) -> "GroupElement":
+    def exp(cls, algebra: AlgebraElement, tol: float = ENTRY_GROUP_TOL) -> "GroupElement":
         return cls(mat_exp(algebra.matrix()), tol=tol)
 
     def inverse(self) -> "GroupElement":
         # A^-1 = J A^dagger J for members of the group
-        return GroupElement(J @ self.matrix.conj().T @ J, tol=1e-7)
+        return GroupElement(J @ self.matrix.conj().T @ J, tol=ENTRY_GROUP_TOL)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix, tol=1e-7)
+        return GroupElement(self.matrix @ other.matrix, tol=ENTRY_GROUP_TOL)
 
     def __repr__(self) -> str:
         return f"GroupElement({self.matrix.tolist()!r})"
@@ -376,7 +379,7 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
     classification, ElementClassification.derivative_eigenvalues reuses
     the spectrum classify computed.
     """
-    m = _as_group_matrix(a, tol=1e-7)
+    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
     v = p.vector
     eig = eig3(m)
     norm_m = float(np.abs(m).max())
@@ -597,7 +600,7 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL,
     where zeta is a cube root of unity (1 unless the element is a central
     multiple of a unipotent).
     """
-    m = _as_group_matrix(a, tol=1e-7)
+    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
     cls = classify(m, merge_tol=merge_tol)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("normal forms exist only for hyperbolic and parabolic elements")

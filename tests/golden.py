@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Golden digests of the CLI on the benchmark's seed-419 decks.
+
+    PYTHONPATH=src python3 tests/golden.py
+
+rewrites tests/golden_cli.json: one entry per op of the classify, basin and
+lattice decks and of their probes, as built by bench/gen.py, in deck order,
+each the SHA-256 of (argv, exit code, stdout, stderr) of an in-process
+cli.main call.  The decks are written to a temporary directory and every op
+runs there, as bench/run.py runs them; a probe's expect["env"] is set for
+the duration of its call, and CP2LAB_TOL is unset otherwise.
+tests/test_golden.py compares the current tree against the file.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+BENCH = HERE.parent / "bench"
+GOLDEN_FILE = HERE / "golden_cli.json"
+SEED = 419
+WORKLOADS = ("classify", "basin", "lattice")
+
+
+def _gen():
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import gen
+
+    return gen
+
+
+@contextlib.contextmanager
+def _environ(env: dict):
+    saved = {k: os.environ.get(k) for k in env}
+    os.environ.update(env)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def op_digest(argv: list[str], env: dict) -> str:
+    """SHA-256 of (argv, rc, stdout, stderr) of cli.main(argv) under env."""
+    from cp2lab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with _environ(env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    record = json.dumps([list(argv), rc, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def deck_ops(root: Path) -> list[tuple[str, list[str], dict]]:
+    """(workload, argv, env) of every CLI op of the decks and probes, with
+    their input files written under root."""
+    gen = _gen()
+    ops = []
+    for workload in WORKLOADS:
+        for deck in gen.build(workload, SEED):
+            deck.write(root)
+            ops += [(workload, list(op.call[1]), op.expect.get("env", {}))
+                    for op in deck.ops]
+    return ops
+
+
+def digests(root: Path) -> list[list[str]]:
+    """[workload, argv joined by spaces, digest] per op, run with root as the
+    working directory and CP2LAB_TOL unset except where a probe sets it."""
+    ops = deck_ops(root)
+    previous = os.getcwd()
+    saved_tol = os.environ.pop("CP2LAB_TOL", None)
+    os.chdir(root)
+    try:
+        return [[w, " ".join(argv), op_digest(argv, env)] for w, argv, env in ops]
+    finally:
+        os.chdir(previous)
+        if saved_tol is not None:
+            os.environ["CP2LAB_TOL"] = saved_tol
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = digests(Path(tmp))
+    lines = ",\n".join("  " + json.dumps(e) for e in entries)
+    GOLDEN_FILE.write_text(f'{{"seed": {SEED}, "ops": [\n{lines}\n]}}\n')
+    print(f"wrote {len(entries)} digests to {GOLDEN_FILE.name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -371,3 +371,26 @@ def reference_resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarra
         slow = (d_min <= end_radius ** 2) & (stale <= end_stale)
         status[alive[slow]] = 1
     return status
+
+
+def reference_first_capture(m: np.ndarray, points: np.ndarray, target: np.ndarray,
+                            capture_radius: float, strides: int) -> np.ndarray:
+    """First stride (1 .. strides) at which each column meets the capture
+    rule alone, stepping as reference_resolve_batch does; 0 for none."""
+    stride_mat = m / np.abs(m).max()
+    for _ in range(3):
+        stride_mat = stride_mat @ stride_mat
+        stride_mat = stride_mat / np.abs(stride_mat).max()
+    t_hat = target / np.linalg.norm(target)
+    cap2 = capture_radius * capture_radius
+    x = points / np.abs(points).max(axis=0)
+    d_prev = _reference_chordal2_to(t_hat, x, np.einsum("ij,ij->j", x.conj(), x).real)
+    first = np.zeros(points.shape[1], dtype=np.int64)
+    for k in range(1, strides + 1):
+        y = stride_mat @ x
+        x = y / np.abs(y).max(axis=0)
+        d_now = _reference_chordal2_to(t_hat, x, np.einsum("ij,ij->j", x.conj(), x).real)
+        captured = (d_now <= cap2) & (d_prev <= cap2) & (d_now < d_prev) & (first == 0)
+        first[captured] = k
+        d_prev = d_now
+    return first

@@ -145,6 +145,17 @@ def test_basin_deterministic_output(run, tmp_path):
     assert out1 == out2
 
 
+def test_main_leaves_the_numpy_error_state_alone(run, tmp_path):
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.9, 0.3).matrix())
+    path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    with np.errstate(divide="warn", over="raise", under="print", invalid="call"):
+        before = np.geterr()
+        for argv in (["basin", path, "--samples", "200", "--seed", "3"], ["classify", path]):
+            code, out, err = run(argv)
+            assert code == 0 and json.loads(out) and err == ""
+            assert np.geterr() == before
+
+
 def test_basin_rejects_elliptic(run, tmp_path):
     m = mat_exp(AlgebraElement(0.9, -0.4, 0j, 0j, 0j).matrix())
     path = _write_json(tmp_path / "ell.json", mat3_to_json(m))

@@ -29,6 +29,7 @@ from helpers import (
     random_parabolic,
     reference_chordal,
     reference_converge,
+    reference_first_capture,
     reference_iterate,
     reference_resolve_batch,
 )
@@ -333,9 +334,9 @@ def test_basin_counts_are_disjoint_partition():
     assert report.resolved_forward + report.resolved_backward + report.unresolved == 880
 
 
-def test_basin_path_builds_one_philox_per_pass_and_no_generator(monkeypatch):
-    # nothing is built per sample: each rejection pass makes one bulk draw
-    # from a numpy Philox, and no numpy Generator is built
+def test_basin_path_builds_one_philox_per_stream_and_no_generator(monkeypatch):
+    # nothing is built per sample or per pass: each rejection pass makes one
+    # bulk draw from the stream's numpy Philox, and no numpy Generator is built
     def refuse(*args, **kwargs):
         raise AssertionError("numpy Generator built on the basin path")
 
@@ -359,10 +360,8 @@ def test_basin_path_builds_one_philox_per_pass_and_no_generator(monkeypatch):
             report = basin_coverage_check(m, samples=samples, seed=21)
             assert report.samples == samples + samples // 10
             assert report.unresolved == 0
-    # two streams of one chunk per element, at most 64 passes each; the
-    # pass count grows with the log of the sample count, not with the count
-    assert 0 < built[300] <= len(elements) * 2 * 64
-    assert built[600] <= built[300]
+    # one bit generator for each of the two streams of each element
+    assert built[300] == built[600] == len(elements) * 2
 
 
 def test_reciprocal_scaling_equals_division():
@@ -418,19 +417,82 @@ def test_resolver_statuses_match_the_reference(kind):
     assert seen[1] > 0
 
 
+# budgets of 1, 2 and 3 strides, where at most one probe runs, up to the default
+PROBE_BUDGETS = (8, 16, 24, 64, 512, 520, 528, 1_000, 10_000)
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "rotational", "line_fixing", "three_step"])
+def test_probes_certify_only_columns_the_reference_resolves(kind):
+    # a probe certifies a column when the capture rule holds, with a margin,
+    # at strides N and N + 1 <= budget; the reference tests capture at every
+    # stride, so it must resolve every certified column to the target.
+    # Columns started within the capture radius of the target add orbits
+    # that leave it before they return, which no probe may certify early
+    rng = np.random.default_rng([RNG_SEED, 12, len(kind)])
+    m = random_element(rng, kind)
+    cls = classify(m)
+    fixed = [fp.point.vector for fp in cls.fixed_points]
+    sampled = _resolver_points(rng, cls, seed=100 + len(kind))
+    certified_at_default = 0
+    for a, target in ((m, cls.attractive.point), (J @ m.conj().T @ J, cls.repulsive.point)):
+        t_hat = (target.vector / np.linalg.norm(target.vector)).reshape(3, 1)
+        near = t_hat + 2e-3 * (rng.normal(size=(3, 200)) + 1j * rng.normal(size=(3, 200)))
+        points = np.column_stack([sampled, near])
+        step, y = dynamics._target_frame(a, points, target.vector)
+        for max_iter in PROBE_BUDGETS:
+            certified = dynamics._probe_captures(step, y, max_iter // 8,
+                                                 dynamics.CAPTURE_RADIUS ** 2)
+            expected = reference_resolve_batch(a, points, target.vector, fixed, max_iter, 1e-8,
+                                               dynamics.CAPTURE_RADIUS)
+            wrong = np.flatnonzero(certified & (expected != 1))
+            assert not wrong.size, f"{kind} max_iter={max_iter}: columns {wrong[:10]}"
+            if max_iter == dynamics.DEFAULT_MAX_ITER:
+                certified_at_default += int(certified.sum())
+    assert certified_at_default > sampled.shape[1]
+
+
+def test_probes_stay_within_the_budget():
+    # at budgets of 2^j and 2^j + 1 strides a certified column meets the
+    # capture rule by the budget's last stride.  Columns first captured at
+    # stride 2^j + 1 and certified at that budget exist for j = 0, 2, 3, 4,
+    # so a probe that ran one stride past a budget of 2^j would fail here
+    edge = Counter()
+    for kind in ("hyperbolic", "rotational", "line_fixing", "three_step"):
+        rng = np.random.default_rng([RNG_SEED, 13, len(kind)])
+        m = random_element(rng, kind)
+        cls = classify(m)
+        points = _resolver_points(rng, cls, seed=200 + len(kind))
+        for a, target in ((m, cls.attractive.point), (J @ m.conj().T @ J, cls.repulsive.point)):
+            first = reference_first_capture(a, points, target.vector, dynamics.CAPTURE_RADIUS, 130)
+            step, y = dynamics._target_frame(a, points, target.vector)
+            for j in range(8):
+                for budget in (2**j, 2**j + 1):
+                    certified = dynamics._probe_captures(step, y, budget,
+                                                         dynamics.CAPTURE_RADIUS ** 2)
+                    late = certified & ((first == 0) | (first > budget))
+                    where = f"{kind} budget={budget}: columns {np.flatnonzero(late)[:10]}"
+                    assert not late.any(), where
+                    if budget == 2**j + 1:
+                        edge[2**j] += int((certified & (first == budget)).sum())
+    assert all(edge[b] > 0 for b in (1, 4, 8, 16))
+
+
 def test_resolver_tail_runs_many_strides_per_round(monkeypatch):
     # nothing is captured at capture_radius = 1e-300, so every column runs the
-    # whole budget.  A round makes one _cross_norm2 call: one stride per round
+    # whole budget, and the probes, which certify nothing there either, are
+    # left out.  A round makes one _target_dist2 call: one stride per round
     # would make 7,500 more calls for 7,500 more strides, 64 strides per round
     # make one per 64 strides
     calls = Counter()
-    inner = dynamics._cross_norm2
+    inner = dynamics._target_dist2
 
-    def counted(x, y):
-        calls["cross"] += 1
-        return inner(x, y)
+    def counted(y):
+        calls["dist"] += 1
+        return inner(y)
 
-    monkeypatch.setattr(dynamics, "_cross_norm2", counted)
+    monkeypatch.setattr(dynamics, "_target_dist2", counted)
+    monkeypatch.setattr(dynamics, "_probe_captures",
+                        lambda step, y, budget, cap2: np.zeros(y.shape[1], dtype=bool))
     rng = np.random.default_rng(RNG_SEED + 11)
     m = random_element(rng, "rotational")
     cls = classify(m)
@@ -440,6 +502,6 @@ def test_resolver_tail_runs_many_strides_per_round(monkeypatch):
     for max_iter in (20_000, 80_000):
         calls.clear()
         dynamics._resolve_batch(m, points, cls.attractive.point.vector, max_iter, 1e-300)
-        counts.append(calls["cross"])
+        counts.append(calls["dist"])
     assert counts[0] > 0
     assert counts[1] - counts[0] <= 7_500 / 64

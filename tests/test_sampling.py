@@ -30,13 +30,17 @@ SEEDS = [0, 1, 2**64 - 1, 2**64 + 3, 2**128 - 1]
 def test_philox_blocks_match_numpy_stream(seed, stream):
     # the words of a pass are numpy Philox blocks at the layout's counters;
     # index 0 starts its Philox at a counter that borrows from the attempt
-    # word, and the chunk-boundary and >= 2^32 indices leave gaps in the pass
+    # word, and the chunk-boundary and >= 2^32 indices leave gaps in the pass.
+    # One bit generator and its first state serve every pass, since
+    # _pass_words sets the counter and draws whole blocks
     blocks = (1, 3)[stream]
     pending = np.array([0, 1, 4, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 3,
                         2**32 - 1, 2**32, 2**32 + 5])
+    bit_gen = np.random.Philox(key=seed)
+    state = bit_gen.state
     for attempt in (0, 5):
         for part in (pending[:7], pending[3:7], pending[7:]):
-            words = _pass_words(seed, stream, blocks, attempt, part)
+            words = _pass_words(bit_gen, state, stream, blocks, attempt, part)
             assert words.shape == (4 * blocks, part.size)
             for column, i in zip(words.T, part.tolist()):
                 # numpy's Philox steps its counter before each block, so it
