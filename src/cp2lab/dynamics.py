@@ -32,12 +32,10 @@ iteration counts are exact.  Probes and strides run in a unitary frame
 whose first axis is the target (_target_frame), where the squared
 distance of y is (|y_1|^2 + |y_2|^2) / |y|^2.  The samples no probe
 certifies go on to the stride loop, which advances them k strides per
-round, k = _BLOCK_COLUMNS // live clamped to [1, 64] and to the largest
-power of two at most half the strides already run, in place in one
-3 x (k live) block, then tests the whole block at once.  Rounds over more
-than _BLOCK_COLUMNS / 2 samples (the CLI's default 1,100) take one stride;
-the tail of slow parabolic and near-tangent samples runs 64 strides per
-round.
+round, k = _BLOCK_COLUMNS // live clamped to [1, _BLOCK_STRIDES], in place
+in one 3 x (k live) block, then tests the whole block at once.  A sample's
+decision is its first decided stride, so k changes no status; _BLOCK_COLUMNS
+bounds a round's memory when many samples survive the probes.
 Samples still undecided when the budget of max_iter // 8 strides runs out
 are certified if their distance record is within _END_RADIUS and was set
 in the last _END_STALE strides: with S strides, that holds exactly when
@@ -81,11 +79,12 @@ from .errors import NotNonElliptic
 from .linalg3 import ProjectivePoint, _canonical, _chordal, chordal_distance
 from .su12 import (
     ENTRY_GROUP_TOL,
+    GROUP_TOL,
     J,
     FixedPointData,
     Kind,
     fixed_points,
-    _as_group_matrix,
+    _as_group_element,
     classify,
     tangent_line,
 )
@@ -143,7 +142,7 @@ def iterate(a, p: ProjectivePoint, n: int) -> ProjectivePoint:
     """Canonical form of A^n p by repeated multiply-then-canonicalize."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    rows = _as_group_matrix(a, tol=ENTRY_GROUP_TOL).tolist()
+    rows = _as_group_element(a, ENTRY_GROUP_TOL).matrix.tolist()
     v = p.vector.tolist()
     for _ in range(n):
         v = _step(rows, v)
@@ -182,9 +181,9 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_positive("tol", tol)
-    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
-    data = fixed_points(m, tol=ENTRY_GROUP_TOL)
-    rows = m.tolist()
+    g = _as_group_element(a, ENTRY_GROUP_TOL)
+    data = fixed_points(g)
+    rows = g.matrix.tolist()
     v = p.vector.tolist()
     dist = float("inf")
     for k in range(max_iter):
@@ -428,11 +427,7 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_it
             d_min_before, d_min = d_min, np.full(alive.size, np.inf)
         a = alive.size
         end = window - 1 if done < window - 1 else budget
-        # a round runs at most half as many strides as have been run (a power
-        # of two), so samples decided early, as most hyperbolic ones are, are
-        # not carried far past their decision
-        ramp = 1 << max((done // 2).bit_length() - 1, 0)
-        k = min(max(_BLOCK_COLUMNS // a, 1), _BLOCK_STRIDES, ramp, end - done)
+        k = min(max(_BLOCK_COLUMNS // a, 1), _BLOCK_STRIDES, end - done)
         # k x a stride-columns, stride-major: S x, then its rescaling, in place
         block = np.empty((3, k * a), dtype=complex)
         for j in range(k):
@@ -467,8 +462,7 @@ def _resolve_batch(m: np.ndarray, points: np.ndarray, target: np.ndarray, max_it
 
 
 def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
-                         seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
-                         capture_radius: float = CAPTURE_RADIUS) -> BasinReport:
+                         seed: int = 0, max_iter: int = DEFAULT_MAX_ITER) -> BasinReport:
     """Empirical check that the sampled ball and lines through the
     attractive point resolve into forward-basin(p+) or backward-basin(p-).
 
@@ -478,9 +472,10 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     its tangent line.  Each point is iterated forward toward p+ and, if
     undecided, backward toward p-, and counts as resolved when the
     resolver's capture rule or its end-of-budget fallback certifies it
-    (module docstring).  Raises ValueError for a seed outside [0, 2^128),
-    a negative sample count, max_iter below one stride, or a
-    capture_radius that is not finite and > 0.
+    (module docstring), with capture radius CAPTURE_RADIUS.  Membership is
+    checked at GROUP_TOL, unless a is a GroupElement.  Raises ValueError
+    for a seed outside [0, 2^128), a negative sample count, or max_iter
+    below one stride.
     """
     seed = operator.index(seed)
     if not 0 <= seed < _SEED_LIMIT:
@@ -489,9 +484,8 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
         raise ValueError("sample counts must be non-negative")
     if max_iter < _STRIDE:
         raise ValueError(f"max_iter must be at least {_STRIDE}, one resolver stride")
-    _check_positive("capture_radius", capture_radius)
-    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
-    cls = classify(m)
+    g = _as_group_element(a, GROUP_TOL)
+    cls = classify(g)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("basin coverage applies to hyperbolic and parabolic elements only")
     if line_samples is None:
@@ -504,14 +498,15 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     points = _sample_points(seed, samples, line_samples, p_plus.vector, l_plus.vector)
     total = points.shape[1]
 
-    forward = _resolve_batch(m, points, p_plus.vector, max_iter, capture_radius)
+    m = g.matrix
+    forward = _resolve_batch(m, points, p_plus.vector, max_iter, CAPTURE_RADIUS)
 
     rest = forward == 0
     backward_count = 0
     if rest.any():
         m_inv = J @ m.conj().T @ J
         backward = _resolve_batch(m_inv, points[:, rest], p_minus.vector, max_iter,
-                                  capture_radius)
+                                  CAPTURE_RADIUS)
         backward_count = int(backward.sum())
 
     forward_count = int(forward.sum())

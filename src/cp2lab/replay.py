@@ -204,13 +204,9 @@ def _run_assert(state: SurfaceState, step: AssertStep, index: int) -> None:
     expected = step.expected
     if isinstance(expected, (list, tuple)):
         expected = [list(r) if isinstance(r, (list, tuple)) else r for r in expected]
-    if isinstance(got, (list, tuple)):
-        got_cmp = [list(r) if isinstance(r, (list, tuple)) else r for r in got]
-    else:
-        got_cmp = got
-    if got_cmp != expected:
-        raise AssertionFailed(index, expected, got_cmp)
-    state.log.append({"step": index, "op": "assert", "kind": kind, "value": got_cmp})
+    if got != expected:
+        raise AssertionFailed(index, expected, got)
+    state.log.append({"step": index, "op": "assert", "kind": kind, "value": got})
 
 
 def run(script: Script) -> SurfaceState:

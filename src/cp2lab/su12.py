@@ -59,7 +59,10 @@ from .linalg3 import (
 
 GROUP_TOL = 1e-9      # form and determinant tolerance, relative to max(1, max|M_ij|^2)
 # the same check where a matrix may itself be computed: an exponential, a
-# product or an inverse of elements, whose rounding GROUP_TOL would refuse
+# product or an inverse of elements, whose rounding GROUP_TOL would refuse.
+# It decides for GroupElement.exp, inverse and @, for the entries
+# derivative_eigenvalues, dynamics.converge and dynamics.iterate, and for
+# the conjugator conjugate_to_normal_form computes
 ENTRY_GROUP_TOL = 1e-7
 BOUNDARY_TOL = 1e-8   # |Q| below this (times |v|^2) counts as boundary
 UNIT_MODULUS_TOL = 1e-7  # eigenvalue modulus deviation separating hyperbolic
@@ -194,13 +197,11 @@ class GroupElement:
         return f"GroupElement({self.matrix.tolist()!r})"
 
 
-def _as_group_matrix(a, tol: float = GROUP_TOL) -> np.ndarray:
-    if isinstance(a, GroupElement):
-        return a.matrix
-    m = as_mat3(a)
-    if not is_group_member(m, tol):
-        raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
-    return m
+def _as_group_element(a, tol: float) -> GroupElement:
+    """a itself if it is a GroupElement, which is checked already, else
+    GroupElement(a, tol).  Each public entry calls this once and passes the
+    element down, so a call decides membership once."""
+    return a if isinstance(a, GroupElement) else GroupElement(a, tol)
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,14 @@ class FixedPointData:
     fully_degenerate: bool = False
 
 
-def _is_scalar(m: np.ndarray, tol: float = 1e-9) -> bool:
-    scale = max(float(np.abs(m).max()), 1e-300)
+def _is_scalar(m: np.ndarray) -> bool:
+    """True iff m is a multiple of the identity to 1e-9 of its largest entry."""
+    bound = 1e-9 * max(float(np.abs(m).max()), 1e-300)
     off = m - np.diag(np.diag(m))
-    if float(np.abs(off).max()) > tol * scale:
+    if float(np.abs(off).max()) > bound:
         return False
     d = np.diag(m)
-    return max(abs(d[0] - d[1]), abs(d[0] - d[2])) <= tol * scale
+    return max(abs(d[0] - d[1]), abs(d[0] - d[2])) <= bound
 
 
 def _hermitian2_eigen(g11: float, g12: complex, g22: float):
@@ -315,7 +317,7 @@ def _plane_representatives(v1: np.ndarray, v2: np.ndarray, value: complex,
 def fixed_points(a, tol: float = GROUP_TOL, merge_tol: float = MERGE_TOL,
                  boundary_tol: float = BOUNDARY_TOL) -> FixedPointData:
     """Fixed points of the projective action, one per eigenvector direction."""
-    m = _as_group_matrix(a, tol)
+    m = _as_group_element(a, tol).matrix
     if _is_scalar(m):
         return FixedPointData(points=(), fixed_line=None, fully_degenerate=True)
     return _fixed_points_from(eig3(m, merge_tol=merge_tol), boundary_tol)
@@ -379,7 +381,7 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
     classification, ElementClassification.derivative_eigenvalues reuses
     the spectrum classify computed.
     """
-    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
+    m = _as_group_element(a, ENTRY_GROUP_TOL).matrix
     v = p.vector
     eig = eig3(m)
     norm_m = float(np.abs(m).max())
@@ -395,7 +397,7 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
 
 
 def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_TOL,
-             boundary_tol: float = BOUNDARY_TOL, group_tol: float = GROUP_TOL) -> ElementClassification:
+             boundary_tol: float = BOUNDARY_TOL) -> ElementClassification:
     """Elliptic / parabolic / hyperbolic trichotomy with parabolic subtyping.
 
     Decision procedure: an eigenvalue modulus off the unit circle means
@@ -409,8 +411,9 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
     derivative eigenvalues follow) all come from that pass.  Raises
     AmbiguousClustering whenever a tolerance cannot settle a decision:
     a rank, a cluster of eigenvalues, or fixed points that fit no kind.
+    Membership is checked at GROUP_TOL, unless a is a GroupElement.
     """
-    m = _as_group_matrix(a, group_tol)
+    m = _as_group_element(a, GROUP_TOL).matrix
     if _is_scalar(m):
         raise DegenerateElement("degenerate: every point fixed")
 
@@ -520,6 +523,8 @@ class NormalForm:
     params: HyperbolicParams | ParabolicParams
 
 
+# bound on max|G A G^-1 - normal form|, times max(1, max|G A G^-1|) for parabolics
+_NORMAL_FORM_RESIDUAL_TOL = 1e-7
 _MODEL_FRAME = np.array([[1, 1, 0], [1, -1, 0], [0, 0, 1]], dtype=complex)
 
 
@@ -587,8 +592,7 @@ def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.nd
     return a, zeta
 
 
-def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL,
-                             residual_tol: float = 1e-7) -> NormalForm:
+def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL) -> NormalForm:
     """Conjugate a hyperbolic or parabolic element into its normal form.
 
     Hyperbolic: the attractive and repulsive boundary fixed points go to
@@ -598,10 +602,12 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL,
     Parabolic: the boundary fixed point goes to [1:1:0]; the returned
     (d1, d2, c) satisfy zeta * exp(parabolic_normal(d1, d2, c)) = G A G^-1
     where zeta is a cube root of unity (1 unless the element is a central
-    multiple of a unipotent).
+    multiple of a unipotent).  Membership is checked at GROUP_TOL, unless
+    a is a GroupElement.
     """
-    m = _as_group_matrix(a, tol=ENTRY_GROUP_TOL)
-    cls = classify(m, merge_tol=merge_tol)
+    element = _as_group_element(a, GROUP_TOL)
+    m = element.matrix
+    cls = classify(element, merge_tol=merge_tol)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("normal forms exist only for hyperbolic and parabolic elements")
 
@@ -614,9 +620,9 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL,
         lam = cls.attractive.eigenvalue
         params = HyperbolicParams(l=math.log(abs(lam)), b=cmath.phase(lam))
         target = mat_exp(AlgebraElement.hyperbolic_normal(params.l, params.b).matrix())
-        if float(np.abs(b_mat - target).max()) > residual_tol:
+        if float(np.abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL:
             raise AmbiguousClustering("hyperbolic normal form residual exceeds tolerance")
-        return NormalForm(cls.kind, None, GroupElement(g, tol=1e-6), b_mat, params)
+        return NormalForm(cls.kind, None, GroupElement(g, ENTRY_GROUP_TOL), b_mat, params)
 
     p = cls.attractive.point.vector
     w, u = _complete_null_frame(p)
@@ -629,6 +635,6 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL,
     params = ParabolicParams(d1=d1, d2=d2, c=c, central_phase=zeta)
     target = zeta * mat_exp(AlgebraElement.parabolic_normal(d1, d2, c).matrix())
     scale = max(1.0, float(np.abs(b_mat).max()))
-    if float(np.abs(b_mat - target).max()) > residual_tol * scale:
+    if float(np.abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL * scale:
         raise AmbiguousClustering("parabolic normal form residual exceeds tolerance")
-    return NormalForm(cls.kind, cls.subtype, GroupElement(g, tol=1e-6), b_mat, params)
+    return NormalForm(cls.kind, cls.subtype, GroupElement(g, ENTRY_GROUP_TOL), b_mat, params)

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Golden digests of the CLI on the benchmark's seed-419 decks.
+"""Golden digests of the CLI and of converge() on the benchmark's seed-419 decks.
 
     PYTHONPATH=src python3 tests/golden.py
 
 rewrites tests/golden_cli.json: one entry per op of the classify, basin and
 lattice decks and of their probes, as built by bench/gen.py, in deck order,
 each the SHA-256 of (argv, exit code, stdout, stderr) of an in-process
-cli.main call.  The decks are written to a temporary directory and every op
-runs there, as bench/run.py runs them; a probe's expect["env"] is set for
-the duration of its call, and CP2LAB_TOL is unset otherwise.
-tests/test_golden.py compares the current tree against the file.
+cli.main call; then one entry per op of the orbit deck (without its probe),
+in deck order, each the SHA-256 of the dynamics.converge result (converged,
+limit coordinates, iterations, repr of final_distance) on the deck's input,
+read as bench/run.py reads it.  The decks are written to a temporary
+directory and every op runs there, as bench/run.py runs them; a probe's
+expect["env"] is set for the duration of its call, and CP2LAB_TOL is unset
+otherwise.  tests/test_golden.py compares the current tree against the file.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 BENCH = HERE.parent / "bench"
@@ -63,6 +68,34 @@ def op_digest(argv: list[str], env: dict) -> str:
     return hashlib.sha256(record.encode()).hexdigest()
 
 
+def orbit_digest(m, p, tol: float) -> str:
+    """SHA-256 of the record of dynamics.converge(m, p, tol=tol)."""
+    from cp2lab import dynamics
+
+    r = dynamics.converge(m, p, tol=tol)
+    limit = None if r.limit is None else [[z.real, z.imag] for z in r.limit.coords]
+    record = json.dumps([r.converged, limit, r.iterations, repr(r.final_distance)])
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def orbit_entries(root: Path) -> list[list[str]]:
+    """["orbit", "converge <file> <index>", digest] per op of the orbit deck,
+    its input file written under root."""
+    from cp2lab import ProjectivePoint
+
+    deck, _ = _gen().build("orbit", SEED)
+    deck.write(root)
+    rows = {name: json.loads((root / name).read_text()) for name in deck.files}
+    entries = []
+    for op in deck.ops:
+        _, name, index = op.call
+        row = rows[name][index]
+        m = np.array([[complex(*z) for z in r] for r in row["matrix"]])
+        p = ProjectivePoint.from_vector([complex(*z) for z in row["start"]])
+        entries.append(["orbit", f"converge {name} {index}", orbit_digest(m, p, row["tol"])])
+    return entries
+
+
 def deck_ops(root: Path) -> list[tuple[str, list[str], dict]]:
     """(workload, argv, env) of every CLI op of the decks and probes, with
     their input files written under root."""
@@ -77,14 +110,16 @@ def deck_ops(root: Path) -> list[tuple[str, list[str], dict]]:
 
 
 def digests(root: Path) -> list[list[str]]:
-    """[workload, argv joined by spaces, digest] per op, run with root as the
-    working directory and CP2LAB_TOL unset except where a probe sets it."""
+    """[workload, argv joined by spaces, digest] per CLI op, run with root as
+    the working directory and CP2LAB_TOL unset except where a probe sets it,
+    then the orbit entries."""
     ops = deck_ops(root)
     previous = os.getcwd()
     saved_tol = os.environ.pop("CP2LAB_TOL", None)
     os.chdir(root)
     try:
-        return [[w, " ".join(argv), op_digest(argv, env)] for w, argv, env in ops]
+        return ([[w, " ".join(argv), op_digest(argv, env)] for w, argv, env in ops]
+                + orbit_entries(root))
     finally:
         os.chdir(previous)
         if saved_tol is not None:

@@ -101,6 +101,16 @@ def test_classify_doubled_group_element_is_not_in_group(run, tmp_path):
         assert json.loads(err)["error"] == "NotInGroup"
 
 
+@pytest.mark.parametrize("command", ["classify", "basin"])
+def test_a_matrix_off_the_group_by_5e9_is_not_in_group(run, tmp_path, command):
+    # a member at the looser entry tolerance of converge, not at GROUP_TOL
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
+    m[0, 2] += 5e-9
+    code, out, err = run([command, _write_json(tmp_path / "m.json", mat3_to_json(m))])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NotInGroup"
+
+
 def test_classify_three_step_subtype(run, tmp_path):
     path = _write_json(tmp_path / "alg.json",
                        _algebra_json(l2=1.0 + 0j, c=1.0 + 0j))

@@ -1,8 +1,9 @@
-"""Byte-identity of the CLI on the benchmark's seed-419 decks.
+"""Byte-identity of the CLI and of converge() on the benchmark's seed-419 decks.
 
 Every op of the classify, basin and lattice decks and their probes, built by
 bench/gen.py in a temporary directory, must give the exit code, stdout and
-stderr recorded in tests/golden_cli.json (see tests/golden.py, which
+stderr recorded in tests/golden_cli.json, and every op of the orbit deck the
+same dynamics.converge result, to the bit (see tests/golden.py, which
 regenerates it).  A change that alters output on purpose, such as a new
 sampling stream, regenerates the file and lists in CHANGES.md which ops
 changed and why.  The digests also pin numpy's Philox stream (basin samples)

@@ -9,6 +9,7 @@ import pytest
 
 from cp2lab import (
     AlgebraElement,
+    GroupElement,
     Kind,
     Location,
     ParabolicKind,
@@ -34,7 +35,7 @@ from cp2lab.errors import (
     NotNonElliptic,
     NotOnBoundary,
 )
-from cp2lab import linalg3, su12
+from cp2lab import dynamics, linalg3, su12
 from cp2lab.jsonio import classification_report, complex_to_json
 from cp2lab.su12 import J
 
@@ -121,6 +122,75 @@ def test_exponential_lands_in_group():
     for _ in range(1000):
         m = mat_exp(random_algebra(rng, 2.0).matrix())
         assert is_group_member(m, 1e-7)
+
+
+# one membership check per call ---------------------------------------------------
+
+_HYPERBOLIC = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
+# entry (0, 2) raised by 5e-9: a member at ENTRY_GROUP_TOL, not at GROUP_TOL
+_BAND = _HYPERBOLIC + np.array([[0, 0, 5e-9], [0, 0, 0], [0, 0, 0]])
+
+# public entry: (call, membership checks per call, accepts _BAND)
+ENTRIES = {
+    "classify": (classify, 1, False),
+    "fixed_points": (fixed_points, 1, False),
+    "conjugate_to_normal_form": (conjugate_to_normal_form, 2, False),
+    "basin_coverage_check": (lambda a: dynamics.basin_coverage_check(a, samples=20, seed=1),
+                             1, False),
+    "derivative_eigenvalues": (lambda a: derivative_eigenvalues(a, _pt([1, 1, 0])), 1, True),
+    "converge": (lambda a: dynamics.converge(a, _pt([1, 0.2, 0.1])), 1, True),
+    "iterate": (lambda a: dynamics.iterate(a, _pt([1, 0.2, 0.1]), 3), 1, True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_each_entry_checks_membership_once(monkeypatch, entry):
+    # conjugate_to_normal_form also checks the conjugator it computes; a
+    # GroupElement argument is not checked again
+    call, checks, _ = ENTRIES[entry]
+    element = GroupElement(_HYPERBOLIC)
+    calls = Counter()
+    inner = su12.is_group_member
+
+    def counted(*args, **kwargs):
+        calls["is_group_member"] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(su12, "is_group_member", counted)
+    call(_HYPERBOLIC)
+    assert calls["is_group_member"] == checks
+    call(element)
+    assert calls["is_group_member"] == 2 * checks - 1
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_each_entry_decides_membership_at_its_own_tolerance(entry):
+    call, _, accepts = ENTRIES[entry]
+    assert is_group_member(_BAND, su12.ENTRY_GROUP_TOL)
+    assert not is_group_member(_BAND, su12.GROUP_TOL)
+    if accepts:
+        call(_BAND)
+    else:
+        with pytest.raises(NotInGroup):
+            call(_BAND)
+
+
+def test_classification_respects_the_group_structure():
+    # omega A acts as A does, for omega a cube root of unity, and
+    # J A^dagger J = A^-1 swaps the attractive and repulsive points
+    rng = np.random.default_rng(RNG_SEED + 11)
+    omega = cmath.exp(2j * cmath.pi / 3)
+    for kind in KINDS:
+        for _ in range(40):
+            m = random_element(rng, kind)
+            base = classify(m)
+            assert _kind_of(base) == kind
+            for other in (omega * m, omega * omega * m):
+                assert _kind_of(classify(other)) == kind
+            inverse = classify(J @ m.conj().T @ J)
+            assert _kind_of(inverse) == kind
+            if base.attractive is not None:
+                assert chordal_distance(inverse.repulsive.point, base.attractive.point) <= 1e-6
 
 
 # locations -----------------------------------------------------------------------
