@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
 print a JSON payload on stdout; failures print a one-line JSON error
 object on stderr and nothing on stdout.  A classification decision the
 tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
-location) exits 1 with error "AmbiguousClustering".  --tol sets classify's
+location) exits 1 with error "AmbiguousClustering"; a matrix too large for
+the membership check to decide, or a `--exp` element whose exponential is
+not finite, exits 1 with "NotInGroup".  --tol sets classify's
 tolerances and does not affect basin; CP2LAB_TOL, when set, supplies its
 default.  Both must be a finite number > 0.  Counts, indices and bounds
 must be non-negative, blow-up counts (`--blowups`, and `replay --k`) at
@@ -146,20 +148,14 @@ def _load_json(path: str):
         raise InputFormatError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _tolerances(tol: float | None) -> dict:
-    if tol is None:
-        return {}
-    return {"unit_tol": tol, "merge_tol": tol, "boundary_tol": tol}
-
-
 def _cmd_classify(args) -> dict:
     obj = _load_json(args.input)
     if args.exp:
-        algebra = jsonio.algebra_from_json(obj)
-        matrix = su12.mat_exp(algebra.matrix())
+        a = su12.GroupElement.exp(jsonio.algebra_from_json(obj))
     else:
-        matrix = jsonio.mat3_from_json(obj)
-    cls = su12.classify(matrix, **_tolerances(args.tol))
+        a = jsonio.mat3_from_json(obj)
+    tols = ("unit_tol", "merge_tol", "boundary_tol")
+    cls = su12.classify(a, **({} if args.tol is None else dict.fromkeys(tols, args.tol)))
     return jsonio.classification_report(cls)
 
 

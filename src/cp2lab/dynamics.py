@@ -78,8 +78,6 @@ import numpy as np
 from .errors import NotNonElliptic
 from .linalg3 import ProjectivePoint, _canonical, _chordal, chordal_distance
 from .su12 import (
-    ENTRY_GROUP_TOL,
-    GROUP_TOL,
     J,
     FixedPointData,
     Kind,
@@ -139,19 +137,15 @@ def _step(rows: list[list[complex]], v) -> tuple[complex, complex, complex]:
 
 
 def iterate(a, p: ProjectivePoint, n: int) -> ProjectivePoint:
-    """Canonical form of A^n p by repeated multiply-then-canonicalize."""
+    """Canonical form of A^n p by repeated multiply-then-canonicalize.
+    Raises NotInGroup unless a is a member at GROUP_TOL."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    rows = _as_group_element(a, ENTRY_GROUP_TOL).matrix.tolist()
+    rows = _as_group_element(a).matrix.tolist()
     v = p.vector.tolist()
     for _ in range(n):
         v = _step(rows, v)
     return ProjectivePoint(_canonical(*v))
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _nearest_fixed_point(data: FixedPointData, p: ProjectivePoint) -> ProjectivePoint:
@@ -176,12 +170,14 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
     On success the reported limit is the fixed point of A nearest to the
     final iterate; iterations counts the steps taken before the stopping
-    test fired.  Raises ValueError unless tol is finite and > 0.
+    test fired.  Raises ValueError unless tol is finite and > 0, and
+    NotInGroup unless a is a member at GROUP_TOL.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    _check_positive("tol", tol)
-    g = _as_group_element(a, ENTRY_GROUP_TOL)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    g = _as_group_element(a)
     data = fixed_points(g)
     rows = g.matrix.tolist()
     v = p.vector.tolist()
@@ -472,8 +468,7 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     its tangent line.  Each point is iterated forward toward p+ and, if
     undecided, backward toward p-, and counts as resolved when the
     resolver's capture rule or its end-of-budget fallback certifies it
-    (module docstring), with capture radius CAPTURE_RADIUS.  Membership is
-    checked at GROUP_TOL, unless a is a GroupElement.  Raises ValueError
+    (module docstring), with capture radius CAPTURE_RADIUS.  Raises ValueError
     for a seed outside [0, 2^128), a negative sample count, or max_iter
     below one stride.
     """
@@ -484,7 +479,7 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
         raise ValueError("sample counts must be non-negative")
     if max_iter < _STRIDE:
         raise ValueError(f"max_iter must be at least {_STRIDE}, one resolver stride")
-    g = _as_group_element(a, GROUP_TOL)
+    g = _as_group_element(a)
     cls = classify(g)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("basin coverage applies to hyperbolic and parabolic elements only")

@@ -111,6 +111,9 @@ def _cubic_eval(x: complex, c2: complex, c1: complex, c0: complex) -> complex:
 # itself produced by floating-point products (e.g. a conjugation); genuine
 # roots closer than roughly sqrt(this * eps) merge.
 CUBIC_NOISE_FACTOR = 2e4
+# largest coefficient cubic_roots accepts: its closed form cubes p ~ c2^2
+# and squares q ~ c2^3, which overflow past ~1e51
+_CUBIC_RANGE = 1e50
 
 
 def _cubic_noise(x: complex, c2: complex, c1: complex, c0: complex) -> float:
@@ -158,8 +161,11 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
     root.  Genuine multiple roots are detected through the derivative and
     repeated exactly; beyond that, roots closer than the merge tolerance
     (scaled by the root magnitude) are averaged into a repeated root.
+    Raises AmbiguousClustering on a coefficient beyond _CUBIC_RANGE.
     """
     c2, c1, c0 = complex(c2), complex(c1), complex(c0)
+    if not all(abs(z.real) + abs(z.imag) <= _CUBIC_RANGE for z in (c2, c1, c0)):
+        raise AmbiguousClustering("characteristic polynomial too large for its closed-form roots")
 
     refined = _refine_multiple_roots(c2, c1, c0)
     if refined is not None:
@@ -504,7 +510,7 @@ def mat_exp(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a truncated series."""
     a = as_mat3(m)
     norm = float(np.abs(a).sum(axis=1).max())
-    s = 0 if norm <= 0.5 else min(64, int(math.ceil(math.log2(norm / 0.5))))
+    s = 0 if norm <= 0.5 else min(64, math.ceil(math.log2(min(norm, 2.0 ** 64) / 0.5)))
     x = a / (2.0 ** s)
     eye = np.eye(3, dtype=complex)
     r = eye.copy()

@@ -98,6 +98,8 @@ class SurfaceState:
 def _initial_state(initial: InitialSurface) -> SurfaceState:
     if initial.kind == "P2":
         lat = p2_lattice()
+    elif initial.kind == "Hirzebruch" and initial.n < 0:
+        raise InputFormatError(f"Hirzebruch index must be non-negative, got {initial.n}")
     elif initial.kind == "Hirzebruch":
         lat = hirzebruch_lattice(initial.n)
     else:
@@ -358,7 +360,7 @@ def script_from_json(obj: dict) -> Script:
                 )
             else:
                 raise InputFormatError(f"unknown script op {op!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"malformed script: {exc}") from exc
     return Script(InitialSurface(kind=kind, n=n, curves=curves), tuple(steps))
 

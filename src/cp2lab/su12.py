@@ -25,6 +25,12 @@ The five-parameter Lie algebra element
 
 with b1, b2 real and l1, l2, c complex spans the algebra; normal forms for
 hyperbolic and parabolic elements are exposed as convenience constructors.
+
+Membership rule: a matrix a caller passes, to GroupElement or to any
+public entry, is checked once at GROUP_TOL; an element the library
+computes (GroupElement.exp, @, inverse, the normal form's conjugator) at
+the looser _COMPUTED_TOL, which its rounding needs.  A matrix that is not
+finite, or whose check overflows, is not a member.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .errors import (
 )
 from .linalg3 import (
     MERGE_TOL,
+    _OMEGA,
     EigenData,
     ProjectivePoint,
     as_mat3,
@@ -58,22 +65,13 @@ from .linalg3 import (
 )
 
 GROUP_TOL = 1e-9      # form and determinant tolerance, relative to max(1, max|M_ij|^2)
-# the same check where a matrix may itself be computed: an exponential, a
-# product or an inverse of elements, whose rounding GROUP_TOL would refuse.
-# It decides for GroupElement.exp, inverse and @, for the entries
-# derivative_eigenvalues, dynamics.converge and dynamics.iterate, and for
-# the conjugator conjugate_to_normal_form computes
-ENTRY_GROUP_TOL = 1e-7
+_COMPUTED_TOL = 1e-7  # the same for computed elements (module docstring)
 BOUNDARY_TOL = 1e-8   # |Q| below this (times |v|^2) counts as boundary
 UNIT_MODULUS_TOL = 1e-7  # eigenvalue modulus deviation separating hyperbolic
 
 J = np.diag([-1.0, 1.0, 1.0]).astype(complex)
 
-_CUBE_ROOTS_OF_UNITY = (
-    1 + 0j,
-    complex(-0.5, 0.5 * math.sqrt(3.0)),
-    complex(-0.5, -0.5 * math.sqrt(3.0)),
-)
+_CUBE_ROOTS_OF_UNITY = (1 + 0j, _OMEGA, _OMEGA.conjugate())
 
 
 def hermitian_pairing(v, w) -> complex:
@@ -121,12 +119,17 @@ def locate(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> Location:
 def is_group_member(m, tol: float = GROUP_TOL) -> bool:
     """True iff M preserves the form and det M = 1, both within tol relative
     to max(1, max|M_ij|^2): the rounding error of M^dagger J M grows like
-    the square of the entries, so an absolute tol refuses large elements."""
-    a = as_mat3(m)
-    scale = max(1.0, float(np.abs(a).max()) ** 2)
+    the square of the entries, so an absolute tol refuses large elements.
+    False, never an error, for a matrix that is not finite or whose check
+    overflows (max|M_ij|^2 above the float range)."""
+    a = np.asarray(m, dtype=complex)
+    size = float(np.abs(as_mat3(a)).max()) if np.isfinite(a).all() else math.inf
+    if size * size == math.inf:
+        return False
+    scale = max(1.0, size * size)
     form_err = float(np.abs(a.conj().T @ J @ a - J).max())
-    det_err = abs(det3(a) - 1.0)
-    return form_err <= tol * scale and det_err <= tol * scale
+    d = det3(a) - 1.0  # hypot, since abs raises OverflowError past the float range
+    return form_err <= tol * scale and math.hypot(d.real, d.imag) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -171,37 +174,49 @@ class AlgebraElement:
         return cls(b1=d1, b2=d2, l1=1j * (d1 + d2 / 2.0), l2=complex(c), c=complex(c))
 
 
+def _member_matrix(matrix, tol: float) -> np.ndarray:
+    a = np.asarray(matrix, dtype=complex)
+    if not is_group_member(a, tol):
+        raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
+    return a
+
+
 class GroupElement:
-    """A validated member of SU(1,2)."""
+    """A member of SU(1,2), checked by the module docstring's rule."""
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol: float = GROUP_TOL):
-        a = as_mat3(matrix)
-        if not is_group_member(a, tol):
-            raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
-        self.matrix = a
+    def __init__(self, matrix):
+        self.matrix = _member_matrix(matrix, GROUP_TOL)
 
     @classmethod
-    def exp(cls, algebra: AlgebraElement, tol: float = ENTRY_GROUP_TOL) -> "GroupElement":
-        return cls(mat_exp(algebra.matrix()), tol=tol)
+    def _computed(cls, matrix) -> "GroupElement":
+        element = cls.__new__(cls)
+        element.matrix = _member_matrix(matrix, _COMPUTED_TOL)
+        return element
+
+    @classmethod
+    def exp(cls, algebra: AlgebraElement) -> "GroupElement":
+        """exp(algebra); NotInGroup when it or its exponential is not finite."""
+        a = algebra.matrix()
+        return cls._computed(mat_exp(a) if np.isfinite(a).all() else a)
 
     def inverse(self) -> "GroupElement":
         # A^-1 = J A^dagger J for members of the group
-        return GroupElement(J @ self.matrix.conj().T @ J, tol=ENTRY_GROUP_TOL)
+        return GroupElement._computed(J @ self.matrix.conj().T @ J)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.matrix @ other.matrix, tol=ENTRY_GROUP_TOL)
+        return GroupElement._computed(self.matrix @ other.matrix)
 
     def __repr__(self) -> str:
         return f"GroupElement({self.matrix.tolist()!r})"
 
 
-def _as_group_element(a, tol: float) -> GroupElement:
+def _as_group_element(a) -> GroupElement:
     """a itself if it is a GroupElement, which is checked already, else
-    GroupElement(a, tol).  Each public entry calls this once and passes the
+    GroupElement(a).  Each public entry calls this once and passes the
     element down, so a call decides membership once."""
-    return a if isinstance(a, GroupElement) else GroupElement(a, tol)
+    return a if isinstance(a, GroupElement) else GroupElement(a)
 
 
 @dataclass(frozen=True)
@@ -314,10 +329,10 @@ def _plane_representatives(v1: np.ndarray, v2: np.ndarray, value: complex,
     return reps
 
 
-def fixed_points(a, tol: float = GROUP_TOL, merge_tol: float = MERGE_TOL,
+def fixed_points(a, merge_tol: float = MERGE_TOL,
                  boundary_tol: float = BOUNDARY_TOL) -> FixedPointData:
     """Fixed points of the projective action, one per eigenvector direction."""
-    m = _as_group_element(a, tol).matrix
+    m = _as_group_element(a).matrix
     if _is_scalar(m):
         return FixedPointData(points=(), fixed_line=None, fully_degenerate=True)
     return _fixed_points_from(eig3(m, merge_tol=merge_tol), boundary_tol)
@@ -379,21 +394,19 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
     multiplicity) to the eigenvalue carried by the fixed point.  This
     validates a and recomputes its spectrum; for the fixed points of a
     classification, ElementClassification.derivative_eigenvalues reuses
-    the spectrum classify computed.
+    the spectrum classify computed.  Raises NotInGroup unless a is a member
+    at GROUP_TOL.
     """
-    m = _as_group_element(a, ENTRY_GROUP_TOL).matrix
+    m = _as_group_element(a).matrix
     v = p.vector
     eig = eig3(m)
     norm_m = float(np.abs(m).max())
     norm_v = float(np.linalg.norm(v))
-    best = None
-    for pair in eig.pairs:
-        res = float(np.linalg.norm(m @ v - pair.value * v)) / (norm_m * norm_v)
-        if best is None or res < best[0]:
-            best = (res, pair.value)
-    if best is None or best[0] > tol:
-        raise NotFixed(f"{p} is not fixed (best residual {best[0] if best else 'n/a'})")
-    return _eigenvalue_ratios(eig.eigenvalues(), best[1])
+    res, value = min(((float(np.linalg.norm(m @ v - pair.value * v)) / (norm_m * norm_v),
+                       pair.value) for pair in eig.pairs), key=lambda t: t[0])
+    if res > tol:
+        raise NotFixed(f"{p} is not fixed (best residual {res})")
+    return _eigenvalue_ratios(eig.eigenvalues(), value)
 
 
 def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_TOL,
@@ -411,9 +424,8 @@ def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_
     derivative eigenvalues follow) all come from that pass.  Raises
     AmbiguousClustering whenever a tolerance cannot settle a decision:
     a rank, a cluster of eigenvalues, or fixed points that fit no kind.
-    Membership is checked at GROUP_TOL, unless a is a GroupElement.
     """
-    m = _as_group_element(a, GROUP_TOL).matrix
+    m = _as_group_element(a).matrix
     if _is_scalar(m):
         raise DegenerateElement("degenerate: every point fixed")
 
@@ -562,10 +574,6 @@ def _complete_null_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def _nearest_cube_root(z: complex) -> complex:
-    return min(_CUBE_ROOTS_OF_UNITY, key=lambda w: abs(w - z))
-
-
 def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.ndarray, complex]:
     """Algebra element a (and central phase zeta) with zeta*exp(a) = b_mat.
 
@@ -585,7 +593,7 @@ def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.nd
         a = (-0.5j * d2) * p_mu + (1j * d2) * p_nu + nil / mu
         return a, 1 + 0j
     # unipotent up to a central cube root of unity
-    zeta = _nearest_cube_root(cls.attractive.eigenvalue)
+    zeta = min(_CUBE_ROOTS_OF_UNITY, key=lambda w: abs(w - cls.attractive.eigenvalue))
     u = b_mat / zeta
     n = u - eye
     a = n - (n @ n) / 2.0
@@ -602,39 +610,32 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL) -> NormalForm:
     Parabolic: the boundary fixed point goes to [1:1:0]; the returned
     (d1, d2, c) satisfy zeta * exp(parabolic_normal(d1, d2, c)) = G A G^-1
     where zeta is a cube root of unity (1 unless the element is a central
-    multiple of a unipotent).  Membership is checked at GROUP_TOL, unless
-    a is a GroupElement.
+    multiple of a unipotent).
     """
-    element = _as_group_element(a, GROUP_TOL)
+    element = _as_group_element(a)
     m = element.matrix
     cls = classify(element, merge_tol=merge_tol)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("normal forms exist only for hyperbolic and parabolic elements")
 
     if cls.kind == Kind.HYPERBOLIC:
-        v_plus = cls.attractive.point.vector
-        v_minus = cls.repulsive.point.vector
-        v_out = cls.exterior.point.vector
-        g = _frame_transport(v_plus, v_minus, v_out)
+        g = _frame_transport(cls.attractive.point.vector, cls.repulsive.point.vector,
+                             cls.exterior.point.vector)
         b_mat = g @ m @ inv3(g)
         lam = cls.attractive.eigenvalue
         params = HyperbolicParams(l=math.log(abs(lam)), b=cmath.phase(lam))
         target = mat_exp(AlgebraElement.hyperbolic_normal(params.l, params.b).matrix())
-        if float(np.abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL:
-            raise AmbiguousClustering("hyperbolic normal form residual exceeds tolerance")
-        return NormalForm(cls.kind, None, GroupElement(g, ENTRY_GROUP_TOL), b_mat, params)
-
-    p = cls.attractive.point.vector
-    w, u = _complete_null_frame(p)
-    g = _frame_transport(p, w, u)
-    b_mat = g @ m @ inv3(g)
-    alg, zeta = _parabolic_log(b_mat, cls)
-    d1 = float(alg[1, 1].imag)
-    d2 = float(alg[2, 2].imag)
-    c = complex(alg[1, 2])
-    params = ParabolicParams(d1=d1, d2=d2, c=c, central_phase=zeta)
-    target = zeta * mat_exp(AlgebraElement.parabolic_normal(d1, d2, c).matrix())
-    scale = max(1.0, float(np.abs(b_mat).max()))
+        scale = 1.0
+    else:
+        p = cls.attractive.point.vector
+        g = _frame_transport(p, *_complete_null_frame(p))
+        b_mat = g @ m @ inv3(g)
+        alg, zeta = _parabolic_log(b_mat, cls)
+        params = ParabolicParams(d1=float(alg[1, 1].imag), d2=float(alg[2, 2].imag),
+                                 c=complex(alg[1, 2]), central_phase=zeta)
+        target = zeta * mat_exp(AlgebraElement.parabolic_normal(params.d1, params.d2,
+                                                                params.c).matrix())
+        scale = max(1.0, float(np.abs(b_mat).max()))
     if float(np.abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL * scale:
-        raise AmbiguousClustering("parabolic normal form residual exceeds tolerance")
-    return NormalForm(cls.kind, cls.subtype, GroupElement(g, ENTRY_GROUP_TOL), b_mat, params)
+        raise AmbiguousClustering(f"{cls.kind.value} normal form residual exceeds tolerance")
+    return NormalForm(cls.kind, cls.subtype, GroupElement._computed(g), b_mat, params)

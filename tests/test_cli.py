@@ -103,12 +103,50 @@ def test_classify_doubled_group_element_is_not_in_group(run, tmp_path):
 
 @pytest.mark.parametrize("command", ["classify", "basin"])
 def test_a_matrix_off_the_group_by_5e9_is_not_in_group(run, tmp_path, command):
-    # a member at the looser entry tolerance of converge, not at GROUP_TOL
+    # a member at the computed-element tolerance 1e-7, not at GROUP_TOL, which
+    # every entry applies to a caller's matrix
     m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
     m[0, 2] += 5e-9
     code, out, err = run([command, _write_json(tmp_path / "m.json", mat3_to_json(m))])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "NotInGroup"
+
+
+def _assert_domain_error(code, out, err, error):
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("command", ["classify", "basin"])
+@pytest.mark.parametrize("l, error", [
+    # the characteristic cubic's closed form would overflow
+    (160, "AmbiguousClustering"),
+    (300, "AmbiguousClustering"),
+    # entries ~1e304 square past the float range: the check cannot decide
+    (700, "NotInGroup"),
+])
+def test_huge_hyperbolic_elements_exit_one(run, tmp_path, command, l, error):
+    m = mat_exp(AlgebraElement.hyperbolic_normal(l, 0.3).matrix())
+    path = _write_json(tmp_path / "m.json", mat3_to_json(m))
+    _assert_domain_error(*run([command, path]), error=error)
+
+
+@pytest.mark.parametrize("diagonal", [(1e308, 1.0, 1.0), (1e300, 1e-300, 1.0)])
+@pytest.mark.parametrize("command", ["classify", "basin"])
+def test_matrices_too_large_for_the_check_are_not_in_group(run, tmp_path, command, diagonal):
+    path = _write_json(tmp_path / "m.json", mat3_to_json(np.diag(diagonal)))
+    _assert_domain_error(*run([command, path]), error="NotInGroup")
+
+
+@pytest.mark.parametrize("algebra", [
+    _algebra_json(b1=1e308, b2=1e308),
+    _algebra_json(b1=1e200),
+    _algebra_json(l1=800 + 0j),
+])
+def test_classify_exp_without_a_finite_exponential_is_not_in_group(run, tmp_path, algebra):
+    path = _write_json(tmp_path / "alg.json", algebra)
+    _assert_domain_error(*run(["classify", path, "--exp"]), error="NotInGroup")
 
 
 def test_classify_three_step_subtype(run, tmp_path):
@@ -357,6 +395,19 @@ def test_lattice_exceptional_accepts_scans_within_the_limit(run):
 def test_replay_rejects_malformed_curve_lists(run, tmp_path, script):
     path = _write_json(tmp_path / "script.json", script)
     _assert_usage_error(*run(["replay", path]), error="input")
+
+
+@pytest.mark.parametrize("script", [
+    # JSON 1e400 parses as inf, which no integer holds
+    '{"initial": {"type": "P2", "curves": {"L": [1]}}, '
+    '"steps": [{"op": "blow_up", "point": "x", "on": [["L", 1e400]]}]}',
+    '{"initial": {"type": "Hirzebruch", "n": 1e400}, "steps": []}',
+    '{"initial": {"type": "P2", "curves": {"L": [1e400]}}, "steps": []}',
+], ids=["on-multiplicity", "initial-n", "curve-coefficient"])
+def test_replay_rejects_infinite_integers(run, tmp_path, script):
+    path = tmp_path / "script.json"
+    path.write_text(script)
+    _assert_usage_error(*run(["replay", str(path)]), error="input")
 
 
 def test_replay_builtin_sigma0(run):

@@ -155,7 +155,7 @@ def _invariant_line_orbits(rng, n):
 
 def _nearest(m, v) -> ProjectivePoint:
     """The limit converge reports when its final iterate is v."""
-    return _nearest_fixed_point(fixed_points(m, tol=1e-7), _pt(v))
+    return _nearest_fixed_point(fixed_points(m), _pt(v))
 
 
 # kind: (orbits, max_iter, tol); the parabolic tolerances keep orbits to a

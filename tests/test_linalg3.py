@@ -102,6 +102,21 @@ def test_cubic_merges_coincident_roots():
     assert abs(roots[2] - 2) < 1e-12
 
 
+@pytest.mark.parametrize("coeffs", [
+    (-1e60, 1.0, -1.0),
+    (0.0, 1e123 + 1e123j, -1.0),
+    (0.0, 0.0, complex(float("nan"), 0.0)),
+])
+def test_cubic_refuses_coefficients_its_closed_form_would_overflow(coeffs):
+    with pytest.raises(AmbiguousClustering):
+        cubic_roots(*coeffs)
+
+
+def test_cubic_accepts_coefficients_up_to_its_range():
+    roots = cubic_roots(-1e50, 0.0, 0.0)
+    assert abs(max(roots, key=abs) - 1e50) <= 1e36
+
+
 def test_eig3_identity():
     data = eig3(np.eye(3))
     assert len(data.pairs) == 1

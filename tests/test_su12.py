@@ -127,19 +127,19 @@ def test_exponential_lands_in_group():
 # one membership check per call ---------------------------------------------------
 
 _HYPERBOLIC = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
-# entry (0, 2) raised by 5e-9: a member at ENTRY_GROUP_TOL, not at GROUP_TOL
+# entry (0, 2) raised by 5e-9: a member at the computed-element tolerance
+# 1e-7, not at GROUP_TOL
 _BAND = _HYPERBOLIC + np.array([[0, 0, 5e-9], [0, 0, 0], [0, 0, 0]])
 
-# public entry: (call, membership checks per call, accepts _BAND)
+# public entry: (call, membership checks per call)
 ENTRIES = {
-    "classify": (classify, 1, False),
-    "fixed_points": (fixed_points, 1, False),
-    "conjugate_to_normal_form": (conjugate_to_normal_form, 2, False),
-    "basin_coverage_check": (lambda a: dynamics.basin_coverage_check(a, samples=20, seed=1),
-                             1, False),
-    "derivative_eigenvalues": (lambda a: derivative_eigenvalues(a, _pt([1, 1, 0])), 1, True),
-    "converge": (lambda a: dynamics.converge(a, _pt([1, 0.2, 0.1])), 1, True),
-    "iterate": (lambda a: dynamics.iterate(a, _pt([1, 0.2, 0.1]), 3), 1, True),
+    "classify": (classify, 1),
+    "fixed_points": (fixed_points, 1),
+    "conjugate_to_normal_form": (conjugate_to_normal_form, 2),
+    "basin_coverage_check": (lambda a: dynamics.basin_coverage_check(a, samples=20, seed=1), 1),
+    "derivative_eigenvalues": (lambda a: derivative_eigenvalues(a, _pt([1, 1, 0])), 1),
+    "converge": (lambda a: dynamics.converge(a, _pt([1, 0.2, 0.1])), 1),
+    "iterate": (lambda a: dynamics.iterate(a, _pt([1, 0.2, 0.1]), 3), 1),
 }
 
 
@@ -147,7 +147,7 @@ ENTRIES = {
 def test_each_entry_checks_membership_once(monkeypatch, entry):
     # conjugate_to_normal_form also checks the conjugator it computes; a
     # GroupElement argument is not checked again
-    call, checks, _ = ENTRIES[entry]
+    call, checks = ENTRIES[entry]
     element = GroupElement(_HYPERBOLIC)
     calls = Counter()
     inner = su12.is_group_member
@@ -165,14 +165,71 @@ def test_each_entry_checks_membership_once(monkeypatch, entry):
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_each_entry_decides_membership_at_its_own_tolerance(entry):
-    call, _, accepts = ENTRIES[entry]
-    assert is_group_member(_BAND, su12.ENTRY_GROUP_TOL)
+    # every entry's tolerance is GROUP_TOL, as is GroupElement's, so all of
+    # them refuse a matrix that only the computed-element tolerance accepts
+    call, _ = ENTRIES[entry]
+    assert is_group_member(_BAND, 1e-7)
     assert not is_group_member(_BAND, su12.GROUP_TOL)
-    if accepts:
+    with pytest.raises(NotInGroup):
         call(_BAND)
-    else:
-        with pytest.raises(NotInGroup):
-            call(_BAND)
+    with pytest.raises(NotInGroup):
+        GroupElement(_BAND)
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([1e308, 1.0, 1.0]),
+    np.diag([1e300, 1e-300, 1.0]),
+    np.diag([1e154, 1e154, 1.0 + 1.0j]),
+    np.diag([np.nan, 1.0, 1.0]),
+    np.diag([np.inf, 1.0, 1.0]),
+    # a member whose entries ~1e304 square past the float range
+    mat_exp(AlgebraElement.hyperbolic_normal(700.0, 0.3).matrix()),
+], ids=["1e308", "1e300-1e-300", "huge-det", "nan", "inf", "l700"])
+def test_membership_check_overflows_to_not_a_member(m):
+    assert not is_group_member(m)
+    with pytest.raises(NotInGroup):
+        GroupElement(m)
+
+
+def test_membership_decides_large_members():
+    # entries ~1e130: the check squares them without overflowing
+    m = mat_exp(AlgebraElement.hyperbolic_normal(300.0, 0.3).matrix())
+    assert np.abs(m).max() > 1e129
+    assert is_group_member(m)
+
+
+@pytest.mark.parametrize("algebra", [
+    AlgebraElement(1e308, 1e308, 0j, 0j, 0j),
+    AlgebraElement(1e200, 0.0, 0j, 0j, 0j),
+    AlgebraElement(1e308, 0.0, 1e308 + 0j, 0j, 0j),
+    AlgebraElement(0.0, 0.0, 800 + 0j, 0j, 0j),
+], ids=["b-sum-inf", "b1-1e200", "row-sum-inf", "l1-800"])
+def test_exp_refuses_an_exponential_that_is_not_finite(algebra):
+    with pytest.raises(NotInGroup):
+        GroupElement.exp(algebra)
+
+
+def test_normal_form_conjugators_are_checked_as_computed_elements():
+    # the inputs pass GROUP_TOL, but some computed conjugators are off by
+    # more than GROUP_TOL relative (draw 0 by 3.0e-9)
+    rng = np.random.default_rng(0)
+    base = mat_exp(AlgebraElement.hyperbolic_normal(8.0, 0.4).matrix())
+    refused = 0
+    for _ in range(20):
+        nf = conjugate_to_normal_form(conjugate(base, random_conjugator(rng)))
+        refused += not is_group_member(nf.conjugator.matrix, su12.GROUP_TOL)
+    assert refused >= 1
+
+
+def test_products_are_checked_as_computed_elements():
+    # nine factors of scale 2: the product's determinant is off by 1e-9
+    # relative, which GROUP_TOL would refuse
+    rng = np.random.default_rng(0)
+    g = GroupElement.exp(random_algebra(rng, 2.0))
+    for _ in range(8):
+        g = g @ GroupElement.exp(random_algebra(rng, 2.0))
+    assert not is_group_member(g.matrix, su12.GROUP_TOL)
+    assert is_group_member(g.matrix, 1e-7)
 
 
 def test_classification_respects_the_group_structure():
