@@ -19,6 +19,7 @@ most MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in
 all (`--samples` plus `--line-samples`, which defaults to samples // 10)
 and a `--max-iter` above MAX_BASIN_ITER, and `lattice exceptional`
 refuses scans of more than MAX_EXCEPTIONAL_LEAVES coefficient vectors.
+JSON true and false are not numbers; a script's integers must be JSON ints.
 """
 
 from __future__ import annotations

@@ -46,25 +46,18 @@ on each side.  Samples left undecided are resolved backward toward p- by
 the same rules; at budgets of a few strides that certifies samples still
 far from p+.
 
-Sampling gives each sample its own counter-based stream, so a report
-depends only on the seed and the sample counts, never on evaluation
-order, and the first n ball (or line) samples are the same for any count
->= n.  Samples read Philox4x64-10 blocks (Salmon et al., SC'11) with key
-[seed mod 2^64, seed >> 64], each word w as the double (w >> 11) * 2^-53.
-Attempt a (from 0) of sample i in stream s (0 for the ball, 1 for the
-lines), with `blocks` blocks per attempt (1 for the ball, 3 for the
-lines), reads block j at the counter words [blocks i + j, a + 1, s, 0],
-least significant first.  The blocks of attempt a of samples i0 .. i1-1
-are therefore contiguous, and a rejection pass over the pending samples
-among them is one random_raw call of numpy's C Philox, started at the
-256-bit counter blocks i0 + (a + 1) 2^64 + s 2^128 less one (numpy steps
-the counter before each block).  A ball attempt reads radius and angle of
-y, then of z, in the chart x = 1.  In a line attempt, words 2k, 2k+1 give
-the complex Gaussian g_k = rho cos phi + i rho sin phi by Box-Muller,
-rho = sqrt(-2 log(1 - u_2k)), phi = 2 pi u_2k+1, and the point is
-alpha p + beta r with r = (g0, g1, g2), alpha = g3, beta = g4 (words 10
-and 11 are unused).  A sample keeps its first accepted attempt.  No numpy
-Generator is built.
+Each sample stream is read in order, so a report depends only on the
+seed and the sample counts, and the first n ball (or line) samples are the
+same for any count >= n.  Stream s (0 for the ball, 1 for the lines) is
+numpy's C Philox4x64-10 (Salmon et al., SC'11) with key
+[seed mod 2^64, seed >> 64] and 256-bit counter s 2^128 (numpy steps the
+counter before each block); each word w is read as the double
+(w >> 11) * 2^-53.  A sample is the next accepted attempt.  A ball attempt
+reads 4 words: radius and angle of y, then of z, in the chart x = 1.  A
+line attempt reads 10 words: words 2k, 2k+1 give the complex Gaussian
+g_k = rho cos phi + i rho sin phi by Box-Muller, rho = sqrt(-2 log(1 - u_2k)),
+phi = 2 pi u_2k+1, and the point is alpha p + beta r with r = (g0, g1, g2),
+alpha = g3, beta = g4.  No numpy Generator is built.
 """
 
 from __future__ import annotations
@@ -196,53 +189,32 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
 _BALL_STREAM, _LINE_STREAM = 0, 1
 _SEED_LIMIT = 1 << 128   # a Philox key is two 64-bit words
-_CHUNK = 1 << 15         # samples per run of rejection passes
-_U11 = np.uint64(11)
+_CHUNK = 1 << 15         # most attempts one batch draws
+_BATCH_SLACK = 16        # attempts a batch draws beyond its share of the missing samples
 
 
-def _pass_words(bit_gen: np.random.Philox, state: dict, stream: int, blocks: int, attempt: int,
-                pending: np.ndarray) -> np.ndarray:
-    """Philox words of one attempt of the pending samples (ascending
-    indices), a 4*blocks x len(pending) uint64 array with the words of each
-    sample in block order.  The blocks of samples pending[0] .. pending[-1]
-    have contiguous counters (layout in the module docstring), so they come
-    from one draw of the numpy Philox bit_gen.  state is a state of bit_gen
-    with the seed's key and an empty buffer; the pass sets its counter."""
-    i0 = int(pending[0])
-    count = int(pending[-1]) + 1 - i0
-    # numpy steps the counter before each block, so it starts one block early
-    start = blocks * i0 + ((attempt + 1) << 64) + (stream << 128) - 1
-    state["state"]["counter"] = np.frombuffer(start.to_bytes(32, "little"), dtype="<u8")
-    bit_gen.state = state
-    words = bit_gen.random_raw(4 * blocks * count)
-    return words.reshape(count, 4 * blocks)[pending - i0].T
-
-
-def _rejection_samples(seed: int, stream: int, blocks: int, draw, out: np.ndarray) -> None:
+def _rejection_samples(seed: int, stream: int, words: int, draw, out: np.ndarray) -> None:
     """Write samples 0..n-1 of a stream into the 3 x n complex array out,
-    with `blocks` Philox blocks per attempt (layout in the module docstring).
+    with `words` Philox words per attempt (layout in the module docstring).
 
-    draw maps the uniforms of a pass, one array per word in block order,
-    to an acceptance mask and the 3 x m candidate points.  Samples are
-    taken _CHUNK at a time, which bounds the memory of a pass.  Pass a
-    runs attempt a of every pending sample of the chunk: its words are one
-    bulk draw of numpy's C Philox over the counters of the first to the
-    last pending sample, of which the pending ones are kept.  One bit
-    generator serves every pass: setting its counter is cheaper than
-    building one, which also reads OS entropy that a keyed Philox never uses.
+    draw maps the uniforms of a batch of attempts, one array per word, to an
+    acceptance mask and the 3 x m candidate points.  A batch is one
+    random_raw call: one attempt per missing sample at first, then twice
+    the missing count, plus _BATCH_SLACK and at most _CHUNK attempts, which
+    bounds its memory.  Accepted points fill out in stream order; the rest
+    of the last batch is dropped.
     """
     n = out.shape[1]
-    bit_gen = np.random.Philox(key=seed)
-    state = bit_gen.state  # the key, and the empty buffer of a new generator
-    for start in range(0, n, _CHUNK):
-        pending = np.arange(start, min(n, start + _CHUNK))
-        attempt = 0
-        while pending.size:
-            words = _pass_words(bit_gen, state, stream, blocks, attempt, pending)
-            ok, points = draw((words >> _U11) * 2.0 ** -53)
-            out[:, pending[ok]] = points[:, ok]
-            pending = pending[~ok]
-            attempt += 1
+    bit_gen = np.random.Philox(key=seed, counter=stream << 128)
+    filled, per_missing = 0, 1
+    while filled < n:
+        batch = min(per_missing * (n - filled) + _BATCH_SLACK, _CHUNK)
+        raw = bit_gen.random_raw(words * batch).reshape(batch, words).T
+        ok, points = draw((raw >> 11) * 2.0 ** -53)
+        kept = np.flatnonzero(ok)[:n - filled]
+        out[:, filled:filled + kept.size] = points[:, kept]
+        filled += kept.size
+        per_missing = 2
 
 
 def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -268,8 +240,8 @@ def _ball_points(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ball_samples(seed: int, out: np.ndarray) -> None:
     """Write ball samples 0..n-1 of the seed into the 3 x n complex array out:
-    one block per attempt, kept when |y|^2 + |z|^2 < 1."""
-    _rejection_samples(seed, _BALL_STREAM, 1, _ball_points, out)
+    four words per attempt, kept when |y|^2 + |z|^2 < 1."""
+    _rejection_samples(seed, _BALL_STREAM, 4, _ball_points, out)
 
 
 def _box_muller(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +286,7 @@ def _line_samples(seed: int, out: np.ndarray, p_vec: np.ndarray, tangent_dual: n
             points.real[j], points.imag[j] = re, im
         return ok, points
 
-    _rejection_samples(seed, _LINE_STREAM, 3, draw, out)
+    _rejection_samples(seed, _LINE_STREAM, 10, draw, out)
 
 
 def _sample_points(seed: int, samples: int, line_samples: int, p_vec: np.ndarray,

@@ -32,7 +32,8 @@ def complex_from_json(obj) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InputFormatError(f"expected [re, im], got {obj!r}")
     re, im = obj
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # exact types: JSON true and false load as bool, a subclass of int
+    if type(re) not in (int, float) or type(im) not in (int, float):
         raise InputFormatError(f"complex parts must be numbers, got {obj!r}")
     return complex(re, im)
 
@@ -67,7 +68,7 @@ def algebra_from_json(obj) -> AlgebraElement:
     try:
         b1 = obj["b1"]
         b2 = obj["b2"]
-        if not isinstance(b1, (int, float)) or not isinstance(b2, (int, float)):
+        if type(b1) not in (int, float) or type(b2) not in (int, float):
             raise InputFormatError("b1 and b2 must be real numbers")
         return AlgebraElement(
             b1=float(b1),

@@ -322,21 +322,28 @@ def builtin_sigma_chain(k: int) -> Script:
 
 # JSON schema -------------------------------------------------------------------
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # a float, a string or true/false is refused, not rounded
+        raise InputFormatError(f"malformed script: {what} must be an integer, got {value!r}")
+    return value
+
+
 def script_from_json(obj: dict) -> Script:
     """Parse {"initial": {...}, "steps": [...]} into a Script."""
     try:
         init = obj["initial"]
         kind = init["type"]
-        n = int(init.get("n", 0))
+        n = _integer(init.get("n", 0), '"n"')
         named = init.get("curves", {})
         if not isinstance(named, dict):
             raise InputFormatError('malformed script: "curves" must map names to coefficients')
-        curves = tuple((str(name), tuple(int(c) for c in coeffs)) for name, coeffs in named.items())
+        curves = tuple((str(name), tuple(_integer(c, "a curve coefficient") for c in coeffs))
+                       for name, coeffs in named.items())
         steps: list[Step] = []
         for raw in obj["steps"]:
             op = raw["op"]
             if op == "blow_up":
-                on = tuple((str(c), int(m)) for c, m in raw.get("on", []))
+                on = tuple((str(c), _integer(m, "a multiplicity")) for c, m in raw.get("on", []))
                 name = raw.get("name")
                 steps.append(BlowUpStep(point=str(raw["point"]), on=on,
                                         name=str(name) if name is not None else None))
@@ -360,7 +367,7 @@ def script_from_json(obj: dict) -> Script:
                 )
             else:
                 raise InputFormatError(f"unknown script op {op!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed script: {exc}") from exc
     return Script(InitialSurface(kind=kind, n=n, curves=curves), tuple(steps))
 

@@ -199,7 +199,8 @@ class GroupElement:
     def exp(cls, algebra: AlgebraElement) -> "GroupElement":
         """exp(algebra); NotInGroup when it or its exponential is not finite."""
         a = algebra.matrix()
-        return cls._computed(mat_exp(a) if np.isfinite(a).all() else a)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
+            return cls._computed(mat_exp(a) if np.isfinite(a).all() else a)
 
     def inverse(self) -> "GroupElement":
         # A^-1 = J A^dagger J for members of the group
@@ -535,7 +536,7 @@ class NormalForm:
     params: HyperbolicParams | ParabolicParams
 
 
-# bound on max|G A G^-1 - normal form|, times max(1, max|G A G^-1|) for parabolics
+# bound on max|G A G^-1 - normal form|, relative to max(1, max|G A G^-1|)
 _NORMAL_FORM_RESIDUAL_TOL = 1e-7
 _MODEL_FRAME = np.array([[1, 1, 0], [1, -1, 0], [0, 0, 1]], dtype=complex)
 
@@ -625,7 +626,6 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL) -> NormalForm:
         lam = cls.attractive.eigenvalue
         params = HyperbolicParams(l=math.log(abs(lam)), b=cmath.phase(lam))
         target = mat_exp(AlgebraElement.hyperbolic_normal(params.l, params.b).matrix())
-        scale = 1.0
     else:
         p = cls.attractive.point.vector
         g = _frame_transport(p, *_complete_null_frame(p))
@@ -635,7 +635,7 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL) -> NormalForm:
                                  c=complex(alg[1, 2]), central_phase=zeta)
         target = zeta * mat_exp(AlgebraElement.parabolic_normal(params.d1, params.d2,
                                                                 params.c).matrix())
-        scale = max(1.0, float(np.abs(b_mat).max()))
+    scale = max(1.0, float(np.abs(b_mat).max()))
     if float(np.abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL * scale:
         raise AmbiguousClustering(f"{cls.kind.value} normal form residual exceeds tolerance")
     return NormalForm(cls.kind, cls.subtype, GroupElement._computed(g), b_mat, params)

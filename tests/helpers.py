@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import count, product
+from itertools import product
 
 import numpy as np
 
@@ -74,40 +74,36 @@ def random_element(rng: np.random.Generator, kind: str) -> np.ndarray:
     return conjugate(m, random_conjugator(rng, 0.8))
 
 
-# scalar references for basin sampling: one numpy Philox per attempt of a
-# sample, started one block before the attempt's first counter
-# [blocks * index, attempt + 1, stream, 0]
+# scalar references for basin sampling: stream s is one numpy Philox keyed
+# by the seed at counter s * 2^128, read one attempt at a time
 
-def sample_rng(seed: int, stream: int, index: int, attempt: int,
-               blocks: int = 1) -> np.random.Philox:
-    counter = blocks * index + ((attempt + 1) << 64) + (stream << 128)
-    return np.random.Philox(key=seed, counter=counter - 1)
+def sample_stream(seed: int, stream: int) -> np.random.Philox:
+    return np.random.Philox(key=seed, counter=stream << 128)
 
-
-def unit_disc(rng: np.random.Generator) -> complex:
-    r = np.sqrt(rng.uniform())
-    phi = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(r * np.cos(phi), r * np.sin(phi))
-
-
-def ball_sample(seed: int, index: int) -> np.ndarray:
-    """Ball sample `index` of the seed: each attempt draws one uniform at a
-    time from a numpy Generator on its own block."""
-    # the ball {Q < 0} lies inside the affine chart x = 1
-    for attempt in count():
-        rng = np.random.Generator(sample_rng(seed, 0, index, attempt))
-        y = unit_disc(rng)
-        z = unit_disc(rng)
-        if abs(y) ** 2 + abs(z) ** 2 < 1.0:
-            return np.array([1.0, y, z], dtype=complex)
-
-
-# line sampling: numpy's own Philox words, three blocks per attempt,
-# Box-Muller and the acceptance tests on numpy scalars
 
 def _uniforms(words) -> list[np.float64]:
     return [np.float64((int(w) >> 11) * 2.0 ** -53) for w in words]
 
+
+def unit_disc(u_radius: np.float64, u_angle: np.float64) -> complex:
+    r = np.sqrt(u_radius)
+    phi = 2.0 * np.pi * u_angle
+    return complex(r * np.cos(phi), r * np.sin(phi))
+
+
+def ball_sample(bit_gen: np.random.Philox) -> np.ndarray:
+    """The next ball sample of the stream bit_gen: attempt after attempt of
+    4 words, kept when |y|^2 + |z|^2 < 1."""
+    # the ball {Q < 0} lies inside the affine chart x = 1
+    while True:
+        u = _uniforms(bit_gen.random_raw(4))
+        y = unit_disc(u[0], u[1])
+        z = unit_disc(u[2], u[3])
+        if abs(y) ** 2 + abs(z) ** 2 < 1.0:
+            return np.array([1.0, y, z], dtype=complex)
+
+
+# line sampling: Box-Muller and the acceptance tests on numpy scalars
 
 def _gaussian(u_radius: np.float64, u_angle: np.float64) -> tuple[np.float64, np.float64]:
     rho = np.sqrt(-2.0 * np.log(1.0 - u_radius))
@@ -115,14 +111,14 @@ def _gaussian(u_radius: np.float64, u_angle: np.float64) -> tuple[np.float64, np
     return rho * np.cos(phi), rho * np.sin(phi)
 
 
-def line_sample(seed: int, index: int, p_vec: np.ndarray, dual: np.ndarray,
+def line_sample(bit_gen: np.random.Philox, p_vec: np.ndarray, dual: np.ndarray,
                 angle_tol: float = 1e-6) -> np.ndarray:
-    """Line sample `index` of the seed: attempt after attempt of 12 words,
-    r = (g0, g1, g2), alpha = g3, beta = g4, kept when |r| >= 1e-8,
+    """The next line sample of the stream bit_gen: attempt after attempt of
+    10 words, r = (g0, g1, g2), alpha = g3, beta = g4, kept when |r| >= 1e-8,
     |<dual, r>| > angle_tol |dual| |r| and |alpha p + beta r| > 1e-8."""
     l_norm = float(np.linalg.norm(dual))
-    for attempt in count():
-        u = _uniforms(sample_rng(seed, 1, index, attempt, blocks=3).random_raw(12))
+    while True:
+        u = _uniforms(bit_gen.random_raw(10))
         g = [_gaussian(u[2 * k], u[2 * k + 1]) for k in range(5)]
         (a_re, a_im), (b_re, b_im) = g[3], g[4]
         d_re = d_im = r2 = x2 = 0.0

@@ -410,6 +410,39 @@ def test_replay_rejects_infinite_integers(run, tmp_path, script):
     _assert_usage_error(*run(["replay", str(path)]), error="input")
 
 
+@pytest.mark.parametrize("value", [1.9, 2.0, "1", True], ids=["fraction", "float", "string", "true"])
+@pytest.mark.parametrize("field", ["on-multiplicity", "initial-n", "curve-coefficient"])
+def test_replay_rejects_integers_that_are_not_json_integers(run, tmp_path, field, value):
+    # int() would round 1.9 to 1 and take "1" and true as 1
+    initial = {"type": "P2", "curves": {"L": [1]}}
+    steps = [{"op": "blow_up", "point": "x", "on": [["L", 1]]}]
+    if field == "on-multiplicity":
+        steps[0]["on"] = [["L", value]]
+    elif field == "initial-n":
+        initial = {"type": "Hirzebruch", "n": value}
+        steps = []
+    else:
+        initial["curves"] = {"L": [value]}
+    path = _write_json(tmp_path / "script.json", {"initial": initial, "steps": steps})
+    _assert_usage_error(*run(["replay", path]), error="input")
+
+
+@pytest.mark.parametrize("field", ["matrix", "b1", "b2", "l1", "c"])
+def test_classify_rejects_json_booleans_as_numbers(run, tmp_path, field):
+    # JSON true loads as a Python bool, which is an int
+    if field == "matrix":
+        path = _write_json(tmp_path / "m.json", [[[True, False]] * 3] * 3)
+        argv = ["classify", path]
+    else:
+        algebra = _algebra_json()
+        if field in ("b1", "b2"):
+            algebra[field] = True
+        else:
+            algebra[field] = [True, 0.0]
+        argv = ["classify", _write_json(tmp_path / "alg.json", algebra), "--exp"]
+    _assert_usage_error(*run(argv), error="input")
+
+
 def test_replay_builtin_sigma0(run):
     code, out, _ = run(["replay", "--builtin", "sigma0"])
     assert code == 0

@@ -328,8 +328,8 @@ def test_basin_counts_are_disjoint_partition():
 
 
 def test_basin_path_builds_one_philox_per_stream_and_no_generator(monkeypatch):
-    # nothing is built per sample or per pass: each rejection pass makes one
-    # bulk draw from the stream's numpy Philox, and no numpy Generator is built
+    # nothing is built per sample or per batch: each stream is one numpy
+    # Philox read in order, and no numpy Generator is built
     def refuse(*args, **kwargs):
         raise AssertionError("numpy Generator built on the basin path")
 

@@ -1,10 +1,11 @@
-"""Basin sampling streams: the bulk Philox passes against numpy's Philox
-built per sample and attempt, and the sampled laws.
+"""Basin sampling streams: the bulk sampler against scalar references
+that read the same stream one attempt at a time, the words each stream
+draws, and the sampled laws.
 
-Attempt a of sample i in stream s reads its blocks at the counters
-[blocks * i + j, a + 1, s, 0], so one pass over the pending samples is one
-contiguous draw of numpy's Philox; the scalar references in helpers build
-one numpy Philox per attempt instead.
+Stream s is one numpy Philox keyed by the seed at counter s * 2^128; a
+sample is the next accepted attempt, of 4 words on the ball and 10 on a
+line.  The bulk sampler reads whole batches of attempts and drops what it
+reads past the last sample.
 """
 
 import numpy as np
@@ -12,52 +13,35 @@ import pytest
 from scipy import stats
 
 from cp2lab import AlgebraElement, dynamics, mat_exp
-from cp2lab.dynamics import _CHUNK, _ball_samples, _pass_words, _sample_points
+from cp2lab.dynamics import _ball_samples, _sample_points
 from cp2lab.su12 import classify, tangent_line
 
-from helpers import ball_sample, line_sample
+from helpers import ball_sample, line_sample, sample_stream
 
 
 def _same_bits(x, y):
     return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-SEEDS = [0, 1, 2**64 - 1, 2**64 + 3, 2**128 - 1]
+class CountingPhilox(np.random.Philox):
+    """numpy's Philox, counting the words drawn through random_raw."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.words = 0
+
+    def random_raw(self, size=None, output=True):
+        self.words += 1 if size is None else int(np.prod(size))
+        return super().random_raw(size, output)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("stream", [0, 1])
-def test_philox_blocks_match_numpy_stream(seed, stream):
-    # the words of a pass are numpy Philox blocks at the layout's counters;
-    # index 0 starts its Philox at a counter that borrows from the attempt
-    # word, and the chunk-boundary and >= 2^32 indices leave gaps in the pass.
-    # One bit generator and its first state serve every pass, since
-    # _pass_words sets the counter and draws whole blocks
-    blocks = (1, 3)[stream]
-    pending = np.array([0, 1, 4, _CHUNK - 2, _CHUNK - 1, _CHUNK, _CHUNK + 3,
-                        2**32 - 1, 2**32, 2**32 + 5])
-    bit_gen = np.random.Philox(key=seed)
-    state = bit_gen.state
-    for attempt in (0, 5):
-        for part in (pending[:7], pending[3:7], pending[7:]):
-            words = _pass_words(bit_gen, state, stream, blocks, attempt, part)
-            assert words.shape == (4 * blocks, part.size)
-            for column, i in zip(words.T, part.tolist()):
-                # numpy's Philox steps its counter before each block, so it
-                # starts at the word list of the counter one block earlier
-                before = ([blocks * i - 1, attempt + 1, stream, 0] if i
-                          else [2**64 - 1, attempt, stream, 0])
-                expected = np.random.Philox(key=seed, counter=np.array(before, dtype=np.uint64)
-                                            ).random_raw(4 * blocks)
-                np.testing.assert_array_equal(column, expected)
-
-
-@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5])
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, 2**128 - 1])
 def test_ball_samples_bitwise_equal_scalar_reference(seed):
     n = 5000
     got = np.empty((3, n), dtype=complex)
     _ball_samples(seed, got)
-    expected = np.column_stack([ball_sample(seed, i) for i in range(n)])
+    stream = sample_stream(seed, 0)
+    expected = np.column_stack([ball_sample(stream) for _ in range(n)])
     assert _same_bits(got, expected)
 
 
@@ -108,22 +92,24 @@ def test_line_samples_bitwise_equal_scalar_reference(seed):
     p_vec, dual = _line_data()
     n = 600
     got = _sample_points(seed, 0, n, p_vec, dual)
-    expected = np.column_stack([line_sample(seed, i, p_vec, dual) for i in range(n)])
+    stream = sample_stream(seed, 1)
+    expected = np.column_stack([line_sample(stream, p_vec, dual) for _ in range(n)])
     assert _same_bits(got, expected)
 
 
 def test_line_samples_retry_rejected_attempts(monkeypatch):
     # at angle tolerance 0.5 about 44% of the attempts fall too close to
-    # the tangent line, so many samples come from their second or later attempt
+    # the tangent line, so the stream reads many more attempts than samples
     p_vec, dual = _line_data()
     n = 500
-    first_try = _sample_points(3, 0, n, p_vec, dual)
     monkeypatch.setattr(dynamics, "LINE_ANGLE_TOL", 0.5)
     got = _sample_points(3, 0, n, p_vec, dual)
-    expected = np.column_stack([line_sample(3, i, p_vec, dual, angle_tol=0.5) for i in range(n)])
+    stream = CountingPhilox(key=3, counter=1 << 128)
+    expected = np.column_stack([line_sample(stream, p_vec, dual, angle_tol=0.5)
+                                for _ in range(n)])
     assert _same_bits(got, expected)
-    moved = (got != first_try).any(axis=0).sum()
-    assert n // 4 < moved < n // 2 + n // 10
+    attempts = stream.words // 10
+    assert 1.5 * n < attempts < 2.2 * n
 
 
 def test_samples_do_not_depend_on_chunking(monkeypatch):
@@ -131,3 +117,35 @@ def test_samples_do_not_depend_on_chunking(monkeypatch):
     whole = _sample_points(23, 300, 40, p_vec, dual)
     monkeypatch.setattr(dynamics, "_CHUNK", 7)
     assert _same_bits(_sample_points(23, 300, 40, p_vec, dual), whole)
+
+
+def test_seeds_differing_in_the_high_key_word_give_different_samples():
+    # the key is [seed mod 2^64, seed >> 64]: seeds s and s + 2^64 share the
+    # low word only
+    p_vec, dual = _line_data()
+    for seed in (0, 5, 2**64 - 1):
+        low = _sample_points(seed, 200, 20, p_vec, dual)
+        high = _sample_points(seed + 2**64, 200, 20, p_vec, dual)
+        assert (low != high).any(axis=0).all()
+
+
+@pytest.mark.parametrize("seed", [0, 419])
+def test_samplers_draw_little_beyond_the_attempts_they_consume(monkeypatch, seed):
+    # the scalar references read exactly the attempts up to the last
+    # accepted one; the bulk sampler may read at most half as much again
+    p_vec, dual = _line_data()
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(CountingPhilox(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    points = _sample_points(seed, 1000, 100, p_vec, dual)
+    ball, line = built
+    ball_ref, line_ref = CountingPhilox(key=seed), CountingPhilox(key=seed, counter=1 << 128)
+    expected = np.column_stack([ball_sample(ball_ref) for _ in range(1000)]
+                               + [line_sample(line_ref, p_vec, dual) for _ in range(100)])
+    assert _same_bits(points, expected)
+    assert ball.words <= 1.5 * ball_ref.words
+    assert line.words <= 1.5 * line_ref.words

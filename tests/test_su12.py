@@ -552,6 +552,17 @@ def test_normal_form_recovers_hyperbolic_parameters():
         assert np.abs(nf.matrix - target).max() < 1e-7
 
 
+def test_normal_form_residual_is_relative_for_large_hyperbolics():
+    # entries of G A G^-1 reach 1.5e3 at l = 8, so the residual of a right
+    # normal form can exceed 1e-7 absolute (draw 63 by 2.5e-7)
+    rng = np.random.default_rng(0)
+    base = mat_exp(AlgebraElement.hyperbolic_normal(8.0, 0.4).matrix())
+    for _ in range(100):
+        nf = conjugate_to_normal_form(conjugate(base, random_conjugator(rng)))
+        assert abs(nf.params.l - 8.0) < 1e-14
+        assert abs(nf.params.projective_phase - 0.4) < 1e-14
+
+
 def test_normal_form_projective_phase_window():
     nf = conjugate_to_normal_form(mat_exp(AlgebraElement.hyperbolic_normal(0.5, 3.0).matrix()))
     third = 2 * math.pi / 3
