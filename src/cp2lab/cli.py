@@ -11,14 +11,14 @@ object on stderr and nothing on stdout.  A classification decision the
 tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
 location) exits 1 with error "AmbiguousClustering"; a matrix too large for
 the membership check to decide, or a `--exp` element whose exponential is
-not finite, exits 1 with "NotInGroup".  --tol sets classify's
-tolerances and does not affect basin; CP2LAB_TOL, when set, supplies its
-default.  Both must be a finite number > 0.  Counts, indices and bounds
-must be non-negative, blow-up counts (`--blowups`, and `replay --k`) at
-most MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in
-all (`--samples` plus `--line-samples`, which defaults to samples // 10)
-and a `--max-iter` above MAX_BASIN_ITER, and `lattice exceptional`
-refuses scans of more than MAX_EXCEPTIONAL_LEAVES coefficient vectors.
+not finite, exits 1 with "NotInGroup".  --tol maps to classify(tol=) and
+does not affect basin; CP2LAB_TOL, when set, supplies its default.  Both
+must pass linalg3.check_tol.  Counts, indices and bounds must be
+non-negative, blow-up counts (`--blowups`, and `replay --k`) at most
+MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in all
+(`--samples` plus `--line-samples`, which defaults to samples // 10) and a
+`--max-iter` above MAX_BASIN_ITER, and `lattice exceptional` refuses scans
+of more than MAX_EXCEPTIONAL_LEAVES coefficient vectors.
 JSON true and false are not numbers; a script's integers must be JSON ints.
 """
 
@@ -27,13 +27,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import dynamics, jsonio, lattice, replay, su12
+from . import dynamics, jsonio, lattice, linalg3, replay, su12
 from .errors import Cp2LabError, AssertionFailed, InputFormatError
 
 ENV_TOL = "CP2LAB_TOL"
@@ -62,14 +61,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """Tolerance from --tol or CP2LAB_TOL: a finite number > 0."""
+    """Tolerance from --tol or CP2LAB_TOL, checked by linalg3.check_tol."""
     try:
-        value = float(text)
+        return linalg3.check_tol(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number > 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite number > 0, got {text!r}") from None
 
 
 def _count(text: str) -> int:
@@ -101,11 +98,13 @@ def _parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify a group element")
+    p_classify.set_defaults(run=_cmd_classify)
     p_classify.add_argument("input", help="JSON file: 3x3 matrix, or algebra element with --exp")
     p_classify.add_argument("--exp", action="store_true",
                             help="input is an algebra element; exponentiate it first")
 
     p_basin = sub.add_parser("basin", help="basin coverage report")
+    p_basin.set_defaults(run=_cmd_basin)
     p_basin.add_argument("input", help="JSON file with a 3x3 matrix")
     p_basin.add_argument("--samples", type=int, default=1000)
     p_basin.add_argument("--line-samples", type=int, default=None)
@@ -113,6 +112,7 @@ def _parser() -> _Parser:
     p_basin.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_MAX_ITER)
 
     p_lattice = sub.add_parser("lattice", help="exact lattice queries")
+    p_lattice.set_defaults(run=_cmd_lattice)
     lat_sub = p_lattice.add_subparsers(dest="lattice_command", required=True)
 
     p_hirz = lat_sub.add_parser("hirzebruch", help="Hirzebruch surface lattice queries")
@@ -131,6 +131,7 @@ def _parser() -> _Parser:
     group.add_argument("--hirzebruch", type=_count, help="Hirzebruch surface index")
 
     p_replay = sub.add_parser("replay", help="run a construction script")
+    p_replay.set_defaults(run=_cmd_replay)
     p_replay.add_argument("script", nargs="?", help="script JSON file")
     p_replay.add_argument("--builtin", choices=["sigma0", "sigma2", "sigma-steps", "standard"],
                           help="run a built-in script instead of a file")
@@ -155,9 +156,7 @@ def _cmd_classify(args) -> dict:
         a = su12.GroupElement.exp(jsonio.algebra_from_json(obj))
     else:
         a = jsonio.mat3_from_json(obj)
-    tols = ("unit_tol", "merge_tol", "boundary_tol")
-    cls = su12.classify(a, **({} if args.tol is None else dict.fromkeys(tols, args.tol)))
-    return jsonio.classification_report(cls)
+    return jsonio.classification_report(su12.classify(a, tol=args.tol))
 
 
 def _cmd_basin(args) -> dict:
@@ -205,13 +204,12 @@ def _cmd_lattice(args):
             )
         classes = lattice.enumerate_exceptional_classes(_blown_up_plane(args.blowups), args.bound)
         return [list(d.coeffs) for d in classes]
-    if args.lattice_command == "signature":
-        if args.blowups is not None:
-            lat = _blown_up_plane(args.blowups)
-        else:
-            lat = lattice.hirzebruch_lattice(args.hirzebruch)
-        return {"rank": lat.rank, "signature": list(lat.signature())}
-    raise _UsageError(f"unknown lattice subcommand {args.lattice_command!r}")
+    # signature, the one subcommand left
+    if args.blowups is not None:
+        lat = _blown_up_plane(args.blowups)
+    else:
+        lat = lattice.hirzebruch_lattice(args.hirzebruch)
+    return {"rank": lat.rank, "signature": list(lat.signature())}
 
 
 def _cmd_replay(args) -> dict:
@@ -257,16 +255,7 @@ def main(argv=None) -> int:
         # floating-point warnings are silenced for this call only, leaving the
         # caller's numpy error state as it was
         with np.errstate(all="ignore"):
-            if args.command == "classify":
-                payload = _cmd_classify(args)
-            elif args.command == "basin":
-                payload = _cmd_basin(args)
-            elif args.command == "lattice":
-                payload = _cmd_lattice(args)
-            elif args.command == "replay":
-                payload = _cmd_replay(args)
-            else:
-                raise _UsageError(f"unknown command {args.command!r}")
+            payload = args.run(args)
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2

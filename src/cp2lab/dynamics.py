@@ -62,14 +62,13 @@ alpha = g3, beta = g4.  No numpy Generator is built.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotNonElliptic
-from .linalg3 import ProjectivePoint, _canonical, _chordal, chordal_distance
+from .linalg3 import ProjectivePoint, _canonical, _chordal, check_tol, chordal_distance
 from .su12 import (
     J,
     FixedPointData,
@@ -163,13 +162,12 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
 
     On success the reported limit is the fixed point of A nearest to the
     final iterate; iterations counts the steps taken before the stopping
-    test fired.  Raises ValueError unless tol is finite and > 0, and
+    test fired.  Raises ValueError unless tol passes check_tol, and
     NotInGroup unless a is a member at GROUP_TOL.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    check_tol(tol)
     g = _as_group_element(a)
     data = fixed_points(g)
     rows = g.matrix.tolist()

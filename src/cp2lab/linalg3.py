@@ -37,6 +37,13 @@ EXP_SERIES_TERMS = 20  # truncation order of the scaled exponential series
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
 
 
+def check_tol(value: float) -> float:
+    """value itself if it is a finite number > 0, the one rule for every tolerance."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {value!r}")
+    return value
+
+
 def as_mat3(m) -> np.ndarray:
     """Coerce to a finite complex 3x3 array."""
     a = np.asarray(m, dtype=complex)
@@ -84,8 +91,9 @@ def char_poly(m) -> tuple[complex, complex, complex]:
 
 # cubic solver ---------------------------------------------------------------
 
-def _merge_close(roots: list[complex], tol: float) -> list[complex]:
-    """Average clusters of roots that sit within tol of each other."""
+def _merge_close(roots: list[complex], merge_tol: float) -> tuple[complex, complex, complex]:
+    """Roots averaged over clusters within merge_tol * max(1, max|root|), sorted by (re, im)."""
+    tol = merge_tol * max(1.0, max(abs(r) for r in roots))
     ordered = sorted(roots, key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = [[ordered[0]]]
     for z in ordered[1:]:
@@ -98,7 +106,8 @@ def _merge_close(roots: list[complex], tol: float) -> list[complex]:
     for group in clusters:
         mean = sum(group) / len(group)
         merged.extend([mean] * len(group))
-    return merged
+    merged.sort(key=lambda z: (z.real, z.imag))
+    return (merged[0], merged[1], merged[2])
 
 
 def _cubic_eval(x: complex, c2: complex, c1: complex, c0: complex) -> complex:
@@ -163,16 +172,14 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
     (scaled by the root magnitude) are averaged into a repeated root.
     Raises AmbiguousClustering on a coefficient beyond _CUBIC_RANGE.
     """
+    check_tol(merge_tol)
     c2, c1, c0 = complex(c2), complex(c1), complex(c0)
     if not all(abs(z.real) + abs(z.imag) <= _CUBIC_RANGE for z in (c2, c1, c0)):
         raise AmbiguousClustering("characteristic polynomial too large for its closed-form roots")
 
     refined = _refine_multiple_roots(c2, c1, c0)
     if refined is not None:
-        tol = merge_tol * max(1.0, max(abs(r) for r in refined))
-        merged = _merge_close(refined, tol)
-        merged.sort(key=lambda z: (z.real, z.imag))
-        return (merged[0], merged[1], merged[2])
+        return _merge_close(refined, merge_tol)
 
     shift = c2 / 3.0
     p = c1 - c2 * c2 / 3.0
@@ -211,11 +218,7 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
         fp = (3.0 * x + 2.0 * c2) * x + c1
         if abs(fp) > 1e-30:
             roots[i] = x - f / fp
-
-    tol = merge_tol * max(1.0, max(abs(r) for r in roots))
-    merged = _merge_close(roots, tol)
-    merged.sort(key=lambda z: (z.real, z.imag))
-    return (merged[0], merged[1], merged[2])
+    return _merge_close(roots, merge_tol)
 
 
 # projective points ----------------------------------------------------------
@@ -331,14 +334,14 @@ def _cross(u, v) -> tuple[complex, complex, complex]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _rank_and_null(m: np.ndarray, rtol: float, scale_ref: float | None = None):
+def _rank_and_null(m: np.ndarray, scale_ref: float | None = None):
     """Rank of a 3x3 matrix and a basis of its numerical null space.
 
     The pivots are those of full-pivot elimination: the largest entry, then
     the largest entry of the other two rows once eliminated against the
     first pivot's row, then |det| / (p1 p2).  A pivot counts toward the rank
-    when its modulus exceeds rtol times the reference scale (by default the
-    largest entry).  The null direction is the cross product of the pivot
+    when its modulus exceeds PIVOT_RTOL times the reference scale (by default
+    the largest entry).  The null direction is the cross product of the pivot
     row and the stronger eliminated row at rank 2, and is solved from the
     pivot row at rank 1; rank 0 gives the identity basis.  Returns
     (rank, basis) with the basis vectors as tuples, not normalised.
@@ -346,7 +349,7 @@ def _rank_and_null(m: np.ndarray, rtol: float, scale_ref: float | None = None):
     rows = m.tolist()
     mods = [abs(z) for row in rows for z in row]
     p1 = max(mods)
-    thresh = rtol * max(p1 if scale_ref is None else scale_ref, 1e-300)
+    thresh = PIVOT_RTOL * max(p1 if scale_ref is None else scale_ref, 1e-300)
     if p1 <= thresh:
         return 0, [(1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)]
     i, j = divmod(mods.index(p1), 3)
@@ -409,13 +412,13 @@ def _root_groups(roots) -> list[tuple[complex, int]]:
     return groups
 
 
-def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> EigenData:
+def eig3(m, merge_tol: float = MERGE_TOL) -> EigenData:
     """Eigenvalues from the characteristic cubic, eigenvectors from null spaces.
 
     Roots closer than merge_tol are one eigenvalue; its directions span the
-    null space of a - value I found by _rank_and_null at pivot_rtol.
-    Raises AmbiguousClustering when an eigenvalue has no null direction,
-    since pivot_rtol then cannot settle the rank of a - value I.
+    null space of a - value I found by _rank_and_null at PIVOT_RTOL.
+    Raises AmbiguousClustering when an eigenvalue has no null direction
+    there, and ValueError unless merge_tol passes check_tol.
     """
     a = as_mat3(m)
     c2, c1, c0 = char_poly(a)
@@ -424,10 +427,10 @@ def eig3(m, merge_tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> Eig
     pairs = []
     eye = np.eye(3, dtype=complex)
     for value, mult in _root_groups(roots):
-        _, basis = _rank_and_null(a - value * eye, pivot_rtol)
+        _, basis = _rank_and_null(a - value * eye)
         if not basis:
             raise AmbiguousClustering(
-                f"no null direction found for eigenvalue {value:.6g} at pivot tolerance {pivot_rtol:g}"
+                f"no null direction found for eigenvalue {value:.6g} at pivot tolerance {PIVOT_RTOL:g}"
             )
         vectors = tuple(ProjectivePoint.from_vector(v) for v in basis)
         pairs.append(EigenPair(value, mult, vectors))
@@ -442,27 +445,26 @@ class JordanShape:
     eigenvalues: tuple[complex, ...]
     blocks: tuple[tuple[int, ...], ...]
 
-    def for_eigenvalue(self, value: complex, tol: float = 1e-6) -> tuple[int, ...]:
+    def for_eigenvalue(self, value: complex) -> tuple[int, ...]:
         for ev, blk in zip(self.eigenvalues, self.blocks):
-            if abs(ev - value) <= tol * max(1.0, abs(ev)):
+            if abs(ev - value) <= 1e-6 * max(1.0, abs(ev)):
                 return blk
         raise KeyError(f"{value} is not an eigenvalue of this shape")
 
 
-def jordan_shape(m, tol: float = MERGE_TOL, pivot_rtol: float = PIVOT_RTOL) -> JordanShape:
-    """Jordan block sizes, clustering eigenvalues at the given tolerance.
+def jordan_shape(m, tol: float = MERGE_TOL) -> JordanShape:
+    """Jordan block sizes, clustering eigenvalues at merge tolerance tol.
 
     Raises AmbiguousClustering when two clusters are separated by less
     than ten times the (scaled) tolerance, since the answer would then
     flip under small perturbations, and when an eigenvalue has no null
-    direction at pivot_rtol.
+    direction at PIVOT_RTOL; ValueError unless tol passes check_tol.
     """
     a = as_mat3(m)
-    return _jordan_shape_from(a, eig3(a, tol, pivot_rtol), tol, pivot_rtol)
+    return _jordan_shape_from(a, eig3(a, tol), tol)
 
 
-def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float,
-                       pivot_rtol: float = PIVOT_RTOL) -> JordanShape:
+def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float) -> JordanShape:
     """jordan_shape of a from its eig3 result at merge tolerance tol.
 
     The cluster gap check comes first, over the eigenvalues in root order
@@ -489,7 +491,7 @@ def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float,
             n1 = a - pair.value * eye
             norm1 = float(np.abs(n1).max())
             r1 = 3 - len(pair.vectors)
-            r2, _ = _rank_and_null(n1 @ n1, pivot_rtol, scale_ref=max(norm1 * norm1, 1e-300))
+            r2, _ = _rank_and_null(n1 @ n1, scale_ref=max(norm1 * norm1, 1e-300))
             ge1 = 3 - r1          # blocks of size >= 1
             ge2 = r1 - r2         # blocks of size >= 2
             ge3 = pair.multiplicity - ge1 - ge2

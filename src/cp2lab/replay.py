@@ -328,6 +328,19 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _expected(kind: str, value):
+    """An assert's expected value, refused unless it has the shape its kind needs."""
+    what = f"the expected value of a {kind} assert"
+    if kind == "signature" and isinstance(value, list) and len(value) == 2:
+        return [_integer(v, f"an entry of {what}") for v in value]
+    if kind == "gram" and isinstance(value, list) and all(isinstance(r, list) for r in value):
+        return [[_integer(v, f"an entry of {what}") for v in row] for row in value]
+    if kind in ("signature", "gram"):
+        raise InputFormatError(f"malformed script: {what} has the wrong shape, got {value!r}")
+    integer_kinds = ("rank", "k_squared", "self_intersection", "intersection")
+    return _integer(value, what) if kind in integer_kinds else value
+
+
 def script_from_json(obj: dict) -> Script:
     """Parse {"initial": {...}, "steps": [...]} into a Script."""
     try:
@@ -357,14 +370,10 @@ def script_from_json(obj: dict) -> Script:
                     isinstance(curves_arg, list) and all(isinstance(c, str) for c in curves_arg)
                 ):
                     raise InputFormatError('malformed script: assert "curves" must be a list of names')
-                steps.append(
-                    AssertStep(
-                        kind=str(raw["kind"]),
-                        expected=raw["expected"],
-                        curve=raw.get("curve"),
-                        curves=tuple(curves_arg) if curves_arg is not None else None,
-                    )
-                )
+                assert_kind = str(raw["kind"])
+                steps.append(AssertStep(assert_kind, _expected(assert_kind, raw["expected"]),
+                                        raw.get("curve"),
+                                        tuple(curves_arg) if curves_arg is not None else None))
             else:
                 raise InputFormatError(f"unknown script op {op!r}")
     except (KeyError, TypeError, ValueError) as exc:

@@ -57,6 +57,7 @@ from .linalg3 import (
     ProjectivePoint,
     as_mat3,
     canonical_coords,
+    check_tol,
     det3,
     _jordan_shape_from,
     eig3,
@@ -113,7 +114,7 @@ def _location(q: float, norm2: float, tol: float) -> Location:
 def locate(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> Location:
     """Position of a point relative to the unit ball {Q < 0}."""
     v = p.vector
-    return _location(q_value(v), float(np.vdot(v, v).real), tol)
+    return _location(q_value(v), float(np.vdot(v, v).real), check_tol(tol))
 
 
 def is_group_member(m, tol: float = GROUP_TOL) -> bool:
@@ -122,6 +123,7 @@ def is_group_member(m, tol: float = GROUP_TOL) -> bool:
     the square of the entries, so an absolute tol refuses large elements.
     False, never an error, for a matrix that is not finite or whose check
     overflows (max|M_ij|^2 above the float range)."""
+    check_tol(tol)
     a = np.asarray(m, dtype=complex)
     size = float(np.abs(as_mat3(a)).max()) if np.isfinite(a).all() else math.inf
     if size * size == math.inf:
@@ -238,21 +240,20 @@ class ProjectiveLine:
     def vector(self) -> np.ndarray:
         return np.array(self.coords, dtype=complex)
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         l = self.vector
         v = p.vector if isinstance(p, ProjectivePoint) else np.asarray(p, dtype=complex).reshape(3)
-        val = abs(np.dot(l, v))
-        return val <= tol * float(np.linalg.norm(l)) * float(np.linalg.norm(v))
+        return abs(np.dot(l, v)) <= 1e-9 * float(np.linalg.norm(l)) * float(np.linalg.norm(v))
 
 
 def line_intersection(l1: ProjectiveLine, l2: ProjectiveLine) -> ProjectivePoint:
     return ProjectivePoint.from_vector(np.cross(l1.vector, l2.vector))
 
 
-def tangent_line(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> ProjectiveLine:
-    """The unique projective line through a boundary point meeting the
-    closed ball only there: the Q-orthogonal line {v : Q(v, p) = 0}."""
-    if locate(p, tol) != Location.BOUNDARY:
+def tangent_line(p: ProjectivePoint) -> ProjectiveLine:
+    """The unique projective line through a boundary point (at BOUNDARY_TOL)
+    meeting the closed ball only there: the Q-orthogonal line {v : Q(v, p) = 0}."""
+    if locate(p) != Location.BOUNDARY:
         raise NotOnBoundary(f"{p} is not on the boundary sphere")
     x, y, z = p.coords
     dual = np.array([-x.conjugate(), y.conjugate(), z.conjugate()], dtype=complex)
@@ -330,13 +331,12 @@ def _plane_representatives(v1: np.ndarray, v2: np.ndarray, value: complex,
     return reps
 
 
-def fixed_points(a, merge_tol: float = MERGE_TOL,
-                 boundary_tol: float = BOUNDARY_TOL) -> FixedPointData:
-    """Fixed points of the projective action, one per eigenvector direction."""
+def fixed_points(a) -> FixedPointData:
+    """Fixed points, one per eigenvector direction, at MERGE_TOL and BOUNDARY_TOL."""
     m = _as_group_element(a).matrix
     if _is_scalar(m):
         return FixedPointData(points=(), fixed_line=None, fully_degenerate=True)
-    return _fixed_points_from(eig3(m, merge_tol=merge_tol), boundary_tol)
+    return _fixed_points_from(eig3(m), BOUNDARY_TOL)
 
 
 def _fixed_points_from(eig: EigenData, boundary_tol: float) -> FixedPointData:
@@ -388,7 +388,7 @@ class ElementClassification:
         return _eigenvalue_ratios(self.eigenvalues, fp.eigenvalue)
 
 
-def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[complex, complex]:
+def derivative_eigenvalues(a, p: ProjectivePoint) -> tuple[complex, complex]:
     """Eigenvalues of the differential of the projective action at a fixed point.
 
     These are the ratios of the other two matrix eigenvalues (with
@@ -396,7 +396,7 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
     validates a and recomputes its spectrum; for the fixed points of a
     classification, ElementClassification.derivative_eigenvalues reuses
     the spectrum classify computed.  Raises NotInGroup unless a is a member
-    at GROUP_TOL.
+    at GROUP_TOL, and NotFixed at a relative eigenvector residual above 1e-6.
     """
     m = _as_group_element(a).matrix
     v = p.vector
@@ -405,27 +405,29 @@ def derivative_eigenvalues(a, p: ProjectivePoint, tol: float = 1e-6) -> tuple[co
     norm_v = float(np.linalg.norm(v))
     res, value = min(((float(np.linalg.norm(m @ v - pair.value * v)) / (norm_m * norm_v),
                        pair.value) for pair in eig.pairs), key=lambda t: t[0])
-    if res > tol:
+    if res > 1e-6:
         raise NotFixed(f"{p} is not fixed (best residual {res})")
     return _eigenvalue_ratios(eig.eigenvalues(), value)
 
 
-def classify(a, *, unit_tol: float = UNIT_MODULUS_TOL, merge_tol: float = MERGE_TOL,
-             boundary_tol: float = BOUNDARY_TOL) -> ElementClassification:
+def classify(a, *, tol: float | None = None) -> ElementClassification:
     """Elliptic / parabolic / hyperbolic trichotomy with parabolic subtyping.
 
     Decision procedure: an eigenvalue modulus off the unit circle means
     hyperbolic; otherwise a diagonalizable element is elliptic (some fixed
     point lies inside the ball); otherwise the Jordan structure selects
-    the parabolic subtype.
+    the parabolic subtype.  tol=None decides at UNIT_MODULUS_TOL, MERGE_TOL
+    and BOUNDARY_TOL; a tol, checked by check_tol, replaces all three.
 
-    The spectrum is computed once, by one eig3 at merge_tol, and the fixed
-    locus once from it: the Jordan shape, the fixed points with their
-    locations, and the eigenvalues carried by the result (from which
+    The spectrum is computed once, by one eig3 at the merge tolerance, and
+    the fixed locus once from it: the Jordan shape, the fixed points with
+    their locations, and the eigenvalues carried by the result (from which
     derivative eigenvalues follow) all come from that pass.  Raises
     AmbiguousClustering whenever a tolerance cannot settle a decision:
     a rank, a cluster of eigenvalues, or fixed points that fit no kind.
     """
+    defaults = (UNIT_MODULUS_TOL, MERGE_TOL, BOUNDARY_TOL)
+    unit_tol, merge_tol, boundary_tol = defaults if tol is None else (check_tol(tol),) * 3
     m = _as_group_element(a).matrix
     if _is_scalar(m):
         raise DegenerateElement("degenerate: every point fixed")
@@ -601,7 +603,7 @@ def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.nd
     return a, zeta
 
 
-def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL) -> NormalForm:
+def conjugate_to_normal_form(a) -> NormalForm:
     """Conjugate a hyperbolic or parabolic element into its normal form.
 
     Hyperbolic: the attractive and repulsive boundary fixed points go to
@@ -615,7 +617,7 @@ def conjugate_to_normal_form(a, *, merge_tol: float = MERGE_TOL) -> NormalForm:
     """
     element = _as_group_element(a)
     m = element.matrix
-    cls = classify(element, merge_tol=merge_tol)
+    cls = classify(element)
     if cls.kind == Kind.ELLIPTIC:
         raise NotNonElliptic("normal forms exist only for hyperbolic and parabolic elements")
 

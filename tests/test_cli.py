@@ -443,6 +443,21 @@ def test_classify_rejects_json_booleans_as_numbers(run, tmp_path, field):
     _assert_usage_error(*run(argv), error="input")
 
 
+@pytest.mark.parametrize("kind, bad, good", [
+    ("rank", True, 1), ("k_squared", 9.0, 9), ("signature", [1.0, False], [1, 0]),
+], ids=["rank-true", "k_squared-float", "signature-float-and-false"])
+def test_replay_assert_expected_must_be_exact_integers(run, tmp_path, kind, bad, good):
+    # `!=` once let true pass as 1, 9.0 as 9 and [1.0, false] as [1, 0]
+    def script(expected):
+        steps = [{"op": "assert", "kind": kind, "expected": expected}]
+        return _write_json(tmp_path / "script.json", {"initial": {"type": "P2"}, "steps": steps})
+
+    _assert_usage_error(*run(["replay", script(bad)]), error="input")
+    code, out, err = run(["replay", script(good)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["log"] == [{"step": 0, "op": "assert", "kind": kind, "value": good}]
+
+
 def test_replay_builtin_sigma0(run):
     code, out, _ = run(["replay", "--builtin", "sigma0"])
     assert code == 0

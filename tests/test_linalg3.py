@@ -19,6 +19,7 @@ from cp2lab import (
     jordan_shape,
     mat_exp,
 )
+from cp2lab import linalg3
 from cp2lab.errors import AmbiguousClustering
 from cp2lab.linalg3 import _jordan_shape_from, _rank_and_null, canonical_coords, char_poly, det3, inv3
 
@@ -173,11 +174,12 @@ def test_eig3_residual_invariant():
                 assert res <= 1e-8
 
 
-def test_eig3_degenerate_nullspace_error():
+def test_eig3_degenerate_nullspace_error(monkeypatch):
     rng = np.random.default_rng(RNG_SEED + 4)
     m = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+    monkeypatch.setattr(linalg3, "PIVOT_RTOL", 1e-30)
     with pytest.raises(AmbiguousClustering):
-        eig3(m, pivot_rtol=1e-30)
+        eig3(m)
 
 
 def test_jordan_identity():
@@ -278,11 +280,12 @@ def test_jordan_shape_recorded_cases():
             assert _jordan_shape_from(m, eig3(m, merge_tol=tol), tol=tol) == shape
 
 
-def test_jordan_shape_without_a_null_direction_is_ambiguous():
+def test_jordan_shape_without_a_null_direction_is_ambiguous(monkeypatch):
     rng = np.random.default_rng(RNG_SEED + 4)
     m = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+    monkeypatch.setattr(linalg3, "PIVOT_RTOL", 1e-30)
     with pytest.raises(AmbiguousClustering, match="^no null direction found for eigenvalue "):
-        jordan_shape(m, pivot_rtol=1e-30)
+        jordan_shape(m)
 
 
 def _rank_cases():
@@ -308,7 +311,7 @@ def _rank_cases():
 def test_rank_decisions_match_full_pivot_elimination():
     ranks = Counter()
     for m, scale_ref in _rank_cases():
-        rank, basis = _rank_and_null(m, 1e-8, scale_ref)
+        rank, basis = _rank_and_null(m, scale_ref)
         assert rank == full_pivot_rank(m, 1e-8, scale_ref)
         assert len(basis) == 3 - rank
         ranks[rank] += 1
@@ -316,14 +319,14 @@ def test_rank_decisions_match_full_pivot_elimination():
 
 
 def test_null_directions_by_rank():
-    assert _rank_and_null(np.zeros((3, 3), dtype=complex), 1e-8) == (0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert _rank_and_null(np.zeros((3, 3), dtype=complex)) == (0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     # rank 1: solved from the pivot row (2, 4, -8); columns freed in the
     # order full-pivot elimination frees them
     m = np.outer([1, 0.5, 2], [2, 4, -8]).astype(complex)
-    assert _rank_and_null(m, 1e-8) == (1, [(0j, 1, 0.5), (1, 0j, 0.25)])
-    rank, [v] = _rank_and_null(np.diag([1.0, 0.0, 3.0]).astype(complex), 1e-8)
+    assert _rank_and_null(m) == (1, [(0j, 1, 0.5), (1, 0j, 0.25)])
+    rank, [v] = _rank_and_null(np.diag([1.0, 0.0, 3.0]).astype(complex))
     assert rank == 2 and v[0] == v[2] == 0 and v[1] != 0
-    assert _rank_and_null(np.diag([1.0, 2.0, 3.0]).astype(complex), 1e-8) == (3, [])
+    assert _rank_and_null(np.diag([1.0, 2.0, 3.0]).astype(complex)) == (3, [])
 
 
 def test_det3_is_the_row_zero_cofactor_expansion_bit_for_bit():

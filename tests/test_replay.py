@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import json
 from collections import Counter
 
 import pytest
@@ -153,6 +154,58 @@ def test_json_script_round_trip():
     assert payload["lattice"]["labels"] == ["v1", "v2"]
     assert payload["curves"]["ruling"] is not None
     assert payload["n_blowups"] == 2
+
+
+def _as_json(script: Script) -> dict:
+    """The JSON object script_from_json reads back as script."""
+    steps = []
+    for step in script.steps:
+        if isinstance(step, BlowUpStep):
+            steps.append({"op": "blow_up", "point": step.point, "on": [list(p) for p in step.on],
+                          **({"name": step.name} if step.name else {})})
+        elif isinstance(step, ContractStep):
+            steps.append({"op": "contract", "curve": step.curve})
+        elif isinstance(step, RenameStep):
+            steps.append({"op": "rename", "from": step.old, "to": step.new})
+        else:
+            steps.append({"op": "assert", "kind": step.kind, "expected": step.expected,
+                          **({"curve": step.curve} if step.curve else {}),
+                          **({"curves": list(step.curves)} if step.curves else {})})
+    init = script.initial
+    curves = {name: list(coeffs) for name, coeffs in init.curves}
+    return {"initial": {"type": init.kind, "n": init.n, "curves": curves}, "steps": steps}
+
+
+def test_builtin_scripts_read_back_from_json():
+    # every built-in assert's expected value has the shape script_from_json needs
+    for script in (builtin_standard_blowups(4), builtin_sigma0_singular(),
+                   builtin_sigma2_singular(), builtin_sigma_chain(3)):
+        parsed = script_from_json(json.loads(json.dumps(_as_json(script))))
+        assert parsed == script
+        assert state_to_json(run(parsed)) == state_to_json(run(script))
+
+
+# (kind, an expected value of the right shape, values of the wrong shape)
+ASSERT_SHAPES = [
+    ("rank", 1, [True, 1.0, "1", None, [1]]),
+    ("k_squared", 9, [9.0, False]),
+    ("self_intersection", 1, [1.0, [1]]),
+    ("intersection", 1, [True, 1.5]),
+    ("signature", [1, 0], [[1.0, False], [1, 0, 0], [1], 1, (1, 0)]),
+    ("gram", [[1, 1], [1, 1]], [[[1.0, 1], [1, 1]], [[True, 1], [1, 1]], [1, 1], 1, [[1, "1"]]]),
+]
+
+
+@pytest.mark.parametrize("kind, good, bad", ASSERT_SHAPES, ids=[k for k, _, _ in ASSERT_SHAPES])
+def test_assert_expected_must_have_the_shape_of_its_kind(kind, good, bad):
+    def script(expected):
+        step = {"op": "assert", "kind": kind, "curve": "H", "curves": ["H", "H"], "expected": expected}
+        return script_from_json({"initial": {"type": "P2"}, "steps": [step]})
+
+    assert run(script(good)).log[-1]["value"] == good
+    for expected in bad:
+        with pytest.raises(InputFormatError, match=f"expected value of a {kind} assert"):
+            script(expected)
 
 
 def test_state_json_uses_the_lattice_encoder():

@@ -307,7 +307,7 @@ def test_classify_parabolic_subtypes():
     cls = classify(line)
     assert cls.subtype == ParabolicKind.LINE_FIXING
     assert cls.fixed_line is not None
-    assert cls.fixed_line.contains(_pt([1, 1, 0]), tol=1e-8)
+    assert cls.fixed_line.contains(_pt([1, 1, 0]))
 
     three = mat_exp(AlgebraElement.parabolic_normal(0.0, 0.0, 1.0).matrix())
     cls = classify(three)
@@ -369,8 +369,8 @@ def test_tangent_line_at_model_points():
     l1 = tangent_line(_pt([1, 1, 0]))
     l2 = tangent_line(_pt([1, -1, 0]))
     # {x = y} contains [1:1:t] for all t
-    assert l1.contains(_pt([1, 1, 0.3 - 0.7j]), tol=1e-9)
-    assert l2.contains(_pt([1, -1, 2.0]), tol=1e-9)
+    assert l1.contains(_pt([1, 1, 0.3 - 0.7j]))
+    assert l2.contains(_pt([1, -1, 2.0]))
     q = line_intersection(l1, l2)
     assert chordal_distance(q, _pt([0, 0, 1])) < 1e-12
 
