@@ -11,9 +11,13 @@ object on stderr and nothing on stdout.  A classification decision the
 tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
 location) exits 1 with error "AmbiguousClustering"; a matrix too large for
 the membership check to decide, or a `--exp` element whose exponential is
-not finite, exits 1 with "NotInGroup".  --tol maps to classify(tol=) and
-does not affect basin; CP2LAB_TOL, when set, supplies its default.  Both
-must pass linalg3.check_tol.  Counts, indices and bounds must be
+not finite, exits 1 with "NotInGroup".  --tol maps to classify(tol=): the
+unit-modulus test, the boundary test and the eigenvalue gap (10 tol) of a
+Jordan shape.  It does not affect basin, nor multiplicity, which eig3 reads
+from the characteristic cubic at a noise floor scaled like the matrix; so
+at a repeated root a verdict is the kind of a matrix within that floor of
+the input.  CP2LAB_TOL, when set, supplies the default of --tol; both must
+pass linalg3.check_tol.  Counts, indices and bounds must be
 non-negative, blow-up counts (`--blowups`, and `replay --k`) at most
 MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in all
 (`--samples` plus `--line-samples`, which defaults to samples // 10) and a
@@ -93,7 +97,8 @@ def _parser() -> _Parser:
     """The argument parser, built on first use and reused for every call."""
     parser = _Parser(prog="cp2lab", description=__doc__)
     parser.add_argument("--tol", type=_tolerance, default=None,
-                        help=f"set classify's tolerances uniformly; no effect on basin "
+                        help=f"set classify's unit-modulus, boundary and eigenvalue-gap "
+                             f"tolerances; no effect on basin or on eigenvalue multiplicity "
                              f"(default: ${ENV_TOL})")
     sub = parser.add_subparsers(dest="command", required=True)
 

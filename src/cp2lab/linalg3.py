@@ -1,12 +1,14 @@
 """Dense 3x3 complex linear algebra and projective-point utilities.
 
-Everything is sized for 3x3 problems: characteristic roots come from the
-closed-form cubic (depressed cubic, trigonometric branch for three real
-roots, Cardano otherwise) followed by a Newton polish; ranks and null
-directions from one pivoting step on Python scalars (two elimination
-pivots, the third from the determinant, null vectors as cross products);
-Jordan block sizes from ranks of powers; and the matrix exponential from
-scaling and squaring.  No general eigensolver is used or provided.
+Everything is sized for 3x3 problems: the multiplicity of characteristic
+roots comes from the cubic's two discriminants against a noise floor scaled
+like the matrix (_distinct_roots), simple roots from the closed form
+(depressed cubic, trigonometric branch for three real roots, Cardano
+otherwise) with a Newton polish, repeated ones from its critical points;
+ranks and null directions from one pivoting step on Python scalars (two
+elimination pivots, the third from the determinant, null vectors as cross
+products); Jordan block sizes from ranks of powers; and the matrix
+exponential from scaling and squaring.  No general eigensolver is used.
 
 Projective points are canonicalised on Python scalars too (_canonical).
 Each coordinate x is divided by the pivot d the way numpy's complex
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import AmbiguousClustering
 
-MERGE_TOL = 1e-7       # absolute eigenvalue merge tolerance at unit scale
+MERGE_TOL = 1e-7       # eigenvalue gap tolerance at unit scale: closer than 10x is ambiguous
 PIVOT_RTOL = 1e-8      # relative pivot threshold for rank decisions
 EXP_SERIES_TERMS = 20  # truncation order of the scaled exponential series
 
@@ -91,96 +93,36 @@ def char_poly(m) -> tuple[complex, complex, complex]:
 
 # cubic solver ---------------------------------------------------------------
 
-def _merge_close(roots: list[complex], merge_tol: float) -> tuple[complex, complex, complex]:
-    """Roots averaged over clusters within merge_tol * max(1, max|root|), sorted by (re, im)."""
-    tol = merge_tol * max(1.0, max(abs(r) for r in roots))
-    ordered = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = [[ordered[0]]]
-    for z in ordered[1:]:
-        mean = sum(clusters[-1]) / len(clusters[-1])
-        if abs(z - mean) <= tol:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    merged: list[complex] = []
-    for group in clusters:
-        mean = sum(group) / len(group)
-        merged.extend([mean] * len(group))
-    merged.sort(key=lambda z: (z.real, z.imag))
-    return (merged[0], merged[1], merged[2])
+# largest coefficient cubic_roots accepts: its closed form cubes p ~ c2^2
+# and squares q ~ c2^3, which overflow past ~1e51
+_CUBIC_RANGE = 1e50
+
+
+def _check_cubic_range(c2: complex, c1: complex, c0: complex) -> None:
+    if not all(abs(z.real) + abs(z.imag) <= _CUBIC_RANGE for z in (c2, c1, c0)):
+        raise AmbiguousClustering("characteristic polynomial too large for its closed-form roots")
 
 
 def _cubic_eval(x: complex, c2: complex, c1: complex, c0: complex) -> complex:
     return ((x + c2) * x + c1) * x + c0
 
 
-# Coefficient-noise budget for deciding that a residual is "zero".  The
-# factor covers both rounding in the closed form and upstream conditioning
-# when the cubic is a characteristic polynomial of a matrix that was
-# itself produced by floating-point products (e.g. a conjugation); genuine
-# roots closer than roughly sqrt(this * eps) merge.
-CUBIC_NOISE_FACTOR = 2e4
-# largest coefficient cubic_roots accepts: its closed form cubes p ~ c2^2
-# and squares q ~ c2^3, which overflow past ~1e51
-_CUBIC_RANGE = 1e50
+def _newton(x: complex, c2: complex, c1: complex, c0: complex) -> complex:
+    """One guarded Newton step on the cubic from x."""
+    fp = (3.0 * x + 2.0 * c2) * x + c1
+    return x - _cubic_eval(x, c2, c1, c0) / fp if abs(fp) > 1e-30 else x
 
 
-def _cubic_noise(x: complex, c2: complex, c1: complex, c0: complex) -> float:
-    """Residual level indistinguishable from zero at machine precision."""
-    ax = abs(x)
-    return CUBIC_NOISE_FACTOR * 2.3e-16 * (ax ** 3 + abs(c2) * ax * ax + abs(c1) * ax + abs(c0) + 1e-300)
+def cubic_roots(c2, c1, c0) -> tuple[complex, complex, complex]:
+    """Three roots of x^3 + c2 x^2 + c1 x + c0, sorted by (re, im).
 
-
-def _refine_multiple_roots(c2: complex, c1: complex, c0: complex) -> list[complex] | None:
-    """Detect a genuine triple or double root from the derivative structure.
-
-    A multiple root is also a root of the derivative; evaluating the cubic
-    at the critical points and comparing with the coefficient noise floor
-    decides whether the multiplicity is real or the roots are merely
-    close.  This recovers full precision where the closed form only
-    reaches the eps^(1/2) or eps^(1/3) conditioning limit.
-    """
-    centre = -c2 / 3.0
-    disc = c2 * c2 - 3.0 * c1  # equals (mu - nu)^2 when mu is a double root
-    if (
-        abs(_cubic_eval(centre, c2, c1, c0)) <= _cubic_noise(centre, c2, c1, c0)
-        and abs(disc) <= 1e-8 * max(abs(c2) ** 2, abs(c1), 1e-12)
-    ):
-        return [centre, centre, centre]
-    root = cmath.sqrt(disc)
-    for m in ((-c2 + root) / 3.0, (-c2 - root) / 3.0):
-        # one Newton step on the derivative sharpens the critical point
-        d2 = 6.0 * m + 2.0 * c2
-        if abs(d2) > 1e-30:
-            m = m - (3.0 * m * m + 2.0 * c2 * m + c1) / d2
-        if abs(_cubic_eval(m, c2, c1, c0)) <= _cubic_noise(m, c2, c1, c0):
-            simple = -c2 - 2.0 * m
-            f = _cubic_eval(simple, c2, c1, c0)
-            fp = (3.0 * simple + 2.0 * c2) * simple + c1
-            if abs(fp) > 1e-30:
-                simple = simple - f / fp
-            return [m, m, simple]
-    return None
-
-
-def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, complex, complex]:
-    """Three roots of x^3 + c2 x^2 + c1 x + c0, with multiplicity.
-
-    Closed form on the depressed cubic plus one guarded Newton step per
-    root.  Genuine multiple roots are detected through the derivative and
-    repeated exactly; beyond that, roots closer than the merge tolerance
-    (scaled by the root magnitude) are averaged into a repeated root.
+    Closed form on the depressed cubic (trigonometric branch for three real
+    roots, Cardano otherwise) plus one guarded Newton step per root.  Close
+    roots are returned as computed, not merged; eig3 decides multiplicity.
     Raises AmbiguousClustering on a coefficient beyond _CUBIC_RANGE.
     """
-    check_tol(merge_tol)
     c2, c1, c0 = complex(c2), complex(c1), complex(c0)
-    if not all(abs(z.real) + abs(z.imag) <= _CUBIC_RANGE for z in (c2, c1, c0)):
-        raise AmbiguousClustering("characteristic polynomial too large for its closed-form roots")
-
-    refined = _refine_multiple_roots(c2, c1, c0)
-    if refined is not None:
-        return _merge_close(refined, merge_tol)
-
+    _check_cubic_range(c2, c1, c0)
     shift = c2 / 3.0
     p = c1 - c2 * c2 / 3.0
     q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
@@ -188,9 +130,7 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
     coef_scale = max(abs(c2), abs(c1), abs(c0), 1.0)
     real_input = max(abs(c2.imag), abs(c1.imag), abs(c0.imag)) <= 1e-14 * coef_scale
 
-    if abs(p) <= 1e-30 * coef_scale ** 2 and abs(q) <= 1e-30 * coef_scale ** 3:
-        ts = [0j, 0j, 0j]
-    elif real_input and p.real < 0 and (disc := -4.0 * p.real ** 3 - 27.0 * q.real ** 2) >= 0.0:
+    if real_input and p.real < 0 and (disc := -4.0 * p.real ** 3 - 27.0 * q.real ** 2) >= 0.0:
         # three real roots: trigonometric branch avoids complex cancellation
         pr, qr = p.real, q.real
         mult = 2.0 * math.sqrt(-pr / 3.0)
@@ -199,26 +139,61 @@ def cubic_roots(c2, c1, c0, merge_tol: float = MERGE_TOL) -> tuple[complex, comp
         ts = [complex(mult * math.cos((phi - 2.0 * math.pi * k) / 3.0)) for k in range(3)]
     else:
         d = cmath.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-        u3 = -q / 2.0 + d
-        alt = -q / 2.0 - d
-        if abs(alt) > abs(u3):
-            u3 = alt
+        u3 = max(-q / 2.0 + d, -q / 2.0 - d, key=abs)
         if u3 == 0:
-            u = 0j
             ts = [(-q) ** (1.0 / 3.0) * _OMEGA ** k for k in range(3)] if q != 0 else [0j, 0j, 0j]
         else:
             u = u3 ** (1.0 / 3.0)
             v = -p / (3.0 * u)
             ts = [u * _OMEGA ** k + v * _OMEGA ** (-k) for k in range(3)]
+    roots = sorted((_newton(t - shift, c2, c1, c0) for t in ts), key=lambda z: (z.real, z.imag))
+    return (roots[0], roots[1], roots[2])
 
-    roots = [t - shift for t in ts]
 
-    for i, x in enumerate(roots):
-        f = ((x + c2) * x + c1) * x + c0
-        fp = (3.0 * x + 2.0 * c2) * x + c1
-        if abs(fp) > 1e-30:
-            roots[i] = x - f / fp
-    return _merge_close(roots, merge_tol)
+# coefficient noise of a characteristic polynomial: the coefficient of degree
+# k in the entries is taken as known to _COEF_NOISE * u * max(1, max|A_ij|)^k.
+# At a constant of 1, conjugated SU(2,1) elements (max|A| up to 4e3) read up
+# to 17 floors at a repeated root and at least 846 at distinct roots
+_COEF_NOISE = 64.0
+
+
+def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> list[tuple[complex, int]]:
+    """Distinct roots with multiplicities of the characteristic cubic of a
+    matrix of scale s = max(1, max|A_ij|).
+
+    d = c2^2 - 3 c1 is half the sum of the squared root gaps, and
+    disc = 4 d^3 / 27 - 27 q^2, q the cubic at -c2/3, the discriminant (on
+    SU(2,1), Goldman's f(tau); d = 0 there only at the cusps tau = 3 w^k).
+    Each is compared with its floor, the first-order effect of coefficient
+    errors _COEF_NOISE * u * s^k, which also bounds the rounding of d, q and
+    disc (|d| <= 27 s^2, |q| <= 14 s^3).  disc above its floor gives three
+    simple roots; else d within its floor a triple root -c2/3; else a double
+    root lam, the critical point where the cubic is smaller after one Newton
+    step on the derivative, and the simple root -c2 - 2 lam, Newton-polished
+    only while the step's error is under sqrt(u) times the root gap (near a
+    double root, Newton amplifies coefficient noise).
+    """
+    _check_cubic_range(c2, c1, c0)
+    u = math.ulp(1.0)
+    e2 = _COEF_NOISE * u * s
+    e1, e0 = e2 * s, e2 * s * s   # products, not powers: inf rather than OverflowError
+    centre, d = -c2 / 3.0, c2 * c2 - 3.0 * c1
+    q = _cubic_eval(centre, c2, c1, c0)
+    d_floor = 2.0 * abs(c2) * e2 + 3.0 * e1
+    q_floor = abs(2.0 * c2 * c2 - 3.0 * c1) / 9.0 * e2 + abs(c2) / 3.0 * e1 + e0
+    disc = 4.0 * d * d * d / 27.0 - 27.0 * q * q
+    if abs(disc) > 4.0 * abs(d) ** 2 / 9.0 * d_floor + 54.0 * abs(q) * q_floor:
+        return [(r, 1) for r in cubic_roots(c2, c1, c0)]
+    if abs(d) <= d_floor:
+        return [(centre, 3)]
+    root = cmath.sqrt(d)
+    crit = [m - (3.0 * m * m + 2.0 * c2 * m + c1) / (6.0 * m + 2.0 * c2)
+            for m in ((-c2 + root) / 3.0, (-c2 - root) / 3.0)]
+    lam = min(crit, key=lambda m: abs(_cubic_eval(m, c2, c1, c0)))
+    simple = -c2 - 2.0 * lam
+    if q_floor < math.sqrt(u) * abs(d) ** 1.5:  # q_floor / |d| < sqrt(u) * sqrt|d|
+        simple = _newton(simple, c2, c1, c0)
+    return [(lam, 2), (simple, 1)]
 
 
 # projective points ----------------------------------------------------------
@@ -401,32 +376,19 @@ class EigenData:
         return out
 
 
-def _root_groups(roots) -> list[tuple[complex, int]]:
-    """Distinct values of sorted, merged roots with their multiplicities."""
-    groups: list[tuple[complex, int]] = []
-    for r in roots:
-        if groups and groups[-1][0] == r:
-            groups[-1] = (r, groups[-1][1] + 1)
-        else:
-            groups.append((r, 1))
-    return groups
-
-
-def eig3(m, merge_tol: float = MERGE_TOL) -> EigenData:
+def eig3(m) -> EigenData:
     """Eigenvalues from the characteristic cubic, eigenvectors from null spaces.
 
-    Roots closer than merge_tol are one eigenvalue; its directions span the
-    null space of a - value I found by _rank_and_null at PIVOT_RTOL.
-    Raises AmbiguousClustering when an eigenvalue has no null direction
-    there, and ValueError unless merge_tol passes check_tol.
+    Multiplicities come from the cubic's discriminants, each against a noise
+    floor scaled like the matrix (_distinct_roots); an eigenvalue's
+    directions span the null space of a - value I found by _rank_and_null
+    at PIVOT_RTOL.  Raises AmbiguousClustering when an eigenvalue has no
+    null direction there, or the cubic is beyond _CUBIC_RANGE.
     """
     a = as_mat3(m)
-    c2, c1, c0 = char_poly(a)
-    roots = cubic_roots(c2, c1, c0, merge_tol=merge_tol)
-
     pairs = []
     eye = np.eye(3, dtype=complex)
-    for value, mult in _root_groups(roots):
+    for value, mult in _distinct_roots(*char_poly(a), max(1.0, float(np.abs(a).max()))):
         _, basis = _rank_and_null(a - value * eye)
         if not basis:
             raise AmbiguousClustering(
@@ -453,19 +415,20 @@ class JordanShape:
 
 
 def jordan_shape(m, tol: float = MERGE_TOL) -> JordanShape:
-    """Jordan block sizes, clustering eigenvalues at merge tolerance tol.
+    """Jordan block sizes of eig3's eigenvalues, checked at cluster-gap tolerance tol.
 
-    Raises AmbiguousClustering when two clusters are separated by less
+    Raises AmbiguousClustering when two eigenvalues are separated by less
     than ten times the (scaled) tolerance, since the answer would then
     flip under small perturbations, and when an eigenvalue has no null
     direction at PIVOT_RTOL; ValueError unless tol passes check_tol.
     """
+    check_tol(tol)
     a = as_mat3(m)
-    return _jordan_shape_from(a, eig3(a, tol), tol)
+    return _jordan_shape_from(a, eig3(a), tol)
 
 
 def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float) -> JordanShape:
-    """jordan_shape of a from its eig3 result at merge tolerance tol.
+    """jordan_shape of a from its eig3 result at cluster-gap tolerance tol.
 
     The cluster gap check comes first, over the eigenvalues in root order
     (sorted by (re, im)).  The rank of a - value I is 3 minus the number of

@@ -40,12 +40,34 @@ class RenameStep:
     new: str
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # a float, a string or true/false is refused, not rounded
+        raise InputFormatError(f"malformed script: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _expected(kind: str, value):
+    """An assert's expected value, refused unless it has the shape its kind needs."""
+    what = f"the expected value of a {kind} assert"
+    if kind == "signature" and isinstance(value, list) and len(value) == 2:
+        return [_integer(v, f"an entry of {what}") for v in value]
+    if kind == "gram" and isinstance(value, list) and all(isinstance(r, list) for r in value):
+        return [[_integer(v, f"an entry of {what}") for v in row] for row in value]
+    if kind in ("signature", "gram"):
+        raise InputFormatError(f"malformed script: {what} has the wrong shape, got {value!r}")
+    integer_kinds = ("rank", "k_squared", "self_intersection", "intersection")
+    return _integer(value, what) if kind in integer_kinds else value
+
+
 @dataclass(frozen=True)
 class AssertStep:
     kind: str                       # self_intersection | intersection | gram | rank | signature | k_squared
     expected: object
     curve: str | None = None
     curves: tuple[str, ...] | None = None
+
+    def __post_init__(self):  # library and JSON scripts share one shape rule
+        _expected(self.kind, self.expected)
 
 
 Step = BlowUpStep | ContractStep | RenameStep | AssertStep
@@ -203,11 +225,8 @@ def _run_assert(state: SurfaceState, step: AssertStep, index: int) -> None:
         got = state.lattice.intersect(k, k)
     else:
         raise InputFormatError(f"unknown assert kind {kind!r} at step {index}")
-    expected = step.expected
-    if isinstance(expected, (list, tuple)):
-        expected = [list(r) if isinstance(r, (list, tuple)) else r for r in expected]
-    if got != expected:
-        raise AssertionFailed(index, expected, got)
+    if got != step.expected:
+        raise AssertionFailed(index, step.expected, got)
     state.log.append({"step": index, "op": "assert", "kind": kind, "value": got})
 
 
@@ -322,25 +341,6 @@ def builtin_sigma_chain(k: int) -> Script:
 
 # JSON schema -------------------------------------------------------------------
 
-def _integer(value, what: str) -> int:
-    if type(value) is not int:  # a float, a string or true/false is refused, not rounded
-        raise InputFormatError(f"malformed script: {what} must be an integer, got {value!r}")
-    return value
-
-
-def _expected(kind: str, value):
-    """An assert's expected value, refused unless it has the shape its kind needs."""
-    what = f"the expected value of a {kind} assert"
-    if kind == "signature" and isinstance(value, list) and len(value) == 2:
-        return [_integer(v, f"an entry of {what}") for v in value]
-    if kind == "gram" and isinstance(value, list) and all(isinstance(r, list) for r in value):
-        return [[_integer(v, f"an entry of {what}") for v in row] for row in value]
-    if kind in ("signature", "gram"):
-        raise InputFormatError(f"malformed script: {what} has the wrong shape, got {value!r}")
-    integer_kinds = ("rank", "k_squared", "self_intersection", "intersection")
-    return _integer(value, what) if kind in integer_kinds else value
-
-
 def script_from_json(obj: dict) -> Script:
     """Parse {"initial": {...}, "steps": [...]} into a Script."""
     try:
@@ -371,7 +371,7 @@ def script_from_json(obj: dict) -> Script:
                 ):
                     raise InputFormatError('malformed script: assert "curves" must be a list of names')
                 assert_kind = str(raw["kind"])
-                steps.append(AssertStep(assert_kind, _expected(assert_kind, raw["expected"]),
+                steps.append(AssertStep(assert_kind, raw["expected"],
                                         raw.get("curve"),
                                         tuple(curves_arg) if curves_arg is not None else None))
             else:

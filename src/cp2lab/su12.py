@@ -332,7 +332,7 @@ def _plane_representatives(v1: np.ndarray, v2: np.ndarray, value: complex,
 
 
 def fixed_points(a) -> FixedPointData:
-    """Fixed points, one per eigenvector direction, at MERGE_TOL and BOUNDARY_TOL."""
+    """Fixed points, one per eigenvector direction, located at BOUNDARY_TOL."""
     m = _as_group_element(a).matrix
     if _is_scalar(m):
         return FixedPointData(points=(), fixed_line=None, fully_degenerate=True)
@@ -417,22 +417,24 @@ def classify(a, *, tol: float | None = None) -> ElementClassification:
     hyperbolic; otherwise a diagonalizable element is elliptic (some fixed
     point lies inside the ball); otherwise the Jordan structure selects
     the parabolic subtype.  tol=None decides at UNIT_MODULUS_TOL, MERGE_TOL
-    and BOUNDARY_TOL; a tol, checked by check_tol, replaces all three.
+    (eigenvalues closer than ten times it are ambiguous) and BOUNDARY_TOL;
+    a tol, checked by check_tol, replaces all three.  Multiplicities take no
+    tolerance: eig3 reads them from the characteristic cubic.
 
-    The spectrum is computed once, by one eig3 at the merge tolerance, and
-    the fixed locus once from it: the Jordan shape, the fixed points with
-    their locations, and the eigenvalues carried by the result (from which
-    derivative eigenvalues follow) all come from that pass.  Raises
+    The spectrum is computed once, by one eig3, and the fixed locus once
+    from it: the Jordan shape, the fixed points with their locations, and
+    the eigenvalues carried by the result (from which derivative
+    eigenvalues follow) all come from that pass.  Raises
     AmbiguousClustering whenever a tolerance cannot settle a decision:
     a rank, a cluster of eigenvalues, or fixed points that fit no kind.
     """
     defaults = (UNIT_MODULUS_TOL, MERGE_TOL, BOUNDARY_TOL)
-    unit_tol, merge_tol, boundary_tol = defaults if tol is None else (check_tol(tol),) * 3
+    unit_tol, gap_tol, boundary_tol = defaults if tol is None else (check_tol(tol),) * 3
     m = _as_group_element(a).matrix
     if _is_scalar(m):
         raise DegenerateElement("degenerate: every point fixed")
 
-    eig = eig3(m, merge_tol=merge_tol)
+    eig = eig3(m)
     data = _fixed_points_from(eig, boundary_tol)
     boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
 
@@ -460,7 +462,7 @@ def classify(a, *, tol: float | None = None) -> ElementClassification:
         attractive, repulsive = sorted(boundary, key=lambda fp: -abs(fp.eigenvalue))
         return verdict(Kind.HYPERBOLIC, None, attractive, repulsive, outside[0])
 
-    shape = _jordan_shape_from(m, eig, tol=merge_tol)
+    shape = _jordan_shape_from(m, eig, tol=gap_tol)
     if all(size == 1 for sizes in shape.blocks for size in sizes):
         return verdict(Kind.ELLIPTIC)
 

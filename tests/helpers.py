@@ -62,16 +62,16 @@ def conjugate(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g @ m @ np.linalg.inv(g)
 
 
-def random_element(rng: np.random.Generator, kind: str) -> np.ndarray:
+def random_element(rng: np.random.Generator, kind: str, scale: float = 0.8) -> np.ndarray:
     """Element of one kind (elliptic, hyperbolic or a parabolic subtype)
-    conjugated by the exponential of a random algebra element at scale 0.8."""
+    conjugated by the exponential of a random algebra element at scale."""
     if kind == "elliptic":
         m = random_elliptic(rng)
     elif kind == "hyperbolic":
         m = random_hyperbolic(rng)
     else:
         m = random_parabolic(rng, kind)
-    return conjugate(m, random_conjugator(rng, 0.8))
+    return conjugate(m, random_conjugator(rng, scale))
 
 
 # scalar references for basin sampling: stream s is one numpy Philox keyed

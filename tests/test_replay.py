@@ -25,6 +25,7 @@ from cp2lab.errors import AssertionFailed, InputFormatError, NotExceptionalClass
 from cp2lab.jsonio import lattice_to_json
 from cp2lab.lattice import PicardLattice, _signature
 from cp2lab.replay import (
+    AssertStep,
     BlowUpStep,
     ContractStep,
     InitialSurface,
@@ -208,6 +209,15 @@ def test_assert_expected_must_have_the_shape_of_its_kind(kind, good, bad):
             script(expected)
 
 
+@pytest.mark.parametrize("kind, expected", [("rank", True), ("k_squared", 9.0),
+                                             ("signature", (1.0, False))],
+                         ids=["rank", "k_squared", "signature"])
+def test_library_asserts_have_the_shape_of_their_kind(kind, expected):
+    # compared loosely, these would pass against the values 1, 9 and [1, 0]
+    with pytest.raises(InputFormatError, match=f"expected value of a {kind} assert"):
+        run(Script(InitialSurface("P2"), (AssertStep(kind, expected),)))
+
+
 def test_state_json_uses_the_lattice_encoder():
     for script in (builtin_standard_blowups(5), builtin_sigma0_singular(), builtin_sigma_chain(3)):
         state = run(script)
@@ -354,7 +364,7 @@ def _next_step(state, move, i):
     return BlowUpStep(point=f"p{i}", on=on, name=f"N{i}" if pick % 4 == 0 else None)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(initial=_INITIAL, moves=_MOVES)
 def test_random_surgery_chains_match_full_validation(initial, moves):
     _replay_checked(initial, lambda state, i: _next_step(state, moves[i], i), len(moves))

@@ -497,7 +497,6 @@ def test_classify_and_report_compute_the_spectrum_once(monkeypatch, kind):
         monkeypatch.setattr(owner, name, wrapper)
 
     count(su12, "eig3")
-    count(linalg3, "cubic_roots")
     count(linalg3, "jordan_shape")
     count(su12, "derivative_eigenvalues")
     count(su12, "fixed_points")
@@ -505,7 +504,7 @@ def test_classify_and_report_compute_the_spectrum_once(monkeypatch, kind):
     report = classification_report(cls)
     assert _kind_of(cls) == kind
     assert len(report["fixed_points"]) == len(cls.fixed_points)
-    assert calls == {"eig3": 1, "cubic_roots": 1}
+    assert calls == {"eig3": 1}
 
 
 def test_report_matches_the_public_spectral_functions():

@@ -45,8 +45,6 @@ def _public_tolerance_keywords() -> set[str]:
 def test_public_tolerance_keywords_are_pinned():
     # a new tolerance keyword must be added here on purpose
     assert _public_tolerance_keywords() == {
-        "linalg3.cubic_roots(merge_tol)",
-        "linalg3.eig3(merge_tol)",
         "linalg3.jordan_shape(tol)",
         "su12.locate(tol)",
         "su12.is_group_member(tol)",
@@ -64,8 +62,6 @@ def _pt(v):
 
 
 ENTRIES = {
-    "cubic_roots": lambda tol: linalg3.cubic_roots(-3.0, 3.0, -1.0, merge_tol=tol),
-    "eig3": lambda tol: linalg3.eig3(_hyperbolic(), merge_tol=tol),
     "jordan_shape": lambda tol: linalg3.jordan_shape(_hyperbolic(), tol=tol),
     "locate": lambda tol: locate(_pt([1, 1, 0]), tol=tol),
     "is_group_member": lambda tol: is_group_member(_hyperbolic(), tol=tol),
