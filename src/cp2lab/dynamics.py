@@ -6,7 +6,10 @@ converge() and iterate() share one step, _step: the matrix-vector product
 on Python complex scalars, then linalg3's scalar canonicalisation, which is
 bit-identical to numpy's; converge() measures each step with linalg3's
 scalar chordal distance.  No numpy call is made per step: on 3-vectors
-numpy's per-call overhead is several times the arithmetic.
+numpy's per-call overhead is several times the arithmetic.  The element's
+rows and fixed points come from su12's scalar path as well, so converge()
+makes no numpy call on a GroupElement; only the basin check's sampling and
+resolver work on numpy arrays.
 basin_coverage_check() samples the open unit ball and random lines
 through the attractive fixed point, then certifies that every sample
 resolves into the forward basin of the attractive point or the backward
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotNonElliptic
-from .linalg3 import ProjectivePoint, _canonical, _chordal, check_tol, chordal_distance
+from .linalg3 import ProjectivePoint, _canonical, _chordal, _norm2, check_tol
 from .su12 import (
     J,
     FixedPointData,
@@ -133,8 +136,8 @@ def iterate(a, p: ProjectivePoint, n: int) -> ProjectivePoint:
     Raises NotInGroup unless a is a member at GROUP_TOL."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    rows = _as_group_element(a).matrix.tolist()
-    v = p.vector.tolist()
+    rows = _as_group_element(a).rows
+    v = p.coords
     for _ in range(n):
         v = _step(rows, v)
     return ProjectivePoint(_canonical(*v))
@@ -146,14 +149,15 @@ def _nearest_fixed_point(data: FixedPointData, p: ProjectivePoint) -> Projective
     candidates = [fp.point for fp in data.points]
     if data.fixed_line is not None:
         # every point of the line is fixed: project the iterate onto it
-        l = data.fixed_line.vector
-        v = p.vector
-        proj = v - (np.dot(l, v) / np.vdot(l, l)) * l.conjugate()
-        if np.linalg.norm(proj) > 1e-12:
-            candidates.append(ProjectivePoint.from_vector(proj))
+        l = data.fixed_line.coords
+        v = p.coords
+        c = (l[0] * v[0] + l[1] * v[1] + l[2] * v[2]) / _norm2(l)
+        proj = tuple(x - c * y.conjugate() for x, y in zip(v, l))
+        if _norm2(proj) > 1e-24:
+            candidates.append(ProjectivePoint(_canonical(*proj)))
     if not candidates:
         return p
-    return min(candidates, key=lambda c: chordal_distance(c, p))
+    return min(candidates, key=lambda q: _chordal(q.coords, p.coords))
 
 
 def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
@@ -170,8 +174,8 @@ def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
     check_tol(tol)
     g = _as_group_element(a)
     data = fixed_points(g)
-    rows = g.matrix.tolist()
-    v = p.vector.tolist()
+    rows = g.rows
+    v = p.coords
     dist = float("inf")
     for k in range(max_iter):
         w = _step(rows, v)

@@ -5,10 +5,19 @@ roots comes from the cubic's two discriminants against a noise floor scaled
 like the matrix (_distinct_roots), simple roots from the closed form
 (depressed cubic, trigonometric branch for three real roots, Cardano
 otherwise) with a Newton polish, repeated ones from its critical points;
-ranks and null directions from one pivoting step on Python scalars (two
-elimination pivots, the third from the determinant, null vectors as cross
-products); Jordan block sizes from ranks of powers; and the matrix
-exponential from scaling and squaring.  No general eigensolver is used.
+ranks and null directions from one pivoting step (two elimination pivots,
+the third from the determinant, null vectors as cross products); Jordan
+block sizes from ranks of powers; and the matrix exponential from scaling
+and squaring.  No general eigensolver is used.
+
+The spectral layers (det3, char_poly, eig3, jordan_shape and the rank and
+null-space step) run on the matrix's rows as lists of Python complexes
+(as_rows): on 3x3 problems numpy's per-call overhead is several times the
+arithmetic.  A GroupElement carries its rows, taken once when it is built,
+so a spectrum of an element makes no numpy call.  mat_exp and inv3 keep
+numpy: mat_exp's 20-term series on 3x3 arrays takes a little over half the
+time of the same series on Python scalars (Python 3.11, numpy 2.4), and
+inv3 serves the array algebra of normal-form frames.
 
 Projective points are canonicalised on Python scalars too (_canonical).
 Each coordinate x is divided by the pivot d the way numpy's complex
@@ -46,14 +55,31 @@ def check_tol(value: float) -> float:
     return value
 
 
-def as_mat3(m) -> np.ndarray:
-    """Coerce to a finite complex 3x3 array."""
+def _mat3(m) -> np.ndarray:
+    """Coerce to a complex 3x3 array, finite or not."""
     a = np.asarray(m, dtype=complex)
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+    return a
+
+
+def as_mat3(m) -> np.ndarray:
+    """Coerce to a finite complex 3x3 array."""
+    a = _mat3(m)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def as_rows(m) -> list[list[complex]]:
+    """Rows of a finite complex 3x3 matrix as lists of Python complexes: the
+    rows a GroupElement computed once when it was built, else as_mat3(m)'s."""
+    rows = getattr(m, "rows", None)
+    return as_mat3(m).tolist() if rows is None else rows
+
+
+def _max_abs(r: list[list[complex]]) -> float:
+    return max(map(abs, r[0] + r[1] + r[2]))
 
 
 def _cofactor_row(r: list[list[complex]], i: int) -> list[complex]:
@@ -62,33 +88,34 @@ def _cofactor_row(r: list[list[complex]], i: int) -> list[complex]:
     return [r1[(j + 1) % 3] * r2[(j + 2) % 3] - r1[(j + 2) % 3] * r2[(j + 1) % 3] for j in range(3)]
 
 
-def det3(m) -> complex:
-    r = as_mat3(m).tolist()
+def _det(r: list[list[complex]]) -> complex:
     c = _cofactor_row(r, 0)
     return r[0][0] * c[0] + r[0][1] * c[1] + r[0][2] * c[2]
+
+
+def det3(m) -> complex:
+    return _det(as_rows(m))
 
 
 def inv3(m) -> np.ndarray:
     """Inverse via the adjugate; raises on (numerically) singular input."""
     a = as_mat3(m)
-    d = det3(a)
+    r = a.tolist()
+    d = _det(r)
     scale = float(np.abs(a).max())
     if abs(d) <= 1e-300 or abs(d) < 1e-14 * max(scale, 1.0) ** 3 * 1e-6:
         raise ZeroDivisionError("matrix is numerically singular")
-    r = a.tolist()
     return np.array([_cofactor_row(r, i) for i in range(3)], dtype=complex).T / d
 
 
 def char_poly(m) -> tuple[complex, complex, complex]:
     """Coefficients (c2, c1, c0) of det(xI - M) = x^3 + c2 x^2 + c1 x + c0."""
-    a = as_mat3(m)
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
-    m2 = (
-        a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-    )
-    return (-complex(tr), complex(m2), -det3(a))
+    return _char_poly(as_rows(m))
+
+
+def _char_poly(r: list[list[complex]]) -> tuple[complex, complex, complex]:
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return (-(a + e + i), a * e - b * d + a * i - c * g + e * i - f * h, -_det(r))
 
 
 # cubic solver ---------------------------------------------------------------
@@ -309,8 +336,17 @@ def _cross(u, v) -> tuple[complex, complex, complex]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _rank_and_null(m: np.ndarray, scale_ref: float | None = None):
-    """Rank of a 3x3 matrix and a basis of its numerical null space.
+def _shifted(r: list[list[complex]], value: complex) -> list[list[complex]]:
+    """Rows of r - value I, entry by entry as numpy forms a - value * eye(3),
+    signed zeros included."""
+    on, off = value * (1 + 0j), value * 0j
+    (a, b, c), (d, e, f), (g, h, i) = r
+    return [[a - on, b - off, c - off], [d - off, e - on, f - off], [g - off, h - off, i - on]]
+
+
+def _rank_and_null(rows: list[list[complex]], scale_ref: float | None = None):
+    """Rank of a 3x3 matrix, given by its rows, and a basis of its numerical
+    null space.
 
     The pivots are those of full-pivot elimination: the largest entry, then
     the largest entry of the other two rows once eliminated against the
@@ -319,10 +355,10 @@ def _rank_and_null(m: np.ndarray, scale_ref: float | None = None):
     the largest entry).  The null direction is the cross product of the pivot
     row and the stronger eliminated row at rank 2, and is solved from the
     pivot row at rank 1; rank 0 gives the identity basis.  Returns
-    (rank, basis) with the basis vectors as tuples, not normalised.
+    (rank, basis) with the basis vectors as tuples, not normalised.  Raises
+    AmbiguousClustering when the cross product overflows.
     """
-    rows = m.tolist()
-    mods = [abs(z) for row in rows for z in row]
+    mods = list(map(abs, rows[0] + rows[1] + rows[2]))
     p1 = max(mods)
     thresh = PIVOT_RTOL * max(p1 if scale_ref is None else scale_ref, 1e-300)
     if p1 <= thresh:
@@ -335,7 +371,7 @@ def _rank_and_null(m: np.ndarray, scale_ref: float | None = None):
         row = [x - f * y for x, y in zip(row, top)]
         row[j] = 0j
         elim.append(row)
-    strength = [max(abs(z) for z in row) for row in elim]
+    strength = [max(map(abs, row)) for row in elim]
     k = 0 if strength[0] >= strength[1] else 1
     p2 = strength[k]
     if p2 <= thresh:
@@ -348,6 +384,8 @@ def _rank_and_null(m: np.ndarray, scale_ref: float | None = None):
             basis.append(tuple(x))
         return 1, basis
     null = _cross(top, elim[k])
+    if not all(map(cmath.isfinite, null)):
+        raise AmbiguousClustering("null direction overflows the float range")
     other = elim[1 - k]
     p3 = abs(null[0] * other[0] + null[1] * other[1] + null[2] * other[2]) / (p1 * p2)
     if p3 > thresh:
@@ -383,19 +421,18 @@ def eig3(m) -> EigenData:
     floor scaled like the matrix (_distinct_roots); an eigenvalue's
     directions span the null space of a - value I found by _rank_and_null
     at PIVOT_RTOL.  Raises AmbiguousClustering when an eigenvalue has no
-    null direction there, or the cubic is beyond _CUBIC_RANGE.
+    null direction there or its null direction overflows, or the cubic is
+    beyond _CUBIC_RANGE.
     """
-    a = as_mat3(m)
+    r = as_rows(m)
     pairs = []
-    eye = np.eye(3, dtype=complex)
-    for value, mult in _distinct_roots(*char_poly(a), max(1.0, float(np.abs(a).max()))):
-        _, basis = _rank_and_null(a - value * eye)
+    for value, mult in _distinct_roots(*_char_poly(r), max(1.0, _max_abs(r))):
+        _, basis = _rank_and_null(_shifted(r, value))
         if not basis:
             raise AmbiguousClustering(
                 f"no null direction found for eigenvalue {value:.6g} at pivot tolerance {PIVOT_RTOL:g}"
             )
-        vectors = tuple(ProjectivePoint.from_vector(v) for v in basis)
-        pairs.append(EigenPair(value, mult, vectors))
+        pairs.append(EigenPair(value, mult, tuple(ProjectivePoint(_canonical(*v)) for v in basis)))
     pairs.sort(key=lambda p: (-p.multiplicity, p.value.real, p.value.imag))
     return EigenData(tuple(pairs))
 
@@ -423,12 +460,12 @@ def jordan_shape(m, tol: float = MERGE_TOL) -> JordanShape:
     direction at PIVOT_RTOL; ValueError unless tol passes check_tol.
     """
     check_tol(tol)
-    a = as_mat3(m)
-    return _jordan_shape_from(a, eig3(a), tol)
+    return _jordan_shape_from(as_rows(m), eig3(m), tol)
 
 
-def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float) -> JordanShape:
-    """jordan_shape of a from its eig3 result at cluster-gap tolerance tol.
+def _jordan_shape_from(r: list[list[complex]], eig: EigenData, tol: float) -> JordanShape:
+    """jordan_shape of the matrix with rows r from its eig3 result at
+    cluster-gap tolerance tol.
 
     The cluster gap check comes first, over the eigenvalues in root order
     (sorted by (re, im)).  The rank of a - value I is 3 minus the number of
@@ -445,16 +482,17 @@ def _jordan_shape_from(a: np.ndarray, eig: EigenData, tol: float) -> JordanShape
                     f"eigenvalue clusters separated by {gap:.3g} < 10*tol"
                 )
 
-    eye = np.eye(3, dtype=complex)
     blocks = []
     for pair in pairs:
         if pair.multiplicity == 1:
             sizes = (1,)
         else:
-            n1 = a - pair.value * eye
-            norm1 = float(np.abs(n1).max())
+            n1 = _shifted(r, pair.value)
+            norm1 = _max_abs(n1)
             r1 = 3 - len(pair.vectors)
-            r2, _ = _rank_and_null(n1 @ n1, scale_ref=max(norm1 * norm1, 1e-300))
+            cols = list(zip(*n1))
+            square = [[x * u + y * v + z * w for u, v, w in cols] for x, y, z in n1]
+            r2, _ = _rank_and_null(square, scale_ref=max(norm1 * norm1, 1e-300))
             ge1 = 3 - r1          # blocks of size >= 1
             ge2 = r1 - r2         # blocks of size >= 2
             ge3 = pair.multiplicity - ge1 - ge2

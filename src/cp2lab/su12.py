@@ -31,13 +31,21 @@ public entry, is checked once at GROUP_TOL; an element the library
 computes (GroupElement.exp, @, inverse, the normal form's conjugator) at
 the looser _COMPUTED_TOL, which its rounding needs.  A matrix that is not
 finite, or whose check overflows, is not a member.
+
+Scalars and arrays: a GroupElement keeps its rows as Python complexes,
+taken once, and membership, classify, fixed_points and the point and line
+helpers run on rows and coordinate triples, so classifying a built element
+makes no numpy call.  Numpy stays where whole arrays are worked on: mat_exp,
+the normal-form frames, and basin sampling and resolution.  Sums of
+products (a fixed line, eigenplane representatives) round as Python does,
+with no fused multiply-add, so they may differ from numpy's in the last bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -55,11 +63,15 @@ from .linalg3 import (
     _OMEGA,
     EigenData,
     ProjectivePoint,
-    as_mat3,
-    canonical_coords,
+    _canonical,
+    _cross,
+    _det,
+    _jordan_shape_from,
+    _mat3,
+    _max_abs,
+    _norm2,
     check_tol,
     det3,
-    _jordan_shape_from,
     eig3,
     inv3,
     mat_exp,
@@ -75,11 +87,18 @@ J = np.diag([-1.0, 1.0, 1.0]).astype(complex)
 _CUBE_ROOTS_OF_UNITY = (1 + 0j, _OMEGA, _OMEGA.conjugate())
 
 
+def _triple(v) -> list[complex]:
+    return np.asarray(v, dtype=complex).reshape(3).tolist()
+
+
+def _pairing(a, b) -> complex:
+    """Q(a, b) of two triples of Python complexes."""
+    return -a[0] * b[0].conjugate() + a[1] * b[1].conjugate() + a[2] * b[2].conjugate()
+
+
 def hermitian_pairing(v, w) -> complex:
     """Q(v, w); linear in v, conjugate linear in w."""
-    a = np.asarray(v, dtype=complex).reshape(3)
-    b = np.asarray(w, dtype=complex).reshape(3)
-    return complex(-a[0] * b[0].conjugate() + a[1] * b[1].conjugate() + a[2] * b[2].conjugate())
+    return _pairing(_triple(v), _triple(w))
 
 
 def q_value(v) -> float:
@@ -113,8 +132,8 @@ def _location(q: float, norm2: float, tol: float) -> Location:
 
 def locate(p: ProjectivePoint, tol: float = BOUNDARY_TOL) -> Location:
     """Position of a point relative to the unit ball {Q < 0}."""
-    v = p.vector
-    return _location(q_value(v), float(np.vdot(v, v).real), check_tol(tol))
+    x = p.coords
+    return _location(_pairing(x, x).real, _norm2(x), check_tol(tol))
 
 
 def is_group_member(m, tol: float = GROUP_TOL) -> bool:
@@ -122,16 +141,27 @@ def is_group_member(m, tol: float = GROUP_TOL) -> bool:
     to max(1, max|M_ij|^2): the rounding error of M^dagger J M grows like
     the square of the entries, so an absolute tol refuses large elements.
     False, never an error, for a matrix that is not finite or whose check
-    overflows (max|M_ij|^2 above the float range)."""
+    overflows (max|M_ij|^2 above the float range).  A GroupElement is
+    checked again, on its rows.  Entry (i, j) of M^dagger J M is
+    Q(column j, column i), and the error is Hermitian, so its upper
+    triangle holds every modulus."""
     check_tol(tol)
-    a = np.asarray(m, dtype=complex)
-    size = float(np.abs(as_mat3(a)).max()) if np.isfinite(a).all() else math.inf
-    if size * size == math.inf:
+    rows = m.rows if isinstance(m, GroupElement) else _mat3(m).tolist()
+    try:
+        mods = [abs(z) for z in rows[0] + rows[1] + rows[2]]
+        size = max(mods)
+        # a nan or infinite entry, or max|M_ij|^2 past the float range
+        if not math.isfinite(sum(mods) + size * size):
+            return False
+        c0, c1, c2 = zip(*rows)
+        form_err = max(abs(_pairing(c0, c0) + 1.0), abs(_pairing(c1, c1) - 1.0),
+                       abs(_pairing(c2, c2) - 1.0), abs(_pairing(c1, c0)),
+                       abs(_pairing(c2, c0)), abs(_pairing(c2, c1)))
+    except OverflowError:   # a modulus past the float range
         return False
-    scale = max(1.0, size * size)
-    form_err = float(np.abs(a.conj().T @ J @ a - J).max())
-    d = det3(a) - 1.0  # hypot, since abs raises OverflowError past the float range
-    return form_err <= tol * scale and math.hypot(d.real, d.imag) <= tol * scale
+    bound = tol * max(1.0, size * size)
+    d = _det(rows) - 1.0  # hypot, since abs raises OverflowError past the float range
+    return form_err <= bound and math.hypot(d.real, d.imag) <= bound
 
 
 @dataclass(frozen=True)
@@ -176,26 +206,28 @@ class AlgebraElement:
         return cls(b1=d1, b2=d2, l1=1j * (d1 + d2 / 2.0), l2=complex(c), c=complex(c))
 
 
-def _member_matrix(matrix, tol: float) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
-    if not is_group_member(a, tol):
-        raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
-    return a
-
-
 class GroupElement:
-    """A member of SU(1,2), checked by the module docstring's rule."""
+    """A member of SU(1,2), checked by the module docstring's rule: matrix is
+    a read-only copy of the caller's matrix, rows its entries as lists of
+    Python complexes, on which the spectral path runs."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "rows")
 
     def __init__(self, matrix):
-        self.matrix = _member_matrix(matrix, GROUP_TOL)
+        self._check(matrix, GROUP_TOL)
 
     @classmethod
     def _computed(cls, matrix) -> "GroupElement":
         element = cls.__new__(cls)
-        element.matrix = _member_matrix(matrix, _COMPUTED_TOL)
+        element._check(matrix, _COMPUTED_TOL)
         return element
+
+    def _check(self, matrix, tol: float) -> None:
+        a = _mat3(np.array(matrix, dtype=complex))
+        a.flags.writeable = False
+        self.matrix, self.rows = a, a.tolist()
+        if not is_group_member(self, tol):
+            raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
 
     @classmethod
     def exp(cls, algebra: AlgebraElement) -> "GroupElement":
@@ -212,7 +244,7 @@ class GroupElement:
         return GroupElement._computed(self.matrix @ other.matrix)
 
     def __repr__(self) -> str:
-        return f"GroupElement({self.matrix.tolist()!r})"
+        return f"GroupElement({self.rows!r})"
 
 
 def _as_group_element(a) -> GroupElement:
@@ -229,25 +261,21 @@ class ProjectiveLine:
     coords: tuple[complex, complex, complex]
 
     @classmethod
-    def from_dual(cls, v) -> "ProjectiveLine":
-        return cls(canonical_coords(v))
-
-    @classmethod
     def through_points(cls, p: ProjectivePoint, q: ProjectivePoint) -> "ProjectiveLine":
-        return cls.from_dual(np.cross(p.vector, q.vector))
+        return cls(_canonical(*_cross(p.coords, q.coords)))
 
     @property
     def vector(self) -> np.ndarray:
         return np.array(self.coords, dtype=complex)
 
     def contains(self, p) -> bool:
-        l = self.vector
-        v = p.vector if isinstance(p, ProjectivePoint) else np.asarray(p, dtype=complex).reshape(3)
-        return abs(np.dot(l, v)) <= 1e-9 * float(np.linalg.norm(l)) * float(np.linalg.norm(v))
+        l = self.coords
+        v = p.coords if isinstance(p, ProjectivePoint) else _triple(p)
+        return abs(l[0] * v[0] + l[1] * v[1] + l[2] * v[2]) <= 1e-9 * math.sqrt(_norm2(l) * _norm2(v))
 
 
 def line_intersection(l1: ProjectiveLine, l2: ProjectiveLine) -> ProjectivePoint:
-    return ProjectivePoint.from_vector(np.cross(l1.vector, l2.vector))
+    return ProjectivePoint(_canonical(*_cross(l1.coords, l2.coords)))
 
 
 def tangent_line(p: ProjectivePoint) -> ProjectiveLine:
@@ -256,8 +284,7 @@ def tangent_line(p: ProjectivePoint) -> ProjectiveLine:
     if locate(p) != Location.BOUNDARY:
         raise NotOnBoundary(f"{p} is not on the boundary sphere")
     x, y, z = p.coords
-    dual = np.array([-x.conjugate(), y.conjugate(), z.conjugate()], dtype=complex)
-    return ProjectiveLine.from_dual(dual)
+    return ProjectiveLine(_canonical(-x.conjugate(), y.conjugate(), z.conjugate()))
 
 
 # fixed points ---------------------------------------------------------------
@@ -284,59 +311,57 @@ class FixedPointData:
     fully_degenerate: bool = False
 
 
-def _is_scalar(m: np.ndarray) -> bool:
-    """True iff m is a multiple of the identity to 1e-9 of its largest entry."""
-    bound = 1e-9 * max(float(np.abs(m).max()), 1e-300)
-    off = m - np.diag(np.diag(m))
-    if float(np.abs(off).max()) > bound:
-        return False
-    d = np.diag(m)
-    return max(abs(d[0] - d[1]), abs(d[0] - d[2])) <= bound
+def _is_scalar(rows: list[list[complex]]) -> bool:
+    """True iff the matrix with these rows is a multiple of the identity to
+    1e-9 of its largest entry."""
+    bound = 1e-9 * max(_max_abs(rows), 1e-300)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return max(abs(b), abs(c), abs(d), abs(f), abs(g), abs(h), abs(a - e), abs(a - i)) <= bound
 
 
 def _hermitian2_eigen(g11: float, g12: complex, g22: float):
-    """Eigenvalues (ascending) and eigenvectors of [[g11, g12], [conj(g12), g22]]."""
+    """Eigenvalues (ascending) and unit eigenvectors, as pairs of Python
+    complexes, of [[g11, g12], [conj(g12), g22]]."""
     mean = 0.5 * (g11 + g22)
     half = 0.5 * (g11 - g22)
     rad = math.hypot(half, abs(g12))
     scale = max(abs(g11), abs(g22), abs(g12), 1e-300)
     if rad <= 1e-14 * scale:
-        return [
-            (mean, np.array([1.0, 0.0], dtype=complex)),
-            (mean, np.array([0.0, 1.0], dtype=complex)),
-        ]
-    lo, hi = mean - rad, mean + rad
+        return [(mean, (1 + 0j, 0j)), (mean, (0j, 1 + 0j))]
     out = []
-    for lam in (lo, hi):
-        v1 = np.array([g12, lam - g11], dtype=complex)
-        v2 = np.array([lam - g22, g12.conjugate()], dtype=complex)
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        out.append((lam, v / np.linalg.norm(v)))
+    for lam in (mean - rad, mean + rad):
+        # the longer of the candidates (g12, lam - g11) and (lam - g22, conj(g12))
+        if abs(lam - g11) >= abs(lam - g22):
+            x, y = g12, complex(lam - g11)
+        else:
+            x, y = complex(lam - g22), g12.conjugate()
+        norm = math.hypot(abs(x), abs(y))
+        out.append((lam, (x / norm, y / norm)))
     return out
 
 
-def _plane_representatives(v1: np.ndarray, v2: np.ndarray, value: complex,
-                           boundary_tol: float) -> list[FixedPoint]:
-    """Q-diagonalizing representatives of a pointwise-fixed eigenplane."""
-    g11 = q_value(v1)
-    g22 = q_value(v2)
-    g12 = hermitian_pairing(v1, v2)
+def _plane_representatives(v1, v2, value: complex, boundary_tol: float) -> list[FixedPoint]:
+    """Q-diagonalizing representatives of a pointwise-fixed eigenplane
+    spanned by the coordinate triples v1 and v2."""
+    g11 = _pairing(v1, v1).real
+    g22 = _pairing(v2, v2).real
+    g12 = _pairing(v1, v2)
     reps = []
     # q(c0 v1 + c1 v2) is the quadratic form of the conjugated Gram matrix
     # in the coefficients, so diagonalize that one
-    for lam, coeff in _hermitian2_eigen(g11, g12.conjugate(), g22):
-        w = coeff[0] * v1 + coeff[1] * v2
-        loc = _location(lam, float(np.vdot(w, w).real), boundary_tol)
-        reps.append(FixedPoint(ProjectivePoint.from_vector(w), loc, value))
+    for lam, (c0, c1) in _hermitian2_eigen(g11, g12.conjugate(), g22):
+        w = tuple(c0 * x + c1 * y for x, y in zip(v1, v2))
+        loc = _location(lam, _norm2(w), boundary_tol)
+        reps.append(FixedPoint(ProjectivePoint(_canonical(*w)), loc, value))
     return reps
 
 
 def fixed_points(a) -> FixedPointData:
     """Fixed points, one per eigenvector direction, located at BOUNDARY_TOL."""
-    m = _as_group_element(a).matrix
-    if _is_scalar(m):
+    g = _as_group_element(a)
+    if _is_scalar(g.rows):
         return FixedPointData(points=(), fixed_line=None, fully_degenerate=True)
-    return _fixed_points_from(eig3(m), BOUNDARY_TOL)
+    return _fixed_points_from(eig3(g), BOUNDARY_TOL)
 
 
 def _fixed_points_from(eig: EigenData, boundary_tol: float) -> FixedPointData:
@@ -345,11 +370,9 @@ def _fixed_points_from(eig: EigenData, boundary_tol: float) -> FixedPointData:
     fixed_line = None
     for pair in eig.pairs:
         if len(pair.vectors) >= 2:
-            fixed_line = ProjectiveLine.through_points(pair.vectors[0], pair.vectors[1])
-            points.extend(
-                _plane_representatives(pair.vectors[0].vector, pair.vectors[1].vector,
-                                       pair.value, boundary_tol)
-            )
+            p, q = pair.vectors[:2]
+            fixed_line = ProjectiveLine.through_points(p, q)
+            points.extend(_plane_representatives(p.coords, q.coords, pair.value, boundary_tol))
         else:
             for pt in pair.vectors:
                 points.append(FixedPoint(pt, locate(pt, boundary_tol), pair.value))
@@ -398,12 +421,12 @@ def derivative_eigenvalues(a, p: ProjectivePoint) -> tuple[complex, complex]:
     the spectrum classify computed.  Raises NotInGroup unless a is a member
     at GROUP_TOL, and NotFixed at a relative eigenvector residual above 1e-6.
     """
-    m = _as_group_element(a).matrix
-    v = p.vector
-    eig = eig3(m)
-    norm_m = float(np.abs(m).max())
-    norm_v = float(np.linalg.norm(v))
-    res, value = min(((float(np.linalg.norm(m @ v - pair.value * v)) / (norm_m * norm_v),
+    g = _as_group_element(a)
+    v = p.coords
+    eig = eig3(g)
+    norm = _max_abs(g.rows) * math.sqrt(_norm2(v))
+    mv = [r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in g.rows]
+    res, value = min(((math.sqrt(_norm2(tuple(w - pair.value * x for w, x in zip(mv, v)))) / norm,
                        pair.value) for pair in eig.pairs), key=lambda t: t[0])
     if res > 1e-6:
         raise NotFixed(f"{p} is not fixed (best residual {res})")
@@ -430,11 +453,11 @@ def classify(a, *, tol: float | None = None) -> ElementClassification:
     """
     defaults = (UNIT_MODULUS_TOL, MERGE_TOL, BOUNDARY_TOL)
     unit_tol, gap_tol, boundary_tol = defaults if tol is None else (check_tol(tol),) * 3
-    m = _as_group_element(a).matrix
-    if _is_scalar(m):
+    g = _as_group_element(a)
+    if _is_scalar(g.rows):
         raise DegenerateElement("degenerate: every point fixed")
 
-    eig = eig3(m)
+    eig = eig3(g)
     data = _fixed_points_from(eig, boundary_tol)
     boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
 
@@ -448,8 +471,8 @@ def classify(a, *, tol: float | None = None) -> ElementClassification:
         # Q(Av, Av) = Q(v, v) gives (1 - |lambda|^2) Q(v, v) = 0, so a fixed point
         # whose eigenvalue is off the unit circle lies on the sphere, however
         # far its computed eigenvector misses it
-        data = replace(data, points=tuple(
-            replace(fp, location=Location.BOUNDARY)
+        data = FixedPointData(tuple(
+            FixedPoint(fp.point, Location.BOUNDARY, fp.eigenvalue)
             if abs(abs(fp.eigenvalue) - 1.0) > unit_tol else fp for fp in data.points))
         boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
         outside = [fp for fp in data.points if fp.location == Location.OUTSIDE]
@@ -462,7 +485,7 @@ def classify(a, *, tol: float | None = None) -> ElementClassification:
         attractive, repulsive = sorted(boundary, key=lambda fp: -abs(fp.eigenvalue))
         return verdict(Kind.HYPERBOLIC, None, attractive, repulsive, outside[0])
 
-    shape = _jordan_shape_from(m, eig, tol=gap_tol)
+    shape = _jordan_shape_from(g.rows, eig, tol=gap_tol)
     if all(size == 1 for sizes in shape.blocks for size in sizes):
         return verdict(Kind.ELLIPTIC)
 

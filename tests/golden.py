@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Golden digests of the CLI and of converge() on the benchmark's seed-419 decks.
 
-    PYTHONPATH=src python3 tests/golden.py
+    PYTHONPATH=src python3 tests/golden.py [--diff]
 
 rewrites tests/golden_cli.json: one entry per op of the classify, basin and
 lattice decks and of their probes, as built by bench/gen.py, in deck order,
@@ -13,10 +13,13 @@ read as bench/run.py reads it.  The decks are written to a temporary
 directory and every op runs there, as bench/run.py runs them; a probe's
 expect["env"] is set for the duration of its call, and CP2LAB_TOL is unset
 otherwise.  tests/test_golden.py compares the current tree against the file.
+With --diff the file is left as it is, and the workload and argv of every op
+whose digest differs from it are printed, one line each.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -126,9 +129,25 @@ def digests(root: Path) -> list[list[str]]:
             os.environ["CP2LAB_TOL"] = saved_tol
 
 
+def changed_ops(entries: list[list[str]], expected: list[list[str]]) -> list[str]:
+    """"<workload>: <argv>" of every entry whose digest differs from the
+    expected entry at the same position."""
+    if [e[:2] for e in entries] != [e[:2] for e in expected]:
+        raise SystemExit("the decks changed: regenerate the file instead")
+    return [f"{w}: {argv}" for (w, argv, d), (_, _, e) in zip(entries, expected) if d != e]
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Write or compare the golden digests.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print the ops whose digest differs from the file; do not write it")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         entries = digests(Path(tmp))
+    if args.diff:
+        changed = changed_ops(entries, json.loads(GOLDEN_FILE.read_text())["ops"])
+        print("\n".join(changed + [f"{len(changed)} of {len(entries)} ops changed"]))
+        return
     lines = ",\n".join("  " + json.dumps(e) for e in entries)
     GOLDEN_FILE.write_text(f'{{"seed": {SEED}, "ops": [\n{lines}\n]}}\n')
     print(f"wrote {len(entries)} digests to {GOLDEN_FILE.name}")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
 from cp2lab import AlgebraElement, DivisorClass, mat_exp
+from cp2lab.linalg3 import det3
 
 
 def random_algebra(rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
@@ -72,6 +74,20 @@ def random_element(rng: np.random.Generator, kind: str, scale: float = 0.8) -> n
     else:
         m = random_parabolic(rng, kind)
     return conjugate(m, random_conjugator(rng, scale))
+
+
+def reference_membership(m, tol: float) -> tuple[bool, float]:
+    """The membership rule on numpy arrays: (verdict, ratio), where ratio is
+    the larger of max|a^dagger J a - J| and |det a - 1| over their bound
+    tol * max(1, max|a_ij|^2)."""
+    a = np.asarray(m, dtype=complex)
+    j = np.diag([-1.0, 1.0, 1.0]).astype(complex)
+    size = float(np.abs(a).max())
+    bound = tol * max(1.0, size * size)
+    form_err = float(np.abs(a.conj().T @ j @ a - j).max())
+    d = det3(a) - 1.0
+    ratio = max(form_err, math.hypot(d.real, d.imag)) / bound
+    return ratio <= 1.0, ratio
 
 
 # scalar references for basin sampling: stream s is one numpy Philox keyed

@@ -24,5 +24,11 @@ def test_cli_outputs_match_the_golden_digests(tmp_path, monkeypatch):
     assert expected["seed"] == golden.SEED
     got = golden.digests(tmp_path)
     assert [e[:2] for e in got] == [e[:2] for e in expected["ops"]], "the decks changed"
-    changed = [f"{w}: {argv}" for (w, argv, d), (_, _, e) in zip(got, expected["ops"]) if d != e]
+    changed = golden.changed_ops(got, expected["ops"])
     assert not changed, f"{len(changed)} of {len(got)} ops changed output: {changed[:10]}"
+
+
+def test_diff_lists_the_ops_whose_digest_changed():
+    expected = [["classify", "classify a.json", "d1"], ["orbit", "converge b.json 0", "d2"]]
+    got = [["classify", "classify a.json", "d1"], ["orbit", "converge b.json 0", "d3"]]
+    assert golden.changed_ops(got, expected) == ["orbit: converge b.json 0"]

@@ -128,6 +128,16 @@ def test_eig3_noise_floor_of_a_huge_nilpotent():
     assert pair.value == 0 and pair.multiplicity == 3 and len(pair.vectors) == 2
 
 
+def test_eig3_null_direction_overflow_is_ambiguous():
+    # a finite nilpotent whose null-space cross product overflows: no
+    # eigenvector can be formed, so the decision is ambiguous, not a ValueError
+    m = np.array([[0, 1e300, 0], [0, 0, 1e300], [0, 0, 0]], dtype=complex)
+    with pytest.raises(AmbiguousClustering, match="^null direction overflows the float range$"):
+        eig3(m)
+    with pytest.raises(AmbiguousClustering, match="^null direction overflows the float range$"):
+        jordan_shape(m)
+
+
 def test_eig3_identity():
     data = eig3(np.eye(3))
     assert len(data.pairs) == 1
@@ -287,7 +297,7 @@ def test_jordan_shape_recorded_cases():
             assert shape.blocks == blocks, name
             assert len(shape.eigenvalues) == len(values)
             assert all(abs(v - w) < 1e-8 for v, w in zip(shape.eigenvalues, values)), name
-            assert _jordan_shape_from(m, eig3(m), tol=tol) == shape
+            assert _jordan_shape_from(np.asarray(m).tolist(), eig3(m), tol=tol) == shape
 
 
 def test_jordan_shape_without_a_null_direction_is_ambiguous(monkeypatch):
@@ -321,22 +331,35 @@ def _rank_cases():
 def test_rank_decisions_match_full_pivot_elimination():
     ranks = Counter()
     for m, scale_ref in _rank_cases():
-        rank, basis = _rank_and_null(m, scale_ref)
+        rank, basis = _rank_and_null(m.tolist(), scale_ref)
         assert rank == full_pivot_rank(m, 1e-8, scale_ref)
         assert len(basis) == 3 - rank
         ranks[rank] += 1
     assert sorted(ranks) == [0, 1, 2, 3] and sum(ranks.values()) > 6000
 
 
+def test_shift_is_numpy_a_minus_value_eye_bit_for_bit():
+    # signed zeros included: a -0.0 entry in the input reaches the
+    # eigenvectors, and so the printed coordinates
+    def bits(rows):
+        return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+
+    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    for z in zeros:
+        m = np.array([[1.5 + 0.5j, z, z], [z, -0.25j, z], [z, z, -2.0]], dtype=complex)
+        for value in (1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 2.0 + 0j, -0.5j):
+            assert bits(linalg3._shifted(m.tolist(), value)) == bits((m - value * np.eye(3)).tolist())
+
+
 def test_null_directions_by_rank():
-    assert _rank_and_null(np.zeros((3, 3), dtype=complex)) == (0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert _rank_and_null(np.zeros((3, 3), dtype=complex).tolist()) == (0, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     # rank 1: solved from the pivot row (2, 4, -8); columns freed in the
     # order full-pivot elimination frees them
     m = np.outer([1, 0.5, 2], [2, 4, -8]).astype(complex)
-    assert _rank_and_null(m) == (1, [(0j, 1, 0.5), (1, 0j, 0.25)])
-    rank, [v] = _rank_and_null(np.diag([1.0, 0.0, 3.0]).astype(complex))
+    assert _rank_and_null(m.tolist()) == (1, [(0j, 1, 0.5), (1, 0j, 0.25)])
+    rank, [v] = _rank_and_null(np.diag([1.0, 0.0, 3.0]).astype(complex).tolist())
     assert rank == 2 and v[0] == v[2] == 0 and v[1] != 0
-    assert _rank_and_null(np.diag([1.0, 2.0, 3.0]).astype(complex)) == (3, [])
+    assert _rank_and_null(np.diag([1.0, 2.0, 3.0]).astype(complex).tolist()) == (3, [])
 
 
 def test_det3_is_the_row_zero_cofactor_expansion_bit_for_bit():

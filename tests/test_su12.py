@@ -1,7 +1,9 @@
 """Group membership, the algebra layout, classification, normal forms."""
 
+import cProfile
 import cmath
 import math
+import pstats
 from collections import Counter
 
 import numpy as np
@@ -46,6 +48,7 @@ from helpers import (
     random_element,
     random_hyperbolic,
     random_parabolic,
+    reference_membership,
 )
 
 RNG_SEED = 777
@@ -630,3 +633,56 @@ def test_hermitian_pairing_null_vectors():
     assert hermitian_pairing([1, -1, 0], [1, -1, 0]) == 0
     assert q_value([0, 0, 1]) > 0
     assert q_value([1, 0, 0]) < 0
+
+
+# the scalar spectral path -----------------------------------------------------------
+
+def _equivalence_matrices():
+    rng = np.random.default_rng(RNG_SEED + 11)
+    return [random_element(rng, kind) for kind in KINDS for _ in range(4)]
+
+
+@pytest.mark.parametrize("m", _equivalence_matrices(), ids=[f"{k}-{i}" for k in KINDS for i in range(4)])
+def test_array_list_and_element_inputs_agree(m):
+    # an ndarray, a nested list of the same entries and a GroupElement built
+    # from them give equal results on every spectral entry
+    inputs = (m, m.tolist(), GroupElement(m))
+    for call in (classify, fixed_points, linalg3.eig3, is_group_member):
+        first, *rest = (call(x) for x in inputs)
+        assert all(r == first for r in rest), call.__name__
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_membership_agrees_with_the_numpy_formula(kind):
+    # the scalar check against a^dagger J a - J on arrays, away from the
+    # bound: conjugates at scales 0.8 and 3.0, perturbed by 1e-6 and by
+    # 10^-2 to 1 times GROUP_TOL max|a|, which straddles the bound
+    rng = np.random.default_rng(RNG_SEED + 12)
+    verdicts, near = Counter(), 0
+    for scale in (0.8, 3.0):
+        for _ in range(200):
+            m = random_element(rng, kind, scale)
+            noise = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            size = float(np.abs(m).max())
+            nudge = su12.GROUP_TOL * size * 10.0 ** float(rng.uniform(-2.0, 0.0))
+            for a in (m, m + 1e-6 * noise, m + nudge * noise):
+                member, ratio = reference_membership(a, su12.GROUP_TOL)
+                if abs(ratio - 1.0) < 0.01:
+                    near += 1
+                    continue
+                assert is_group_member(a) == member, (scale, ratio)
+                verdicts[member] += 1
+    assert verdicts[True] > 600 and verdicts[False] > 400 and near < 10
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spectral_entries_on_an_element_call_no_numpy(kind):
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for _ in range(5):
+        g = GroupElement(random_element(rng, kind))
+        profile = cProfile.Profile()
+        profile.runcall(classify, g)
+        profile.runcall(fixed_points, g)
+        profile.runcall(dynamics.converge, g, _pt([1, 0.2, 0.1j]), max_iter=50)
+        stats = pstats.Stats(profile).stats
+        assert not [key for key in stats if "numpy" in str(key)]
