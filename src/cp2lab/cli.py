@@ -3,7 +3,10 @@
 Subcommands: classify (matrix or algebra-element file), basin (coverage
 report for a non-elliptic element), lattice (Hirzebruch square-one scan,
 exceptional-class enumeration, signatures) and replay (construction
-scripts, built-in or from a file).
+scripts, built-in or from a file).  A subcommand imports only the layers
+it uses: classify and basin load numpy with the SU(1,2) layers (su12,
+linalg3, and dynamics for basin), while lattice, replay and --help load
+the exact lattice arithmetic at most and never numpy.
 
 Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
 print a JSON payload on stdout; failures print a one-line JSON error
@@ -17,7 +20,7 @@ Jordan shape.  It does not affect basin, nor multiplicity, which eig3 reads
 from the characteristic cubic at a noise floor scaled like the matrix; so
 at a repeated root a verdict is the kind of a matrix within that floor of
 the input.  CP2LAB_TOL, when set, supplies the default of --tol; both must
-pass linalg3.check_tol.  Counts, indices and bounds must be
+pass errors.check_tol.  Counts, indices and bounds must be
 non-negative, blow-up counts (`--blowups`, and `replay --k`) at most
 MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in all
 (`--samples` plus `--line-samples`, which defaults to samples // 10) and a
@@ -34,10 +37,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import dynamics, jsonio, lattice, linalg3, replay, su12
-from .errors import Cp2LabError, AssertionFailed, InputFormatError
+from .errors import Cp2LabError, AssertionFailed, InputFormatError, check_tol
 
 ENV_TOL = "CP2LAB_TOL"
 # largest scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2) leaves
@@ -65,9 +65,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tolerance(text: str) -> float:
-    """Tolerance from --tol or CP2LAB_TOL, checked by linalg3.check_tol."""
+    """Tolerance from --tol or CP2LAB_TOL, checked by errors.check_tol."""
     try:
-        return linalg3.check_tol(float(text))
+        return check_tol(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite number > 0, got {text!r}") from None
@@ -114,7 +114,7 @@ def _parser() -> _Parser:
     p_basin.add_argument("--samples", type=int, default=1000)
     p_basin.add_argument("--line-samples", type=int, default=None)
     p_basin.add_argument("--seed", type=int, default=0)
-    p_basin.add_argument("--max-iter", type=int, default=dynamics.DEFAULT_MAX_ITER)
+    p_basin.add_argument("--max-iter", type=int, default=None)  # None: dynamics' default
 
     p_lattice = sub.add_parser("lattice", help="exact lattice queries")
     p_lattice.set_defaults(run=_cmd_lattice)
@@ -151,41 +151,53 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, text that is not UTF-8, or an integer
+        # past Python's digit limit; RecursionError: arrays nested too deep
         raise InputFormatError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _cmd_classify(args) -> dict:
+    import numpy as np
+    from . import jsonio, su12
     obj = _load_json(args.input)
-    if args.exp:
-        a = su12.GroupElement.exp(jsonio.algebra_from_json(obj))
-    else:
-        a = jsonio.mat3_from_json(obj)
-    return jsonio.classification_report(su12.classify(a, tol=args.tol))
+    # floating-point warnings are silenced for this call only, leaving the
+    # caller's numpy error state as it was
+    with np.errstate(all="ignore"):
+        if args.exp:
+            a = su12.GroupElement.exp(jsonio.algebra_from_json(obj))
+        else:
+            a = jsonio.mat3_from_json(obj)
+        return jsonio.classification_report(su12.classify(a, tol=args.tol))
 
 
 def _cmd_basin(args) -> dict:
+    import numpy as np
+    from . import dynamics, jsonio
     line_samples = args.samples // 10 if args.line_samples is None else args.line_samples
     if args.samples + line_samples > MAX_BASIN_SAMPLES:
         raise _UsageError(f"--samples {args.samples} with {line_samples} line samples "
                           f"draws more than {MAX_BASIN_SAMPLES} samples")
-    if args.max_iter > MAX_BASIN_ITER:
-        raise _UsageError(f"--max-iter {args.max_iter} is above {MAX_BASIN_ITER}")
+    max_iter = dynamics.DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
+    if max_iter > MAX_BASIN_ITER:
+        raise _UsageError(f"--max-iter {max_iter} is above {MAX_BASIN_ITER}")
     matrix = jsonio.mat3_from_json(_load_json(args.input))
     try:
-        report = dynamics.basin_coverage_check(
-            matrix,
-            samples=args.samples,
-            line_samples=args.line_samples,
-            seed=args.seed,
-            max_iter=args.max_iter,
-        )
+        with np.errstate(all="ignore"):  # as in _cmd_classify
+            report = dynamics.basin_coverage_check(
+                matrix,
+                samples=args.samples,
+                line_samples=args.line_samples,
+                seed=args.seed,
+                max_iter=max_iter,
+            )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     return jsonio.basin_report_to_json(report)
 
 
-def _blown_up_plane(k: int) -> lattice.PicardLattice:
+def _blown_up_plane(k: int):
+    from . import lattice
     lat = lattice.p2_lattice()
     for _ in range(k):
         lat = lat.blow_up()
@@ -193,6 +205,7 @@ def _blown_up_plane(k: int) -> lattice.PicardLattice:
 
 
 def _cmd_lattice(args):
+    from . import jsonio, lattice
     if args.lattice_command == "hirzebruch":
         if not args.square_one:
             return jsonio.lattice_to_json(lattice.hirzebruch_lattice(args.n))
@@ -218,6 +231,7 @@ def _cmd_lattice(args):
 
 
 def _cmd_replay(args) -> dict:
+    from . import replay
     if (args.script is None) == (args.builtin is None):
         raise _UsageError("provide exactly one of a script file or --builtin")
     if args.builtin is not None:
@@ -257,10 +271,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        # floating-point warnings are silenced for this call only, leaving the
-        # caller's numpy error state as it was
-        with np.errstate(all="ignore"):
-            payload = args.run(args)
+        payload = args.run(args)
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2

@@ -70,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNonElliptic
-from .linalg3 import ProjectivePoint, _canonical, _chordal, _norm2, check_tol
+from .errors import NotNonElliptic, check_tol
+from .linalg3 import ProjectivePoint, _canonical, _chordal, _norm2
 from .su12 import (
     J,
     FixedPointData,

@@ -1,6 +1,15 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the tolerance rule shared by all modules."""
 
 from __future__ import annotations
+
+import math
+
+
+def check_tol(value: float) -> float:
+    """value itself if it is a finite number > 0, the one rule for every tolerance."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {value!r}")
+    return value
 
 
 class Cp2LabError(Exception):

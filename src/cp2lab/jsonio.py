@@ -4,23 +4,22 @@ Complex numbers are two-element [re, im] arrays; matrices are 3x3
 row-major nested arrays of those; projective points and lines are
 3-element arrays.  Algebra elements use the keyed schema
 {"b1": r, "b2": r, "l1": [re, im], "l2": [re, im], "c": [re, im]}.
+The module loads no numpy: replay imports it for lattice_to_json, so the
+SU(1,2) layers are imported only inside the functions that use them.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+from typing import TYPE_CHECKING
 
-from .dynamics import BasinReport
 from .errors import InputFormatError
-from .lattice import PicardLattice
-from .linalg3 import ProjectivePoint, as_mat3
-from .su12 import (
-    AlgebraElement,
-    ElementClassification,
-    FixedPoint,
-    Kind,
-    ProjectiveLine,
-)
+
+if TYPE_CHECKING:
+    from .dynamics import BasinReport
+    from .lattice import PicardLattice
+    from .linalg3 import ProjectivePoint
+    from .su12 import AlgebraElement, ElementClassification, FixedPoint, ProjectiveLine
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -35,15 +34,20 @@ def complex_from_json(obj) -> complex:
     # exact types: JSON true and false load as bool, a subclass of int
     if type(re) not in (int, float) or type(im) not in (int, float):
         raise InputFormatError(f"complex parts must be numbers, got {obj!r}")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:  # an int past the float range
+        raise InputFormatError(f"complex parts must fit a float, got {obj!r}") from None
 
 
 def mat3_to_json(m) -> list[list[list[float]]]:
-    a = as_mat3(m)
+    from . import linalg3
+    a = linalg3.as_mat3(m)
     return [[complex_to_json(a[i, j]) for j in range(3)] for i in range(3)]
 
 
-def mat3_from_json(obj) -> np.ndarray:
+def mat3_from_json(obj) -> list[list[complex]]:
+    """The rows of a finite 3x3 matrix, as lists of Python complexes."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 3:
         raise InputFormatError("matrix must be a 3x3 nested array")
     rows = []
@@ -51,10 +55,9 @@ def mat3_from_json(obj) -> np.ndarray:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise InputFormatError("matrix must be a 3x3 nested array")
         rows.append([complex_from_json(x) for x in row])
-    try:
-        return as_mat3(rows)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    if not all(map(cmath.isfinite, rows[0] + rows[1] + rows[2])):
+        raise InputFormatError("matrix entries must be finite")
+    return rows
 
 
 def coords_to_json(x: ProjectivePoint | ProjectiveLine) -> list[list[float]]:
@@ -63,6 +66,7 @@ def coords_to_json(x: ProjectivePoint | ProjectiveLine) -> list[list[float]]:
 
 
 def algebra_from_json(obj) -> AlgebraElement:
+    from . import su12
     if not isinstance(obj, dict):
         raise InputFormatError("algebra element must be an object")
     try:
@@ -70,7 +74,7 @@ def algebra_from_json(obj) -> AlgebraElement:
         b2 = obj["b2"]
         if type(b1) not in (int, float) or type(b2) not in (int, float):
             raise InputFormatError("b1 and b2 must be real numbers")
-        return AlgebraElement(
+        return su12.AlgebraElement(
             b1=float(b1),
             b2=float(b2),
             l1=complex_from_json(obj["l1"]),
@@ -79,6 +83,8 @@ def algebra_from_json(obj) -> AlgebraElement:
         )
     except KeyError as exc:
         raise InputFormatError(f"algebra element missing key {exc}") from exc
+    except OverflowError:  # b1 or b2 an int past the float range
+        raise InputFormatError("b1 and b2 must fit a float") from None
 
 
 def _fixed_point_to_json(cls: ElementClassification, fp: FixedPoint) -> dict:
@@ -98,7 +104,7 @@ def classification_report(cls: ElementClassification) -> dict:
         "fixed_points": [_fixed_point_to_json(cls, fp) for fp in cls.fixed_points],
         "fixed_line": coords_to_json(cls.fixed_line) if cls.fixed_line is not None else None,
     }
-    if cls.kind != Kind.ELLIPTIC:
+    if report["kind"] != "elliptic":
         for name in ("attractive", "repulsive", "exterior"):
             fp = getattr(cls, name)
             report[name] = coords_to_json(fp.point) if fp is not None else None

@@ -39,20 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousClustering
+from .errors import AmbiguousClustering, check_tol
 
 MERGE_TOL = 1e-7       # eigenvalue gap tolerance at unit scale: closer than 10x is ambiguous
 PIVOT_RTOL = 1e-8      # relative pivot threshold for rank decisions
 EXP_SERIES_TERMS = 20  # truncation order of the scaled exponential series
 
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
-
-
-def check_tol(value: float) -> float:
-    """value itself if it is a finite number > 0, the one rule for every tolerance."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {value!r}")
-    return value
 
 
 def _mat3(m) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import jsonio
 from .errors import AssertionFailed, InputFormatError, UnknownName
 from .lattice import DivisorClass, PicardLattice, hirzebruch_lattice, p2_lattice
 
@@ -382,12 +383,8 @@ def script_from_json(obj: dict) -> Script:
 
 
 def state_to_json(state: SurfaceState) -> dict:
-    # imported here, not at module level, so that `import cp2lab` does not
-    # load the JSON layer
-    from .jsonio import lattice_to_json
-
     return {
-        "lattice": lattice_to_json(state.lattice),
+        "lattice": jsonio.lattice_to_json(state.lattice),
         "curves": {name: list(d.coeffs) for name, d in state.curves.items()},
         "points": {name: [list(pair) for pair in inc] for name, inc in state.points.items()},
         "n_blowups": state.n_blowups,

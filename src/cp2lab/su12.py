@@ -57,6 +57,7 @@ from .errors import (
     NotInGroup,
     NotNonElliptic,
     NotOnBoundary,
+    check_tol,
 )
 from .linalg3 import (
     MERGE_TOL,
@@ -70,7 +71,6 @@ from .linalg3 import (
     _mat3,
     _max_abs,
     _norm2,
-    check_tol,
     det3,
     eig3,
     inv3,

@@ -5,10 +5,15 @@ Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
 import cmath
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import cp2lab
 from cp2lab import (
     AlgebraElement,
     DivisorClass,
@@ -268,3 +273,28 @@ def test_criterion_11_blow_up_contract_round_trip():
             for b in range(base.rank):
                 assert down.intersect(isometry_columns[a], isometry_columns[b]) == base.gram[a][b]
     _report("criterion 11 (blow-up/contract round trip isometries)", t0, 1.0)
+
+
+def test_cold_start_of_a_lattice_process():
+    """A fresh lattice process costs less over a bare interpreter than an
+    import of numpy does: lattice work never loads numpy.  Both are timed
+    against the same bare interpreter, min of 7 alternating runs, so the
+    host's speed cancels out."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cp2lab.__file__).resolve().parents[1])}
+    commands = {
+        "bare": ["-c", "pass"],
+        "numpy": ["-c", "import numpy"],
+        "lattice": ["-m", "cp2lab", "lattice", "signature", "--blowups", "8"],
+    }
+    best = dict.fromkeys(commands, float("inf"))
+    for _ in range(7):
+        for name, args in commands.items():
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
+            best[name] = min(best[name], time.perf_counter() - t0)
+    lattice, numpy_import = (best[name] - best["bare"] for name in ("lattice", "numpy"))
+    assert lattice < numpy_import, (
+        f"lattice process {lattice * 1e3:.0f} ms over a bare interpreter, "
+        f"not below numpy's import at {numpy_import * 1e3:.0f} ms")
+    print(f"PASS cold start: lattice {lattice * 1e3:.0f} ms over a bare interpreter, "
+          f"numpy import {numpy_import * 1e3:.0f} ms")

@@ -443,6 +443,39 @@ def test_classify_rejects_json_booleans_as_numbers(run, tmp_path, field):
     _assert_usage_error(*run(argv), error="input")
 
 
+@pytest.mark.parametrize("field", ["matrix-classify", "matrix-basin", "b1", "l1"])
+def test_integers_past_the_float_range_are_input_errors(run, tmp_path, field):
+    # complex() and float() of 10**400 raise OverflowError
+    if field.startswith("matrix"):
+        rows = mat3_to_json(np.eye(3))
+        rows[2][2] = [10**400, 0]
+        argv = [field.split("-")[1], _write_json(tmp_path / "m.json", rows)]
+    else:
+        algebra = _algebra_json()
+        algebra[field] = 10**400 if field == "b1" else [10**400, 0]
+        argv = ["classify", _write_json(tmp_path / "alg.json", algebra), "--exp"]
+    _assert_usage_error(*run(argv), error="input")
+
+
+@pytest.mark.parametrize("command", ["classify", "basin"])
+def test_a_non_finite_matrix_entry_is_an_input_error(run, tmp_path, command):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(mat3_to_json(np.eye(3))).replace("1.0", "NaN", 1))
+    _assert_usage_error(*run([command, str(path)]), error="input")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe[1]",                  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the decoder's recursion limit
+    b"[" + b"1" * 5000 + b"]",       # an integer past Python's 4,300-digit limit
+], ids=["not-utf8", "deep", "long-integer"])
+@pytest.mark.parametrize("command", ["classify", "replay"])
+def test_unreadable_json_is_an_input_error(run, tmp_path, content, command):
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    _assert_usage_error(*run([command, str(path)]), error="input")
+
+
 @pytest.mark.parametrize("kind, bad, good", [
     ("rank", True, 1), ("k_squared", 9.0, 9), ("signature", [1.0, False], [1, 0]),
 ], ids=["rank-true", "k_squared-float", "signature-float-and-false"])

@@ -32,7 +32,9 @@ def _dumps(obj) -> str:
 
 EXTREMES = st.sampled_from([0.0, 1.0, -1.0, 1e-300, 1e154, 1e200, 1e300, 1e308, -1e308,
                             _Raw("1e400"), _Raw("-1e400")])
+# JSON integers past the float range, such as 10**400, load as exact ints
 NUMBERS = st.one_of(EXTREMES, st.floats(-1e308, 1e308), st.integers(-10**30, 10**30),
+                    st.sampled_from([10**400, -10**400]),
                     st.floats(allow_nan=True, allow_infinity=True))
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}))
 COMPLEX = st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), NUMBERS, JUNK)
