@@ -1,33 +1,7 @@
-"""Command-line front door: JSON in, JSON out.
-
-Subcommands: classify (matrix or algebra-element file), basin (coverage
-report for a non-elliptic element), lattice (Hirzebruch square-one scan,
-exceptional-class enumeration, signatures) and replay (construction
-scripts, built-in or from a file).  A subcommand imports only the layers
-it uses: classify and basin load numpy with the SU(1,2) layers (su12,
-linalg3, and dynamics for basin), while lattice, replay and --help load
-the exact lattice arithmetic at most and never numpy.
-
-Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
-print a JSON payload on stdout; failures print a one-line JSON error
-object on stderr and nothing on stdout.  A classification decision the
-tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
-location) exits 1 with error "AmbiguousClustering"; a matrix too large for
-the membership check to decide, or a `--exp` element whose exponential is
-not finite, exits 1 with "NotInGroup".  --tol maps to classify(tol=): the
-unit-modulus test, the boundary test and the eigenvalue gap (10 tol) of a
-Jordan shape.  It does not affect basin, nor multiplicity, which eig3 reads
-from the characteristic cubic at a noise floor scaled like the matrix; so
-at a repeated root a verdict is the kind of a matrix within that floor of
-the input.  CP2LAB_TOL, when set, supplies the default of --tol; both must
-pass errors.check_tol.  Counts, indices and bounds must be
-non-negative, blow-up counts (`--blowups`, and `replay --k`) at most
-MAX_BLOWUPS, `basin` refuses more than MAX_BASIN_SAMPLES samples in all
-(`--samples` plus `--line-samples`, which defaults to samples // 10) and a
-`--max-iter` above MAX_BASIN_ITER, and `lattice exceptional` refuses scans
-of more than MAX_EXCEPTIONAL_LEAVES coefficient vectors.
-JSON true and false are not numbers; a script's integers must be JSON ints.
-"""
+"""Command-line front door: JSON in, JSON out, under the contract _HELP, which
+--help prints with this module's limits.  A subcommand imports only the
+layers it uses: classify and basin load numpy with the SU(1,2) layers, while
+lattice, replay and --help load the exact lattice arithmetic at most."""
 
 from __future__ import annotations
 
@@ -37,7 +11,7 @@ import json
 import os
 import sys
 
-from .errors import Cp2LabError, AssertionFailed, InputFormatError, check_tol
+from .errors import DEFAULT_MAX_ITER, Cp2LabError, AssertionFailed, InputFormatError, check_tol
 
 ENV_TOL = "CP2LAB_TOL"
 # largest scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2) leaves
@@ -53,6 +27,32 @@ MAX_BASIN_SAMPLES = 10**6
 # largest `basin --max-iter`: a sample that never resolves is iterated for the
 # whole budget, so the time grows linearly with it
 MAX_BASIN_ITER = 10**6
+
+_HELP = f"""\
+Subcommands: classify (matrix or algebra-element file), basin (coverage
+report for a non-elliptic element), lattice (Hirzebruch square-one scan,
+exceptional-class enumeration, signatures) and replay (construction
+scripts, built-in or from a file).
+Exit codes: 0 success, 1 domain error, 2 input error.  Successful runs
+print a JSON payload on stdout; failures print a one-line JSON error
+object on stderr and nothing on stdout.  A classification decision the
+tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
+location) exits 1 with error "AmbiguousClustering"; a matrix too large for
+the membership check to decide, or a `--exp` element whose exponential is
+not finite, exits 1 with "NotInGroup".  --tol sets classify's unit-modulus
+test, boundary test and the eigenvalue gap (10 tol) of a Jordan shape.  It
+does not affect basin, nor multiplicity, which is read from the
+characteristic cubic at a noise floor scaled like the matrix; so at a
+repeated root a verdict is the kind of a matrix within that floor of the
+input.  {ENV_TOL}, when set, supplies the default of --tol; both must be
+finite numbers > 0.  Counts, indices and bounds must be non-negative,
+blow-up counts (`--blowups`, and `replay --k`) at most {MAX_BLOWUPS}, `basin`
+refuses more than {MAX_BASIN_SAMPLES:,} samples in all (`--samples` plus
+`--line-samples`, which defaults to samples // 10) and a `--max-iter` above
+{MAX_BASIN_ITER:,}, and `lattice exceptional` refuses scans of more than
+{MAX_EXCEPTIONAL_LEAVES:,} coefficient vectors.  JSON true and false are not
+numbers; a script's integers must be JSON ints.
+"""
 
 
 class _UsageError(Exception):
@@ -95,7 +95,7 @@ def _blowups(text: str) -> int:
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on first use and reused for every call."""
-    parser = _Parser(prog="cp2lab", description=__doc__)
+    parser = _Parser(prog="cp2lab", description=_HELP)
     parser.add_argument("--tol", type=_tolerance, default=None,
                         help=f"set classify's unit-modulus, boundary and eigenvalue-gap "
                              f"tolerances; no effect on basin or on eigenvalue multiplicity "
@@ -111,10 +111,16 @@ def _parser() -> _Parser:
     p_basin = sub.add_parser("basin", help="basin coverage report")
     p_basin.set_defaults(run=_cmd_basin)
     p_basin.add_argument("input", help="JSON file with a 3x3 matrix")
-    p_basin.add_argument("--samples", type=int, default=1000)
-    p_basin.add_argument("--line-samples", type=int, default=None)
-    p_basin.add_argument("--seed", type=int, default=0)
-    p_basin.add_argument("--max-iter", type=int, default=None)  # None: dynamics' default
+    p_basin.add_argument("--samples", type=int, default=1000,
+                         help="samples from the open unit ball (default: %(default)s)")
+    p_basin.add_argument("--line-samples", type=int, default=None,
+                         help="samples on random lines through the attractive fixed point "
+                              "(default: samples // 10)")
+    p_basin.add_argument("--seed", type=int, default=0,
+                         help="sampling seed, 0 <= seed < 2**128 (default: %(default)s)")
+    p_basin.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                         help=f"iterations per sample and direction, at most {MAX_BASIN_ITER:,} "
+                              f"(default: {DEFAULT_MAX_ITER:,})")
 
     p_lattice = sub.add_parser("lattice", help="exact lattice queries")
     p_lattice.set_defaults(run=_cmd_lattice)
@@ -127,12 +133,14 @@ def _parser() -> _Parser:
     p_hirz.add_argument("--bound", type=_count, default=1000)
 
     p_exc = lat_sub.add_parser("exceptional", help="enumerate exceptional classes")
-    p_exc.add_argument("--blowups", type=_blowups, required=True)
+    p_exc.add_argument("--blowups", type=_blowups, required=True,
+                       help=f"blow-ups of the projective plane, at most {MAX_BLOWUPS}")
     p_exc.add_argument("--bound", type=_count, default=3)
 
     p_sig = lat_sub.add_parser("signature", help="signature of a lattice")
     group = p_sig.add_mutually_exclusive_group(required=True)
-    group.add_argument("--blowups", type=_blowups, help="blow-ups of the projective plane")
+    group.add_argument("--blowups", type=_blowups,
+                       help=f"blow-ups of the projective plane, at most {MAX_BLOWUPS}")
     group.add_argument("--hirzebruch", type=_count, help="Hirzebruch surface index")
 
     p_replay = sub.add_parser("replay", help="run a construction script")
@@ -141,7 +149,7 @@ def _parser() -> _Parser:
     p_replay.add_argument("--builtin", choices=["sigma0", "sigma2", "sigma-steps", "standard"],
                           help="run a built-in script instead of a file")
     p_replay.add_argument("--k", type=_blowups, default=0,
-                          help="step count for sigma-steps / standard")
+                          help=f"step count for sigma-steps / standard, at most {MAX_BLOWUPS}")
     return parser
 
 
@@ -178,9 +186,8 @@ def _cmd_basin(args) -> dict:
     if args.samples + line_samples > MAX_BASIN_SAMPLES:
         raise _UsageError(f"--samples {args.samples} with {line_samples} line samples "
                           f"draws more than {MAX_BASIN_SAMPLES} samples")
-    max_iter = dynamics.DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
-    if max_iter > MAX_BASIN_ITER:
-        raise _UsageError(f"--max-iter {max_iter} is above {MAX_BASIN_ITER}")
+    if args.max_iter > MAX_BASIN_ITER:
+        raise _UsageError(f"--max-iter {args.max_iter} is above {MAX_BASIN_ITER}")
     matrix = jsonio.mat3_from_json(_load_json(args.input))
     try:
         with np.errstate(all="ignore"):  # as in _cmd_classify
@@ -189,7 +196,7 @@ def _cmd_basin(args) -> dict:
                 samples=args.samples,
                 line_samples=args.line_samples,
                 seed=args.seed,
-                max_iter=max_iter,
+                max_iter=args.max_iter,
             )
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc

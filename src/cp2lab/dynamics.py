@@ -23,17 +23,21 @@ every live sample by strides of 8 steps, x = S x / max|S x| with S = m^8
 rescaled.  Since the report only says whether a sample is captured within
 the budget, not when, the resolver first probes at power-of-two strides
 (_probe_captures).  With P_j = S^(2^j) from repeated rescaled squaring,
-for every N = 2^j with N + 1 <= the budget, it forms x_N = P_j x_0
-(rescaled) and x_(N+1) = S x_N, and certifies a sample when
-d_N <= (1 - delta) r^2 and d_(N+1) < (1 - delta) d_N, for squared chordal
-distances d to the target, capture radius r and delta = _PROBE_MARGIN
-(so d_(N+1) <= (1 - delta) r^2 as well).  The stride loop below tests
-capture at every stride up to the budget, so it would certify that sample
-at stride N + 1 or earlier; the margin keeps the rounding of the jump from
-flipping a decision.  converge() and iterate() never probe, since their
-iteration counts are exact.  Probes and strides run in a unitary frame
-whose first axis is the target (_target_frame), where the squared
-distance of y is (|y_1|^2 + |y_2|^2) / |y|^2.  The samples no probe
+for every N = 2^j with N + 1 <= the budget, it forms x_N = P_j x_0 and
+x_(N+1) = S x_N, and certifies a sample when d_N <= (1 - delta) r^2 and
+d_(N+1) < (1 - delta) d_N, for squared chordal distances d to the target,
+capture radius r and delta = _PROBE_MARGIN (so d_(N+1) <= (1 - delta) r^2
+as well).  The stride loop below tests capture at every stride up to the
+budget, so it would certify that sample at stride N + 1 or earlier; the
+margin keeps the rounding of the jump from flipping a decision.  x_N is
+not rescaled: P_j, S and x_0 have largest entry 1, so |x_N| <= 3 and
+|x_(N+1)| <= 9, and d does not depend on scale.  A jump that underflows
+gives a NaN distance, which certifies nothing: probes only certify, and
+that sample is left to the stride loop, which rescales every stride.
+converge() and iterate() never probe, since their iteration counts are
+exact.  Probes and strides run in a unitary frame whose first axis is
+the target (_target_frame), where the squared distance of y is
+(|y_1|^2 + |y_2|^2) / |y|^2.  The samples no probe
 certifies go on to the stride loop, which advances them k strides per
 round, k = _BLOCK_COLUMNS // live clamped to [1, _BLOCK_STRIDES], in place
 in one 3 x (k live) block, then tests the whole block at once.  A sample's
@@ -56,7 +60,11 @@ numpy's C Philox4x64-10 (Salmon et al., SC'11) with key
 [seed mod 2^64, seed >> 64] and 256-bit counter s 2^128 (numpy steps the
 counter before each block); each word w is read as the double
 (w >> 11) * 2^-53.  A sample is the next accepted attempt.  A ball attempt
-reads 4 words: radius and angle of y, then of z, in the chart x = 1.  A
+reads 4 words u_0..u_3: radius and angle of y, then of z, in the chart
+x = 1, and is accepted when |y|^2 + |z|^2 < 1.  Since |y|^2 = u_0 and
+|z|^2 = u_2 up to rounding, acceptance is read from s = u_0 + u_2; only
+inside the band |s - 1| <= _BALL_BAND does the computed |y|^2 + |z|^2
+decide, so y and z are computed for kept and band attempts alone.  A
 line attempt reads 10 words: words 2k, 2k+1 give the complex Gaussian
 g_k = rho cos phi + i rho sin phi by Box-Muller, rho = sqrt(-2 log(1 - u_2k)),
 phi = 2 pi u_2k+1, and the point is alpha p + beta r with r = (g0, g1, g2),
@@ -70,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotNonElliptic, check_tol
+from .errors import DEFAULT_MAX_ITER, NotNonElliptic, check_tol
 from .linalg3 import ProjectivePoint, _canonical, _chordal, _norm2
 from .su12 import (
     J,
@@ -82,7 +90,6 @@ from .su12 import (
     tangent_line,
 )
 
-DEFAULT_MAX_ITER = 10_000
 DEFAULT_TOL = 1e-8
 CAPTURE_RADIUS = 5e-3    # asymptotic capture radius for slow parabolic orbits
 LINE_ANGLE_TOL = 1e-6    # sampled lines must differ from the tangent line by this
@@ -193,18 +200,21 @@ _BALL_STREAM, _LINE_STREAM = 0, 1
 _SEED_LIMIT = 1 << 128   # a Philox key is two 64-bit words
 _CHUNK = 1 << 15         # most attempts one batch draws
 _BATCH_SLACK = 16        # attempts a batch draws beyond its share of the missing samples
+# half-width of the band of s = u_0 + u_2 around 1 where a ball attempt's point
+# decides it: the computed |y|^2 + |z|^2 is within 20 ulp relative of s
+_BALL_BAND = 1e-9
 
 
 def _rejection_samples(seed: int, stream: int, words: int, draw, out: np.ndarray) -> None:
     """Write samples 0..n-1 of a stream into the 3 x n complex array out,
     with `words` Philox words per attempt (layout in the module docstring).
 
-    draw maps the uniforms of a batch of attempts, one array per word, to an
-    acceptance mask and the 3 x m candidate points.  A batch is one
-    random_raw call: one attempt per missing sample at first, then twice
-    the missing count, plus _BATCH_SLACK and at most _CHUNK attempts, which
-    bounds its memory.  Accepted points fill out in stream order; the rest
-    of the last batch is dropped.
+    draw(u, limit) maps the uniforms of a batch of attempts, one array per
+    word, to the 3 x k points of its first k <= limit accepted attempts.  A
+    batch is one random_raw call: one attempt per missing sample at first,
+    then twice the missing count, plus _BATCH_SLACK and at most _CHUNK
+    attempts, which bounds its memory.  Accepted points fill out in stream
+    order; the rest of the last batch is dropped.
     """
     n = out.shape[1]
     bit_gen = np.random.Philox(key=seed, counter=stream << 128)
@@ -212,32 +222,39 @@ def _rejection_samples(seed: int, stream: int, words: int, draw, out: np.ndarray
     while filled < n:
         batch = min(per_missing * (n - filled) + _BATCH_SLACK, _CHUNK)
         raw = bit_gen.random_raw(words * batch).reshape(batch, words).T
-        ok, points = draw((raw >> 11) * 2.0 ** -53)
-        kept = np.flatnonzero(ok)[:n - filled]
-        out[:, filled:filled + kept.size] = points[:, kept]
-        filled += kept.size
+        points = draw((raw >> 11) * 2.0 ** -53, n - filled)
+        out[:, filled:filled + points.shape[1]] = points
+        filled += points.shape[1]
         per_missing = 2
 
 
-def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Uniform points of the unit disc as (re, im, |.|^2); |.|^2 is C hypot
-    then C pow, the arithmetic of Python's abs(z) ** 2."""
+def _disc(u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform points of the unit disc as (re, im)."""
     r = np.sqrt(u_radius)
     phi = (2.0 * np.pi) * u_angle
-    re, im = r * np.cos(phi), r * np.sin(phi)
-    return re, im, np.float_power(np.hypot(re, im), 2.0)
+    return r * np.cos(phi), r * np.sin(phi)
 
 
-def _ball_points(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates (1, y, z) from the radius and angle of y, then of z; the
-    ball {Q < 0} lies inside the affine chart x = 1."""
-    y_re, y_im, y2 = _disc(u[0], u[1])
-    z_re, z_im, z2 = _disc(u[2], u[3])
-    points = np.empty((3, y2.size), dtype=complex)
+def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|re + i im|^2 as C hypot then C pow, the arithmetic of Python's abs(z) ** 2."""
+    return np.float_power(np.hypot(re, im), 2.0)
+
+
+def _ball_points(u: np.ndarray, limit: int) -> np.ndarray:
+    """Points (1, y, z) of the first limit accepted attempts (acceptance in the
+    module docstring); the ball {Q < 0} lies inside the affine chart x = 1."""
+    s = u[0] + u[2]
+    ok = s < 1.0 - _BALL_BAND
+    band = np.flatnonzero(np.abs(s - 1.0) <= _BALL_BAND)
+    if band.size:
+        ub = u[:, band]
+        ok[band] = _abs2(*_disc(ub[0], ub[1])) + _abs2(*_disc(ub[2], ub[3])) < 1.0
+    kept = u[:, np.flatnonzero(ok)[:limit]]
+    points = np.empty((3, kept.shape[1]), dtype=complex)
     points[0] = 1.0
-    points.real[1], points.imag[1] = y_re, y_im
-    points.real[2], points.imag[2] = z_re, z_im
-    return y2 + z2 < 1.0, points
+    points.real[1], points.imag[1] = _disc(kept[0], kept[1])
+    points.real[2], points.imag[2] = _disc(kept[2], kept[3])
+    return points
 
 
 def _ball_samples(seed: int, out: np.ndarray) -> None:
@@ -271,7 +288,7 @@ def _line_samples(seed: int, out: np.ndarray, p_vec: np.ndarray, tangent_dual: n
     p = [(float(c.real), float(c.imag)) for c in p_vec]
     dual = [(float(c.real), float(c.imag)) for c in tangent_dual]
 
-    def draw(u):
+    def draw(u, limit):
         g = [_box_muller(u[2 * k], u[2 * k + 1]) for k in range(5)]
         r, (a_re, a_im), (b_re, b_im) = g[:3], g[3], g[4]
         x = [((a_re * p_re - a_im * p_im) + (b_re * re - b_im * im),
@@ -286,7 +303,7 @@ def _line_samples(seed: int, out: np.ndarray, p_vec: np.ndarray, tangent_dual: n
         points = np.empty((3, r_norm.size), dtype=complex)
         for j, (re, im) in enumerate(x):
             points.real[j], points.imag[j] = re, im
-        return ok, points
+        return points[:, np.flatnonzero(ok)[:limit]]
 
     _rejection_samples(seed, _LINE_STREAM, 10, draw, out)
 
@@ -344,22 +361,23 @@ def _probe_captures(step: np.ndarray, y: np.ndarray, budget: int, cap2: float) -
     lim = (1.0 - _PROBE_MARGIN) * cap2
     power = step  # S^N, rescaled
     big_n = 1
-    while big_n + 1 <= budget and live.size:
-        a = live.size
-        # y_N and y_(N+1) side by side, so one pass measures both
-        pair = np.empty((3, 2 * a), dtype=complex)
-        y_n = pair[:, :a]
-        np.matmul(power, y, out=y_n)
-        np.multiply(y_n, 1.0 / np.abs(y_n).max(axis=0), out=y_n)
-        np.matmul(step, y_n, out=pair[:, a:])
-        d = _target_dist2(pair)
-        d_n, d_next = d[:a], d[a:]
-        ok = (d_n <= lim) & (d_next < (1.0 - _PROBE_MARGIN) * d_n)
-        if ok.any():
-            certified[live[ok]] = True
-            live, y = live[~ok], y[:, ~ok]
-        power = _normalized_power(power, 1)
-        big_n *= 2
+    # a jump that underflows measures 0 / 0: NaN, which certifies nothing
+    with np.errstate(invalid="ignore"):
+        while big_n + 1 <= budget and live.size:
+            a = live.size
+            # y_N and y_(N+1) side by side, so one pass measures both
+            pair = np.empty((3, 2 * a), dtype=complex)
+            y_n = pair[:, :a]
+            np.matmul(power, y, out=y_n)
+            np.matmul(step, y_n, out=pair[:, a:])
+            d = _target_dist2(pair)
+            d_n, d_next = d[:a], d[a:]
+            ok = (d_n <= lim) & (d_next < (1.0 - _PROBE_MARGIN) * d_n)
+            if ok.any():
+                certified[live[ok]] = True
+                live, y = live[~ok], y[:, ~ok]
+            power = _normalized_power(power, 1)
+            big_n *= 2
     return certified
 
 

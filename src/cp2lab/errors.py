@@ -1,8 +1,10 @@
-"""Exception hierarchy and the tolerance rule shared by all modules."""
+"""Exception hierarchy, tolerance rule and iteration default shared by all modules."""
 
 from __future__ import annotations
 
 import math
+
+DEFAULT_MAX_ITER = 10_000   # converge's and basin's budget, here for --help to show without numpy
 
 
 def check_tol(value: float) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cp2lab import AlgebraElement, ProjectivePoint, chordal_distance, mat_exp
-from cp2lab import cli
+from cp2lab import cli, dynamics
 from cp2lab.cli import main
 from cp2lab.jsonio import mat3_to_json
 
@@ -277,6 +277,36 @@ def test_basin_max_iter_at_the_cap_passes(run, tmp_path):
     code, out, err = run(["basin", path, "--samples", "200", "--max-iter", str(cli.MAX_BASIN_ITER)])
     assert code == 0 and err == ""
     assert json.loads(out)["unresolved"] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["basin", "--help"],
+                                  ["lattice", "exceptional", "--help"], ["replay", "--help"]],
+                         ids=" ".join)
+def test_help_states_the_limits_by_value(capsys, argv):
+    # every number comes from the cli's constants and dynamics' default; the
+    # names of those constants and of internal functions never show
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    internal = [name for name in vars(cli) if name.isupper() and name != "ENV_TOL"]
+    for name in internal + ["DEFAULT_MAX_ITER", "check_tol", "errors.", "dynamics."]:
+        assert name not in text, name
+    expected = {
+        "--help": [f"at most {cli.MAX_BLOWUPS}", f"more than {cli.MAX_BASIN_SAMPLES:,} samples",
+                   f"above {cli.MAX_BASIN_ITER:,}", f"more than {cli.MAX_EXCEPTIONAL_LEAVES:,} "],
+        "basin": ["(default: 1000)", "(default: samples // 10)", "(default: 0)",
+                  f"at most {cli.MAX_BASIN_ITER:,} (default: {dynamics.DEFAULT_MAX_ITER:,})"],
+        "lattice": [f"at most {cli.MAX_BLOWUPS}"],
+        "replay": [f"at most {cli.MAX_BLOWUPS}"],
+    }[argv[0]]
+    for phrase in expected:
+        assert phrase in text, phrase
+
+
+def test_basin_max_iter_defaults_to_the_library_default():
+    args = cli._parser().parse_args(["basin", "m.json"])
+    assert args.max_iter == dynamics.DEFAULT_MAX_ITER
 
 
 def test_lattice_square_one(run):

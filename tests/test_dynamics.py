@@ -470,6 +470,56 @@ def test_probes_stay_within_the_budget():
     assert all(edge[b] > 0 for b in (1, 4, 8, 16))
 
 
+@pytest.mark.parametrize("kind", ["hyperbolic", "rotational", "line_fixing", "three_step"])
+def test_probes_do_not_depend_on_the_scale_of_a_column(kind):
+    # the probes measure x_N = P_j x_0 without rescaling it, which the
+    # distance's scale invariance allows; exact powers of two scale every
+    # value exactly, and decimal factors round it, within the probe's margin
+    rng = np.random.default_rng([RNG_SEED, 14, len(kind)])
+    m = random_element(rng, kind)
+    cls = classify(m)
+    points = _resolver_points(rng, cls, seed=300 + len(kind))
+    seen = 0
+    for a, target in ((m, cls.attractive.point), (J @ m.conj().T @ J, cls.repulsive.point)):
+        step, y = dynamics._target_frame(a, points, target.vector)
+        for budget in (3, 64, 1_250):
+            certified = dynamics._probe_captures(step, y, budget, dynamics.CAPTURE_RADIUS ** 2)
+            seen += int(certified.sum())
+            for scale in (2.0**20, 2.0**-20, 1e8, 1e-8):
+                scaled = dynamics._probe_captures(step, y * scale, budget,
+                                                  dynamics.CAPTURE_RADIUS ** 2)
+                np.testing.assert_array_equal(scaled, certified,
+                                              err_msg=f"{kind} budget={budget} scale={scale}")
+    assert seen > points.shape[1]
+
+
+def test_an_underflowing_jump_is_left_to_the_stride_loop():
+    # a diagonal stride matrix with the target on the first axis keeps the
+    # frame exact, so x_N = (2^-600, 2^-640, 2^-640) at N = 8: every square
+    # underflows, the probe's distance is 0 / 0 and certifies nothing.  The
+    # stride loop, which rescales every stride, captures the column at stride
+    # 9, as the reference does, and the other columns keep their statuses
+    m = np.diag([1.0, 2.0**-10, 2.0**-10]).astype(complex)
+    target = np.array([1.0, 0.0, 0.0], dtype=complex)
+    fixed = list(np.eye(3, dtype=complex))
+    rng = np.random.default_rng(RNG_SEED + 15)
+    points = np.column_stack([[2.0**-600, 1.0, 1.0],
+                              rng.normal(size=(3, 20)) + 1j * rng.normal(size=(3, 20))])
+    step, y = dynamics._target_frame(m, points, target)
+    assert y[0, 0] == 2.0**-600 and y[1, 0] == y[2, 0] == 1.0
+    cap2 = dynamics.CAPTURE_RADIUS ** 2
+    assert reference_first_capture(m, points[:, :1], target, dynamics.CAPTURE_RADIUS, 20)[0] == 9
+    for max_iter in (80, dynamics.DEFAULT_MAX_ITER):
+        certified = dynamics._probe_captures(step, y, max_iter // 8, cap2)
+        assert not certified[0]
+        assert certified[1:].any()
+        expected = reference_resolve_batch(m, points, target, fixed, max_iter, 1e-8,
+                                           dynamics.CAPTURE_RADIUS)
+        assert expected[0] == 1
+        got = dynamics._resolve_batch(m, points, target, max_iter, dynamics.CAPTURE_RADIUS)
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_resolver_tail_runs_many_strides_per_round(monkeypatch):
     # nothing is captured at capture_radius = 1e-300, so every column runs the
     # whole budget, and the probes, which certify nothing there either, are

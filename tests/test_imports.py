@@ -64,6 +64,7 @@ EXACT_COMMANDS = [
     ["replay", "--builtin", "standard", "--k", "5"],
     ["replay", "{script}"],
     ["--help"],
+    ["basin", "--help"],
 ]
 
 

@@ -16,7 +16,7 @@ from cp2lab import AlgebraElement, dynamics, mat_exp
 from cp2lab.dynamics import _ball_samples, _sample_points
 from cp2lab.su12 import classify, tangent_line
 
-from helpers import ball_sample, line_sample, sample_stream
+from helpers import ball_sample, line_sample, sample_stream, unit_disc
 
 
 def _same_bits(x, y):
@@ -149,3 +149,89 @@ def test_samplers_draw_little_beyond_the_attempts_they_consume(monkeypatch, seed
     assert _same_bits(points, expected)
     assert ball.words <= 1.5 * ball_ref.words
     assert line.words <= 1.5 * line_ref.words
+
+
+def _ball_attempts(u0, u2, rng):
+    """Ball attempts (4 x k uniforms) with radii u0, u2 and random angles."""
+    u0, u2 = np.broadcast_arrays(np.asarray(u0, dtype=float), np.asarray(u2, dtype=float))
+    angles = rng.integers(0, 2**53, size=(2, u0.size)) * 2.0 ** -53
+    return np.stack([u0, angles[0], u2, angles[1]])
+
+
+def test_ball_acceptance_in_the_band_follows_the_exact_rule():
+    # s = u_0 + u_2 next to 1 and inside the band, where the computed
+    # |y|^2 + |z|^2 decides: each verdict and each kept point must be those
+    # of the scalar rule, which s < 1 alone would not always give
+    beta = dynamics._BALL_BAND
+    rng = np.random.default_rng(5)
+    u0 = np.repeat(np.arange(1, 16) / 16, 40)
+    columns = []
+    for s in (1 - 2.0**-53, 1.0, 1 + 2.0**-52, 1 - 0.5 * beta, 1 + 0.5 * beta):
+        columns.append(_ball_attempts(u0, s - u0, rng))
+    u = np.concatenate(columns, axis=1)
+    s = u[0] + u[2]
+    assert (np.abs(s - 1.0) <= beta).all()
+    expected = []
+    for u_y_r, u_y_a, u_z_r, u_z_a in u.T:
+        y, z = unit_disc(u_y_r, u_y_a), unit_disc(u_z_r, u_z_a)
+        expected.append(abs(y) ** 2 + abs(z) ** 2 < 1.0)
+    expected = np.array(expected)
+    got = dynamics._ball_points(u, u.shape[1])
+    kept = u[:, expected]
+    reference = np.array([[1.0] * kept.shape[1],
+                          [unit_disc(r, a) for r, a in zip(kept[0], kept[1])],
+                          [unit_disc(r, a) for r, a in zip(kept[2], kept[3])]])
+    assert _same_bits(got, reference)
+    # the band decides against s < 1 on some of these attempts
+    assert (expected != (s < 1.0)).any()
+    assert expected.any() and not expected.all()
+
+
+def test_ball_acceptance_outside_the_band_is_s_below_one():
+    # the computed |y|^2 + |z|^2 stays on the side of 1 that s = u_0 + u_2
+    # is on whenever beta < |s - 1| <= 1e-6: the rounding, under 20 ulp,
+    # never reaches beyond the band
+    beta = dynamics._BALL_BAND
+    rng = np.random.default_rng(11)
+    n = 100_000
+    u0 = rng.integers(2**44, 2**53 - 2**44, size=n) * 2.0 ** -53
+    offset = rng.choice([-1.0, 1.0], size=n) * rng.uniform(beta, 1e-6, size=n)
+    u2 = np.round((1.0 + offset - u0) * 2.0**53) * 2.0 ** -53
+    u = _ball_attempts(u0, u2, rng)
+    s = u[0] + u[2]
+    u, s = u[:, np.abs(s - 1.0) > beta], s[np.abs(s - 1.0) > beta]
+    assert s.size > 0.99 * n
+    # the band's rule, bitwise that of the scalar reference
+    y2 = dynamics._abs2(*dynamics._disc(u[0], u[1]))
+    z2 = dynamics._abs2(*dynamics._disc(u[2], u[3]))
+    np.testing.assert_array_equal(y2 + z2 < 1.0, s < 1.0)
+
+
+def test_ball_points_are_computed_for_kept_attempts_alone(monkeypatch):
+    # about half the attempts are rejected; _disc, the trig of a point, runs
+    # on the kept attempts and on those in the band only
+    given = []
+    inner = dynamics._disc
+
+    def counted(u_radius, u_angle):
+        given.append(u_radius.size)
+        return inner(u_radius, u_angle)
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(CountingPhilox(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "_disc", counted)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    n = 1000
+    _ball_samples(419, np.empty((3, n), dtype=complex))
+    (ball,) = built
+    words = sample_stream(419, 0).random_raw(ball.words).reshape(-1, 4).T
+    u = (words >> 11) * 2.0 ** -53
+    band = int((np.abs(u[0] + u[2] - 1.0) <= dynamics._BALL_BAND).sum())
+    attempts = ball.words // 4
+    assert attempts > 1.8 * n
+    # y and z each pass through _disc once per kept or band attempt
+    assert sum(given) <= 2 * (n + band)
