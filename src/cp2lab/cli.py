@@ -39,10 +39,10 @@ object on stderr and nothing on stdout.  A classification decision the
 tolerances cannot settle (a rank, an eigenvalue cluster, a fixed-point
 location) exits 1 with error "AmbiguousClustering"; a matrix too large for
 the membership check to decide, or a `--exp` element whose exponential is
-not finite, exits 1 with "NotInGroup".  --tol sets classify's unit-modulus
-test, boundary test and the eigenvalue gap (10 tol) of a Jordan shape.  It
-does not affect basin, nor multiplicity, which is read from the
-characteristic cubic at a noise floor scaled like the matrix; so at a
+not finite, exits 1 with "NotInGroup".  --tol sets classify's boundary
+test and the eigenvalue gap (10 tol) of a Jordan shape.  It does not affect
+basin, nor multiplicity or the hyperbolic / elliptic sign, both read from
+the characteristic cubic at a noise floor scaled like the matrix; so at a
 repeated root a verdict is the kind of a matrix within that floor of the
 input.  {ENV_TOL}, when set, supplies the default of --tol; both must be
 finite numbers > 0.  Counts, indices and bounds must be non-negative,
@@ -97,9 +97,9 @@ def _parser() -> _Parser:
     """The argument parser, built on first use and reused for every call."""
     parser = _Parser(prog="cp2lab", description=_HELP)
     parser.add_argument("--tol", type=_tolerance, default=None,
-                        help=f"set classify's unit-modulus, boundary and eigenvalue-gap "
-                             f"tolerances; no effect on basin or on eigenvalue multiplicity "
-                             f"(default: ${ENV_TOL})")
+                        help=f"set classify's boundary and eigenvalue-gap tolerances; no "
+                             f"effect on basin, eigenvalue multiplicity or the discriminant's "
+                             f"sign (default: ${ENV_TOL})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify a group element")

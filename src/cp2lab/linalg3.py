@@ -177,9 +177,9 @@ def cubic_roots(c2, c1, c0) -> tuple[complex, complex, complex]:
 _COEF_NOISE = 64.0
 
 
-def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> list[tuple[complex, int]]:
-    """Distinct roots with multiplicities of the characteristic cubic of a
-    matrix of scale s = max(1, max|A_ij|).
+def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> tuple[list, int]:
+    """Distinct (root, multiplicity) pairs of the characteristic cubic of a
+    matrix of scale s = max(1, max|A_ij|), and the discriminant's sign.
 
     d = c2^2 - 3 c1 is half the sum of the squared root gaps, and
     disc = 4 d^3 / 27 - 27 q^2, q the cubic at -c2/3, the discriminant (on
@@ -187,11 +187,12 @@ def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> list[tup
     Each is compared with its floor, the first-order effect of coefficient
     errors _COEF_NOISE * u * s^k, which also bounds the rounding of d, q and
     disc (|d| <= 27 s^2, |q| <= 14 s^3).  disc above its floor gives three
-    simple roots; else d within its floor a triple root -c2/3; else a double
-    root lam, the critical point where the cubic is smaller after one Newton
-    step on the derivative, and the simple root -c2 - 2 lam, Newton-polished
-    only while the step's error is under sqrt(u) times the root gap (near a
-    double root, Newton amplifies coefficient noise).
+    simple roots and the sign of its real part; else the sign is 0, and d
+    within its floor gives a triple root -c2/3; else a double root lam, the
+    critical point where the cubic is smaller after one Newton step on the
+    derivative, and the simple root -c2 - 2 lam, Newton-polished only while
+    the step's error is under sqrt(u) times the root gap (near a double
+    root, Newton amplifies coefficient noise).
     """
     _check_cubic_range(c2, c1, c0)
     u = math.ulp(1.0)
@@ -203,9 +204,9 @@ def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> list[tup
     q_floor = abs(2.0 * c2 * c2 - 3.0 * c1) / 9.0 * e2 + abs(c2) / 3.0 * e1 + e0
     disc = 4.0 * d * d * d / 27.0 - 27.0 * q * q
     if abs(disc) > 4.0 * abs(d) ** 2 / 9.0 * d_floor + 54.0 * abs(q) * q_floor:
-        return [(r, 1) for r in cubic_roots(c2, c1, c0)]
+        return [(r, 1) for r in cubic_roots(c2, c1, c0)], 1 if disc.real > 0.0 else -1
     if abs(d) <= d_floor:
-        return [(centre, 3)]
+        return [(centre, 3)], 0
     root = cmath.sqrt(d)
     crit = [m - (3.0 * m * m + 2.0 * c2 * m + c1) / (6.0 * m + 2.0 * c2)
             for m in ((-c2 + root) / 3.0, (-c2 - root) / 3.0)]
@@ -213,7 +214,7 @@ def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> list[tup
     simple = -c2 - 2.0 * lam
     if q_floor < math.sqrt(u) * abs(d) ** 1.5:  # q_floor / |d| < sqrt(u) * sqrt|d|
         simple = _newton(simple, c2, c1, c0)
-    return [(lam, 2), (simple, 1)]
+    return [(lam, 2), (simple, 1)], 0
 
 
 # projective points ----------------------------------------------------------
@@ -397,7 +398,11 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class EigenData:
+    """eig3's result.  disc_sign, the discriminant's sign (0 within its floor),
+    is that of Goldman's f only on SU(2,1): +1 loxodromic, -1 regular elliptic."""
+
     pairs: tuple[EigenPair, ...]
+    disc_sign: int
 
     def eigenvalues(self) -> list[complex]:
         """All three eigenvalues, repeated with algebraic multiplicity."""
@@ -415,11 +420,12 @@ def eig3(m) -> EigenData:
     directions span the null space of a - value I found by _rank_and_null
     at PIVOT_RTOL.  Raises AmbiguousClustering when an eigenvalue has no
     null direction there or its null direction overflows, or the cubic is
-    beyond _CUBIC_RANGE.
+    beyond _CUBIC_RANGE.  Only on SU(2,1) is disc_sign the sign of Goldman's f.
     """
     r = as_rows(m)
     pairs = []
-    for value, mult in _distinct_roots(*_char_poly(r), max(1.0, _max_abs(r))):
+    roots, disc_sign = _distinct_roots(*_char_poly(r), max(1.0, _max_abs(r)))
+    for value, mult in roots:
         _, basis = _rank_and_null(_shifted(r, value))
         if not basis:
             raise AmbiguousClustering(
@@ -427,7 +433,7 @@ def eig3(m) -> EigenData:
             )
         pairs.append(EigenPair(value, mult, tuple(ProjectivePoint(_canonical(*v)) for v in basis)))
     pairs.sort(key=lambda p: (-p.multiplicity, p.value.real, p.value.imag))
-    return EigenData(tuple(pairs))
+    return EigenData(tuple(pairs), disc_sign)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -80,7 +80,6 @@ from .linalg3 import (
 GROUP_TOL = 1e-9      # form and determinant tolerance, relative to max(1, max|M_ij|^2)
 _COMPUTED_TOL = 1e-7  # the same for computed elements (module docstring)
 BOUNDARY_TOL = 1e-8   # |Q| below this (times |v|^2) counts as boundary
-UNIT_MODULUS_TOL = 1e-7  # eigenvalue modulus deviation separating hyperbolic
 
 J = np.diag([-1.0, 1.0, 1.0]).astype(complex)
 
@@ -374,8 +373,7 @@ def _fixed_points_from(eig: EigenData, boundary_tol: float) -> FixedPointData:
             fixed_line = ProjectiveLine.through_points(p, q)
             points.extend(_plane_representatives(p.coords, q.coords, pair.value, boundary_tol))
         else:
-            for pt in pair.vectors:
-                points.append(FixedPoint(pt, locate(pt, boundary_tol), pair.value))
+            points.extend(FixedPoint(v, locate(v, boundary_tol), pair.value) for v in pair.vectors)
     return FixedPointData(points=tuple(points), fixed_line=fixed_line)
 
 
@@ -436,55 +434,50 @@ def derivative_eigenvalues(a, p: ProjectivePoint) -> tuple[complex, complex]:
 def classify(a, *, tol: float | None = None) -> ElementClassification:
     """Elliptic / parabolic / hyperbolic trichotomy with parabolic subtyping.
 
-    Decision procedure: an eigenvalue modulus off the unit circle means
-    hyperbolic; otherwise a diagonalizable element is elliptic (some fixed
-    point lies inside the ball); otherwise the Jordan structure selects
-    the parabolic subtype.  tol=None decides at UNIT_MODULUS_TOL, MERGE_TOL
-    (eigenvalues closer than ten times it are ambiguous) and BOUNDARY_TOL;
-    a tol, checked by check_tol, replaces all three.  Multiplicities take no
-    tolerance: eig3 reads them from the characteristic cubic.
+    Decision procedure: three simple eigenvalues take their kind from the
+    sign of Goldman's f(tau) (eig3's disc_sign): +1 is hyperbolic if the
+    middle-modulus fixed point is exterior, -1 regular elliptic if one fixed
+    point is interior and two exterior.  At a repeated root, a diagonalizable
+    element is elliptic, else the Jordan structure selects the parabolic
+    subtype.  tol=None decides at BOUNDARY_TOL and MERGE_TOL (eigenvalues
+    closer than ten times it are ambiguous); a tol, checked by check_tol,
+    replaces both.  No eigenvalue modulus is compared with a tolerance.
 
     The spectrum is computed once, by one eig3, and the fixed locus once
-    from it: the Jordan shape, the fixed points with their locations, and
-    the eigenvalues carried by the result (from which derivative
-    eigenvalues follow) all come from that pass.  Raises
-    AmbiguousClustering whenever a tolerance cannot settle a decision:
-    a rank, a cluster of eigenvalues, or fixed points that fit no kind.
+    from it: the Jordan shape, the located fixed points and the eigenvalues
+    carried by the result (for derivative eigenvalues) all come from that
+    pass.  Raises AmbiguousClustering whenever a tolerance cannot settle a
+    decision: a rank, an eigenvalue cluster, or fixed points that fit no kind.
     """
-    defaults = (UNIT_MODULUS_TOL, MERGE_TOL, BOUNDARY_TOL)
-    unit_tol, gap_tol, boundary_tol = defaults if tol is None else (check_tol(tol),) * 3
+    gap_tol, boundary_tol = (MERGE_TOL, BOUNDARY_TOL) if tol is None else (check_tol(tol),) * 2
     g = _as_group_element(a)
     if _is_scalar(g.rows):
         raise DegenerateElement("degenerate: every point fixed")
 
     eig = eig3(g)
     data = _fixed_points_from(eig, boundary_tol)
-    boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
 
     def verdict(kind, subtype=None, attractive=None, repulsive=None, exterior=None):
         return ElementClassification(kind, subtype, data.points, data.fixed_line, attractive,
                                      repulsive, exterior, tuple(eig.eigenvalues()))
 
-    if max(abs(abs(pair.value) - 1.0) for pair in eig.pairs) > unit_tol:
-        if any(pair.multiplicity > 1 or len(pair.vectors) != 1 for pair in eig.pairs):
-            raise AmbiguousClustering("off-unit eigenvalues merged; classification unstable")
-        # Q(Av, Av) = Q(v, v) gives (1 - |lambda|^2) Q(v, v) = 0, so a fixed point
-        # whose eigenvalue is off the unit circle lies on the sphere, however
-        # far its computed eigenvector misses it
-        data = FixedPointData(tuple(
-            FixedPoint(fp.point, Location.BOUNDARY, fp.eigenvalue)
-            if abs(abs(fp.eigenvalue) - 1.0) > unit_tol else fp for fp in data.points))
-        boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
-        outside = [fp for fp in data.points if fp.location == Location.OUTSIDE]
-        if len(boundary) != 2 or len(outside) != 1:
-            raise AmbiguousClustering(
-                "hyperbolic element without the expected two boundary and one exterior fixed points"
-            )
-        # attractive point: both derivative eigenvalue moduli below one,
-        # equivalently the boundary point with the larger eigenvalue modulus
-        attractive, repulsive = sorted(boundary, key=lambda fp: -abs(fp.eigenvalue))
-        return verdict(Kind.HYPERBOLIC, None, attractive, repulsive, outside[0])
+    if eig.disc_sign < 0:
+        if sorted(fp.location for fp in data.points) != ["inside", "outside", "outside"]:
+            raise AmbiguousClustering("elliptic sign, fixed points not one inside and two outside")
+        return verdict(Kind.ELLIPTIC)
+    if eig.disc_sign > 0:
+        # Q(Av, Av) = Q(v, v) gives (1 - |lambda|^2) Q(v, v) = 0: the points of least and
+        # greatest modulus lie on the sphere, however far their eigenvectors miss it
+        middle = sorted(data.points, key=lambda fp: abs(fp.eigenvalue))[1]
+        if data.fixed_line is not None or middle.location != Location.OUTSIDE:
+            raise AmbiguousClustering("hyperbolic sign, middle-modulus fixed point not outside")
+        data = FixedPointData(tuple(fp if fp is middle else replace(fp, location=Location.BOUNDARY)
+                                    for fp in data.points))
+        # attractive: both derivative eigenvalue moduli below one, so the greatest modulus
+        repulsive, exterior, attractive = sorted(data.points, key=lambda fp: abs(fp.eigenvalue))
+        return verdict(Kind.HYPERBOLIC, None, attractive, repulsive, exterior)
 
+    boundary = [fp for fp in data.points if fp.location == Location.BOUNDARY]
     shape = _jordan_shape_from(g.rows, eig, tol=gap_tol)
     if all(size == 1 for sizes in shape.blocks for size in sizes):
         return verdict(Kind.ELLIPTIC)
@@ -511,7 +504,7 @@ def classify(a, *, tol: float | None = None) -> ElementClassification:
         if p.location != Location.BOUNDARY:
             raise AmbiguousClustering("parabolic fixed point not on the boundary sphere")
         return verdict(Kind.PARABOLIC, ParabolicKind.THREE_STEP, p, p)
-    raise AmbiguousClustering(f"unrecognized unit-modulus Jordan structure {shape.blocks}")
+    raise AmbiguousClustering(f"unrecognized Jordan structure {shape.blocks} at a repeated root")
 
 
 # normal forms ---------------------------------------------------------------

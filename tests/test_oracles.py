@@ -12,7 +12,7 @@ from cp2lab import AlgebraElement, classify, dynamics, eig3, linalg3, mat_exp
 from cp2lab.errors import AmbiguousClustering
 from cp2lab.su12 import J, tangent_line
 
-from helpers import conjugate, random_conjugator, random_element
+from helpers import conjugate, random_conjugator, random_element, random_elliptic
 
 RNG_SEED = 20261018
 KINDS = ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step")
@@ -92,7 +92,7 @@ def goldman(tau: complex) -> float:
 
 def _goldman_cases():
     rng = np.random.default_rng(RNG_SEED + 1)
-    for scale in (0.8, 1.5, 2.0, 2.5):
+    for scale in (0.8, 1.5, 2.0, 2.5, 3.0):
         for kind in KINDS:
             for _ in range(200):
                 yield scale, kind, random_element(rng, kind, scale)
@@ -110,13 +110,18 @@ def _verdict(m) -> str | None:
 def test_classify_agrees_with_goldman_discriminant():
     # seen at conjugator scale 0.8: hyperbolic f in [1.9e-2, 6.9e2], elliptic
     # f in [-11.6, -1.6e-4], parabolic |f| <= 1.2e-13.  Larger conjugators
-    # (max|A| up to 2.5e3 at scale 2.5) may leave a verdict ambiguous, never
-    # wrong: a multiplicity floor that does not grow with max|A| calls
-    # rotational draws hyperbolic there
+    # (max|A| up to 2.5e3 at scale 2.5) may leave a parabolic verdict
+    # ambiguous, never wrong: a multiplicity floor that does not grow with
+    # max|A| calls rotational draws hyperbolic there.  The sign of f decides a
+    # hyperbolic draw and an elliptic one with three simple roots; a
+    # unit-modulus test on the computed moduli calls an elliptic draw at
+    # scale 3.0 hyperbolic and leaves five hyperbolic ones ambiguous
     for scale, kind, m in _goldman_cases():
         f = goldman(complex(np.trace(m)))
         verdict = _verdict(m)
-        if verdict is None and scale > 0.8:
+        if verdict is None and scale > 0.8 and kind != "hyperbolic":
+            if kind == "elliptic":
+                assert max(pair.multiplicity for pair in eig3(m).pairs) > 1, (scale, f)
             continue
         assert verdict == kind, (scale, kind, f)
         if f > 1e-6:
@@ -125,6 +130,16 @@ def test_classify_agrees_with_goldman_discriminant():
             assert verdict == "elliptic", (scale, kind, f)
         if verdict not in ("elliptic", "hyperbolic"):
             assert abs(f) <= 1e-10, (scale, kind, f)
+
+
+def test_elliptic_conjugates_at_scale_3_are_never_hyperbolic():
+    # a unit-modulus test on computed moduli called 4 of these 300 draws
+    # hyperbolic (||lambda| - 1| of 1.0e-7 to 6.3e-7 at max|A| up to 2.1e3)
+    rng = np.random.default_rng(5)
+    verdicts = [_verdict(conjugate(random_elliptic(rng), random_conjugator(rng, 3.0)))
+                for _ in range(300)]
+    assert set(verdicts) <= {"elliptic", None}
+    assert verdicts.count("elliptic") >= 295
 
 
 def _small_rotations(eps: float):

@@ -20,6 +20,7 @@ from cp2lab import (
     classify,
     conjugate_to_normal_form,
     derivative_eigenvalues,
+    eig3,
     fixed_points,
     hermitian_pairing,
     is_group_member,
@@ -455,10 +456,10 @@ def test_hyperbolic_derivative_moduli_pattern():
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
 def test_near_parabolic_hyperbolics_are_classified_hyperbolic(eps):
-    # |lambda| - 1 is 100 to 1,000 times unit_tol from eps = 1e-4 down, while the
-    # computed eigenvectors miss the sphere by up to ~1e-6 |v|^2 at eps = 1e-5;
-    # an eigenvalue off the unit circle puts its fixed point on the sphere.  At
-    # eps = 1e-6 the ranks are undecidable, so ambiguity is a right answer too
+    # the computed eigenvectors miss the sphere by up to ~1e-6 |v|^2 at
+    # eps = 1e-5; the sign of Goldman's f gives the kind and an eigenvalue off
+    # the unit circle puts its fixed point on the sphere.  At eps = 1e-6 the
+    # ranks are undecidable, so ambiguity is a right answer too
     rng = np.random.default_rng([RNG_SEED, 6, int(-math.log10(eps))])
     base = mat_exp(AlgebraElement.hyperbolic_normal(eps, 0.3).matrix())
     for _ in range(20):
@@ -479,6 +480,20 @@ KINDS = ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step")
 
 def _kind_of(cls) -> str:
     return cls.subtype.value if cls.subtype is not None else cls.kind.value
+
+
+@pytest.mark.parametrize("kind", ["elliptic", "hyperbolic"])
+def test_sign_verdicts_are_confirmed_by_the_fixed_points(kind):
+    # |Q(v)| <= |v|^2, so at tol = 2 every fixed point passes the boundary
+    # test: the discriminant's sign still says elliptic or hyperbolic, but
+    # neither finds the exterior fixed points it needs
+    rng = np.random.default_rng(RNG_SEED + 14)
+    for _ in range(10):
+        m = random_element(rng, kind)
+        assert _kind_of(classify(m)) == kind
+        assert eig3(m).disc_sign == (1 if kind == "hyperbolic" else -1)
+        with pytest.raises(AmbiguousClustering, match=f"^{kind} sign, "):
+            classify(m, tol=2.0)
 
 
 def _bits(entry) -> list:

@@ -1,9 +1,12 @@
-"""Tolerance surface: which public entries take a tolerance, the one rule
-that checks a tolerance, and classify(tol=) against `cli --tol`."""
+"""Tolerance surface: which public entries take a tolerance, which module
+constants are tolerances, the one rule that checks a tolerance, and
+classify(tol=) against `cli --tol`."""
 
+import ast
 import inspect
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +56,36 @@ def test_public_tolerance_keywords_are_pinned():
     }
 
 
+def _module_tolerances() -> set[str]:
+    """"module.NAME" for every name ending in TOL (RTOL too) that a module of
+    the package assigns at module level, private or public, read from its
+    source so that imported names count once."""
+    found = set()
+    for path in Path(su12.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found.update(f"{path.stem}.{t.id}" for t in targets
+                         if isinstance(t, ast.Name) and t.id.endswith("TOL"))
+    return found
+
+
+def test_module_tolerances_are_pinned():
+    # a new tolerance, or one deleted on purpose coming back, must be added
+    # here on purpose
+    assert _module_tolerances() == {
+        "cli.ENV_TOL",
+        "dynamics.DEFAULT_TOL",
+        "dynamics.LINE_ANGLE_TOL",
+        "linalg3.MERGE_TOL",
+        "linalg3.PIVOT_RTOL",
+        "su12.GROUP_TOL",
+        "su12._COMPUTED_TOL",
+        "su12.BOUNDARY_TOL",
+        "su12._NORMAL_FORM_RESIDUAL_TOL",
+    }
+
+
 def _hyperbolic():
     return su12.GroupElement.exp(AlgebraElement.hyperbolic_normal(0.8, 0.3)).matrix
 
@@ -79,8 +112,8 @@ def test_every_tolerance_entry_refuses_an_invalid_tolerance(entry, tol):
 
 
 def test_no_classify_verdict_comes_from_an_invalid_tolerance():
-    # at NaN or inf the unit-modulus test never fired and this hyperbolic
-    # element came out elliptic
+    # at NaN or inf the unit-modulus test that once decided the kind never
+    # fired, and this hyperbolic element came out elliptic
     assert classify(_hyperbolic()).kind == su12.Kind.HYPERBOLIC
     for tol in (math.nan, math.inf):
         with pytest.raises(ValueError):
