@@ -3,13 +3,13 @@
 converge() follows single orbits step by step and declares convergence
 when successive canonical iterates stop moving in the chordal metric.
 converge() and iterate() share one step, _step: the matrix-vector product
-on Python complex scalars, then linalg3's scalar canonicalisation, which is
-bit-identical to numpy's; converge() measures each step with linalg3's
-scalar chordal distance.  No numpy call is made per step: on 3-vectors
-numpy's per-call overhead is several times the arithmetic.  The element's
-rows and fixed points come from su12's scalar path as well, so converge()
-makes no numpy call on a GroupElement; only the basin check's sampling and
-resolver work on numpy arrays.
+on Python complex scalars, then linalg3's scalar canonicalisation;
+converge() measures each step with linalg3's scalar chordal distance.  No
+numpy call is made per step: on 3-vectors numpy's per-call overhead is
+several times the arithmetic.  The element's rows and fixed points come
+from su12's scalar path as well, so converge() makes no numpy call on a
+GroupElement; only the basin check's sampling and resolver work on numpy
+arrays.
 basin_coverage_check() samples the open unit ball and random lines
 through the attractive fixed point, then certifies that every sample
 resolves into the forward basin of the attractive point or the backward

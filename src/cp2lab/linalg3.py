@@ -19,16 +19,9 @@ numpy: mat_exp's 20-term series on 3x3 arrays takes a little over half the
 time of the same series on Python scalars (Python 3.11, numpy 2.4), and
 inv3 serves the array algebra of normal-form frames.
 
-Projective points are canonicalised on Python scalars too (_canonical).
-Each coordinate x is divided by the pivot d the way numpy's complex
-division does it, so canonical_coords is bit-identical to numpy's
-a / a[piv], where Python's own complex division rounds differently: with
-rat = d_i / d_r and scl = 1 / (d_r + d_i rat), one of each per point,
-x / d = ((x_r + x_i rat) scl, (x_i - x_r rat) scl), mirrored when
-|d_r| < |d_i|.  A pivot of modulus below 2^-1022, where 1 / d overflows
-and numpy's division gives nan, is first scaled by an exact power of
-two together with the other coordinates.  Chordal distances of coordinate triples use the
-cross-product formula (_chordal).
+Projective points are canonicalised on Python scalars too (_canonical),
+by Python's own modulus and complex division.  Chordal distances of
+coordinate triples use the cross-product formula (_chordal).
 """
 
 from __future__ import annotations
@@ -219,56 +212,40 @@ def _distinct_roots(c2: complex, c1: complex, c0: complex, s: float) -> tuple[li
 
 # projective points ----------------------------------------------------------
 
-_NEAR_TIE = 1.0 - 2.0 ** -40   # relative modulus gap below which numpy picks the pivot
-_SMALLEST_NORMAL = 2.0 ** -1022  # pivots of smaller modulus are rescaled before dividing
-
-
-def _numpy_pivot(x: tuple[complex, complex, complex]) -> int:
-    return int(np.argmax(np.abs(np.array(x))))
+# pivot moduli outside [2^-1022, 2^1023) are rescaled before dividing: below,
+# the division's denominator d_r + d_i (d_i / d_r) loses bits as a subnormal;
+# above, it or a numerator (at most |x_r| + |x_i|) can overflow
+_MIN_PIVOT, _MAX_PIVOT = 2.0 ** -1022, 2.0 ** 1023
 
 
 def _canonical(x0: complex, x1: complex, x2: complex) -> tuple[complex, complex, complex]:
-    """Canonical representative of Python complexes: max-modulus pivot set to 1,
-    the others divided as in the module docstring.
+    """Canonical representative of Python complexes: the first coordinate of
+    maximal modulus (Python's abs) set to 1, the others divided by it with
+    Python's complex division (Smith's algorithm).
 
-    The pivot is the first coordinate of maximal modulus under numpy's
-    complex modulus, which is not libm's hypot (Python's abs) and differs
-    from it in the last bits; so when another modulus lies within 2^-40 of
-    the largest, or a modulus overflows, numpy picks the pivot.
+    A pivot of modulus outside [_MIN_PIVOT, _MAX_PIVOT) is first scaled,
+    with the other coordinates, by the exact power of two that brings its
+    larger part into [1/2, 1).
     """
-    x = (x0, x1, x2)
     if not (cmath.isfinite(x0) and cmath.isfinite(x1) and cmath.isfinite(x2)):
         raise ValueError("projective coordinates must be finite")
     try:
         m0, m1, m2 = abs(x0), abs(x1), abs(x2)
-    except OverflowError:   # numpy's modulus is inf there
-        piv = _numpy_pivot(x)
-    else:
-        top = max(m0, m1, m2)
-        cut = top * _NEAR_TIE
-        if (m0 >= cut) + (m1 >= cut) + (m2 >= cut) > 1:
-            piv = _numpy_pivot(x)
-        else:
-            piv = 0 if m0 == top else 1 if m1 == top else 2
-    d = x[piv]
-    if d == 0:
+    except OverflowError:   # a modulus beyond the float range: hypot gives inf
+        m0, m1, m2 = (math.hypot(z.real, z.imag) for z in (x0, x1, x2))
+    top = max(m0, m1, m2)
+    if top == 0:
         raise ValueError("projective point needs a nonzero coordinate")
-    if math.hypot(d.real, d.imag) < _SMALLEST_NORMAL:
-        # the power of two that brings the pivot's larger part into [1/2, 1)
+    piv = 0 if m0 == top else 1 if m1 == top else 2
+    if not _MIN_PIVOT <= top < _MAX_PIVOT:
+        d = (x0, x1, x2)[piv]
         e = -math.frexp(max(abs(d.real), abs(d.imag)))[1]
-        x = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in x]
-        d = x[piv]
-    d_r, d_i = d.real, d.imag
-    if abs(d_r) >= abs(d_i):
-        rat = d_i / d_r
-        scl = 1.0 / (d_r + d_i * rat)
-        w = [complex((z.real + z.imag * rat) * scl, (z.imag - z.real * rat) * scl) for z in x]
-    else:
-        rat = d_r / d_i
-        scl = 1.0 / (d_i + d_r * rat)
-        w = [complex((z.real * rat + z.imag) * scl, (z.imag * rat - z.real) * scl) for z in x]
-    w[piv] = 1 + 0j
-    return (w[0], w[1], w[2])
+        x0, x1, x2 = (complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in (x0, x1, x2))
+    if piv == 0:
+        return (1 + 0j, x1 / x0, x2 / x0)
+    if piv == 1:
+        return (x0 / x1, 1 + 0j, x2 / x1)
+    return (x0 / x2, x1 / x2, 1 + 0j)
 
 
 def canonical_coords(v) -> tuple[complex, complex, complex]:
@@ -331,11 +308,9 @@ def _cross(u, v) -> tuple[complex, complex, complex]:
 
 
 def _shifted(r: list[list[complex]], value: complex) -> list[list[complex]]:
-    """Rows of r - value I, entry by entry as numpy forms a - value * eye(3),
-    signed zeros included."""
-    on, off = value * (1 + 0j), value * 0j
+    """Rows of r - value I; the off-diagonal entries are r's own."""
     (a, b, c), (d, e, f), (g, h, i) = r
-    return [[a - on, b - off, c - off], [d - off, e - on, f - off], [g - off, h - off, i - on]]
+    return [[a - value, b, c], [d, e - value, f], [g, h, i - value]]
 
 
 def _rank_and_null(rows: list[list[complex]], scale_ref: float | None = None):

@@ -36,9 +36,8 @@ Scalars and arrays: a GroupElement keeps its rows as Python complexes,
 taken once, and membership, classify, fixed_points and the point and line
 helpers run on rows and coordinate triples, so classifying a built element
 makes no numpy call.  Numpy stays where whole arrays are worked on: mat_exp,
-the normal-form frames, and basin sampling and resolution.  Sums of
-products (a fixed line, eigenplane representatives) round as Python does,
-with no fused multiply-add, so they may differ from numpy's in the last bit.
+the normal-form frames, and basin sampling and resolution.  The scalar
+path's results are those of Python's own arithmetic.
 """
 
 from __future__ import annotations

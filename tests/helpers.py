@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import product
 
@@ -247,20 +248,37 @@ def full_pivot_rank(m, rtol: float, scale_ref: float | None = None) -> int:
     return 3
 
 
-# reference projective step: numpy canonicalisation and chordal distance on
-# 3-vectors, and the orbit loops built from them
+# reference projective step: canonicalisation by Python's modulus and complex
+# division, numpy's chordal distance on 3-vectors, and the orbit loops built
+# from them with numpy's m @ v
+
+def abs_or_inf(z: complex) -> float:
+    """Python's abs, or inf where it overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
 
 def reference_canonical_coords(v) -> tuple[complex, complex, complex]:
-    """Max-modulus pivot (first on ties) set to 1, by numpy array division."""
-    a = np.asarray(v, dtype=complex).reshape(3)
-    if not np.isfinite(a).all():
+    """First coordinate of maximal Python abs set to 1, the others divided by
+    it with Python's complex division, after scaling by the power of two
+    that brings the pivot's larger part into [1/2, 1) when its modulus is
+    outside [2^-1022, 2^1023)."""
+    x = [complex(z) for z in np.asarray(v, dtype=complex).reshape(3)]
+    if not all(cmath.isfinite(z) for z in x):
         raise ValueError("projective coordinates must be finite")
-    piv = int(np.argmax(np.abs(a)))
-    if a[piv] == 0:
+    mods = [abs_or_inf(z) for z in x]
+    piv = mods.index(max(mods))
+    d = x[piv]
+    if d == 0:
         raise ValueError("projective point needs a nonzero coordinate")
-    w = a / a[piv]
-    w[piv] = 1.0
-    return (complex(w[0]), complex(w[1]), complex(w[2]))
+    if not 2.0 ** -1022 <= mods[piv] < 2.0 ** 1023:
+        e = -math.frexp(max(abs(d.real), abs(d.imag)))[1]
+        x = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in x]
+    w = [z / x[piv] for z in x]
+    w[piv] = 1 + 0j
+    return (w[0], w[1], w[2])
 
 
 def reference_chordal(a, b) -> float:

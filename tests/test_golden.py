@@ -6,11 +6,13 @@ stderr recorded in tests/golden_cli.json, and every op of the orbit deck the
 same dynamics.converge result, to the bit (see tests/golden.py, which
 regenerates it).  A change that alters output on purpose, such as a new
 sampling stream, regenerates the file and lists in CHANGES.md which ops
-changed and why.  The digests also pin numpy's Philox stream (basin samples)
-and the last bits of numpy's arithmetic and Python's float formatting
-(classify payloads): a numpy upgrade that changes either shows here as
-failing basin or classify ops with unchanged lattice ops, and the PR that
-takes the upgrade regenerates the file and records it in CHANGES.md.
+changed and why.  The digests also pin numpy's Philox stream (basin samples),
+the last bits of numpy's array arithmetic (mat_exp of --exp inputs, the
+basin resolver) and those of Python's scalar arithmetic and float
+formatting (classify payloads, orbit limits): a numpy upgrade that changes
+either shows here as failing basin or classify ops with unchanged lattice
+ops, and the change that takes the upgrade regenerates the file and
+records it in CHANGES.md.
 """
 
 import json

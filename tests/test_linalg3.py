@@ -23,7 +23,7 @@ from cp2lab import linalg3
 from cp2lab.errors import AmbiguousClustering
 from cp2lab.linalg3 import _jordan_shape_from, _rank_and_null, canonical_coords, char_poly, det3, inv3
 
-from helpers import full_pivot_rank, random_element, reference_canonical_coords, reference_chordal
+from helpers import abs_or_inf, full_pivot_rank, random_element, reference_canonical_coords, reference_chordal
 
 RNG_SEED = 20240811
 
@@ -338,17 +338,22 @@ def test_rank_decisions_match_full_pivot_elimination():
     assert sorted(ranks) == [0, 1, 2, 3] and sum(ranks.values()) > 6000
 
 
-def test_shift_is_numpy_a_minus_value_eye_bit_for_bit():
-    # signed zeros included: a -0.0 entry in the input reaches the
-    # eigenvectors, and so the printed coordinates
-    def bits(rows):
-        return [[(z.real.hex(), z.imag.hex()) for z in row] for row in rows]
+def test_shift_subtracts_on_the_diagonal_only():
+    # off-diagonal entries come out bit for bit as they went in, signed zeros
+    # included: a -0.0 entry in the input reaches the eigenvectors, and so
+    # the printed coordinates
+    def bits(z):
+        return (z.real.hex(), z.imag.hex())
 
-    zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
-    for z in zeros:
-        m = np.array([[1.5 + 0.5j, z, z], [z, -0.25j, z], [z, z, -2.0]], dtype=complex)
-        for value in (1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 2.0 + 0j, -0.5j):
-            assert bits(linalg3._shifted(m.tolist(), value)) == bits((m - value * np.eye(3)).tolist())
+    entries = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)] + [0.3 - 0.1j, -2.5j]
+    for z in entries:
+        rows = [[1.5 + 0.5j, z, z], [z, -0.25j, z], [z, z, -2.0 + 0j]]
+        for value in (1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 2.0 + 0j, -0.5j, complex(-0.0, 0.0)):
+            shifted = linalg3._shifted(rows, value)
+            for i in range(3):
+                for j in range(3):
+                    want = rows[i][j] - value if i == j else rows[i][j]
+                    assert bits(shifted[i][j]) == bits(want), (z, value, i, j)
 
 
 def test_null_directions_by_rank():
@@ -459,8 +464,8 @@ _MAGNITUDE = st.floats(min_value=1e-300, max_value=1e308)
 _PART = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
                   _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
 _COMPLEX = st.builds(complex, _PART, _PART)
-# maps of a coordinate to another of the same modulus: exactly, or as libm's
-# hypot rounds it, which numpy's complex modulus may round one bit higher
+# maps of a coordinate to another of the same modulus: exactly, or as
+# math.hypot rounds it, which Python's abs (libm's hypot) may round apart
 _SAME_MODULUS = st.sampled_from([
     lambda z: z,
     lambda z: math.hypot(z.real, z.imag),
@@ -484,29 +489,10 @@ def _hex(coords) -> list:
 
 
 def _canonical_or_error(f, x):
-    with np.errstate(all="ignore"):
-        try:
-            return _hex(f(x))
-        except ValueError as exc:
-            return str(exc)
-
-
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_coordinates())
-def test_canonical_coords_is_bitwise_numpy_array_division(x):
-    assert _canonical_or_error(canonical_coords, x) == _canonical_or_error(reference_canonical_coords, x)
-
-
-@pytest.mark.parametrize("x", [
-    [1.7e308 + 1.7e308j, 1, 1],      # Python's abs overflows, numpy's modulus is inf
-    [1e308, 1e308j, -1e308],
-    [3 + 4j, 5, -4 + 3j],            # exact ties with different parts
-    [5 + 12j, 13, 12 - 5j],
-    [0.9951708396049394, 0.646 + 0.757j, 0],   # a near tie that numpy and libm round apart
-    [0, -0.0, 1e-300j],
-])
-def test_canonical_coords_edge_cases_match_numpy(x):
-    assert _canonical_or_error(canonical_coords, x) == _canonical_or_error(reference_canonical_coords, x)
+    try:
+        return _hex(f(x))
+    except ValueError as exc:
+        return str(exc)
 
 
 def _exact_quotient(z: complex, d: complex) -> complex:
@@ -514,6 +500,41 @@ def _exact_quotient(z: complex, d: complex) -> complex:
     zr, zi, dr, di = map(Fraction, (z.real, z.imag, d.real, d.imag))
     den = dr * dr + di * di
     return complex(float((zr * dr + zi * di) / den), float((zi * dr - zr * di) / den))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_coordinates())
+def test_canonical_coords_is_the_exact_quotient_by_the_first_largest_coordinate(x):
+    # the pivot is the first coordinate of maximal Python abs (inf where abs
+    # overflows), and each coordinate is within 4u|q| of the exact quotient
+    # q, plus two subnormal ulps for a quotient that underflows
+    finite = all(map(cmath.isfinite, x))
+    mods = [abs_or_inf(z) for z in x] if finite else []
+    if not finite or max(mods) == 0:
+        message = "must be finite" if not finite else "needs a nonzero coordinate"
+        with pytest.raises(ValueError, match=message):
+            canonical_coords(x)
+        return
+    piv = mods.index(max(mods))
+    coords = canonical_coords(x)
+    assert _hex([coords[piv]]) == _hex([1 + 0j])
+    for z, c in zip(x, coords):
+        q = _exact_quotient(z, x[piv])
+        assert abs(c - q) <= 4.0 * math.ulp(1.0) * abs(q) + 2.0 ** -1073, (x, z, c, q)
+
+
+@pytest.mark.parametrize("x", [
+    [1.7e308 + 1.7e308j, 1, 1],      # Python's abs overflows
+    [1e308, 1e308j, -1e308],
+    [3 + 4j, 5, -4 + 3j],            # exact ties with different parts
+    [5 + 12j, 13, 12 - 5j],
+    [0.9951708396049394, 0.646 + 0.757j, 0],   # a near tie that math.hypot and abs round apart
+    [0, -0.0, 1e-300j],
+])
+def test_canonical_coords_edge_cases_match_numpy(x):
+    # the reference is Python's division now; the name and its six ids are
+    # kept from when it was numpy's array division
+    assert _canonical_or_error(canonical_coords, x) == _canonical_or_error(reference_canonical_coords, x)
 
 
 @pytest.mark.parametrize("x, representable", [

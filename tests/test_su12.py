@@ -690,11 +690,23 @@ def test_membership_agrees_with_the_numpy_formula(kind):
     assert verdicts[True] > 600 and verdicts[False] > 400 and near < 10
 
 
-@pytest.mark.parametrize("kind", KINDS)
+# normal forms, whose fixed points such as [1:1:0] and [1:-1:0] have two
+# coordinates of equal modulus, up to rounding
+NORMAL_FORMS = {
+    "hyperbolic_normal": AlgebraElement.hyperbolic_normal(0.8, 0.3),
+    "parabolic_normal": AlgebraElement.parabolic_normal(0.2, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS + tuple(NORMAL_FORMS))
 def test_spectral_entries_on_an_element_call_no_numpy(kind):
     rng = np.random.default_rng(RNG_SEED + 13)
-    for _ in range(5):
-        g = GroupElement(random_element(rng, kind))
+    if kind in NORMAL_FORMS:
+        matrices = [mat_exp(NORMAL_FORMS[kind].matrix())]
+    else:
+        matrices = [random_element(rng, kind) for _ in range(5)]
+    for m in matrices:
+        g = GroupElement(m)
         profile = cProfile.Profile()
         profile.runcall(classify, g)
         profile.runcall(fixed_points, g)
