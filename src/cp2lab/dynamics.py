@@ -2,14 +2,14 @@
 
 converge() follows single orbits step by step and declares convergence
 when successive canonical iterates stop moving in the chordal metric.
-converge() and iterate() share one step, _step: the matrix-vector product
-on Python complex scalars, then linalg3's scalar canonicalisation;
-converge() measures each step with linalg3's scalar chordal distance.  No
-numpy call is made per step: on 3-vectors numpy's per-call overhead is
-several times the arithmetic.  The element's rows and fixed points come
-from su12's scalar path as well, so converge() makes no numpy call on a
-GroupElement; only the basin check's sampling and resolver work on numpy
-arrays.
+Both it and iterate() run one kernel, _walk, which calls no function of
+this package per step: the matrix-vector product on complex scalars, then
+linalg3's _canonical and, for converge(), _chordal, both inline, with
+|v|^2 carried over from the previous |w|^2.  The arithmetic and its order
+are theirs, so results match to the bit; images _canonical would rescale
+or refuse go to it.  Rows and fixed points come from su12's scalar path
+too, so converge() makes no numpy call on a GroupElement; only basin
+sampling and the resolver use numpy arrays.
 basin_coverage_check() samples the open unit ball and random lines
 through the attractive fixed point, then certifies that every sample
 resolves into the forward basin of the attractive point or the backward
@@ -73,13 +73,14 @@ alpha = g3, beta = g4.  No numpy Generator is built.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DEFAULT_MAX_ITER, NotNonElliptic, check_tol
-from .linalg3 import ProjectivePoint, _canonical, _chordal, _norm2
+from .linalg3 import _MAX_PIVOT, _MIN_PIVOT, ProjectivePoint, _canonical, _chordal, _norm2
 from .su12 import (
     J,
     FixedPointData,
@@ -130,24 +131,50 @@ class BasinReport:
         return self.resolved_backward / self.samples if self.samples else 0.0
 
 
-def _step(rows: list[list[complex]], v) -> tuple[complex, complex, complex]:
-    """Canonical coordinates of m v, with m as its rows and v as a triple of
-    Python complexes: the one orbit step of converge and iterate."""
-    x0, x1, x2 = v
+def _walk(rows: list[list[complex]], v, steps: int, tol: float | None):
+    """Up to `steps` orbit steps from the triple v under the matrix with
+    these rows, each w = _canonical(m v), measured by d = _chordal(v, w)
+    unless tol is None.  Returns (k, w, d) at the first step k with d <= tol,
+    else (steps, last iterate, last d)."""
     (a, b, c), (d, e, f), (g, h, i) = rows
-    return _canonical(a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
+    x0, x1, x2 = v
+    lo, hi, sqrt = _MIN_PIVOT, _MAX_PIVOT, math.sqrt
+    n2 = (x0 * x0.conjugate() + x1 * x1.conjugate() + x2 * x2.conjugate()).real
+    dist = math.inf
+    for k in range(steps):
+        y0, y1, y2 = a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2
+        try:
+            m0, m1, m2 = abs(y0), abs(y1), abs(y2)
+        except OverflowError:
+            m0 = m1 = m2 = math.nan
+        # _canonical where it neither rescales nor raises; a NaN modulus fails every test
+        if m0 >= m1 and m0 >= m2 and lo <= m0 < hi:
+            w0, w1, w2 = 1 + 0j, y1 / y0, y2 / y0
+        elif m1 > m0 and m1 >= m2 and lo <= m1 < hi:
+            w0, w1, w2 = y0 / y1, 1 + 0j, y2 / y1
+        elif m2 > m0 and m2 > m1 and lo <= m2 < hi:
+            w0, w1, w2 = y0 / y2, y1 / y2, 1 + 0j
+        else:
+            w0, w1, w2 = _canonical(y0, y1, y2)
+        if tol is not None:
+            c0, c1, c2 = x1 * w2 - x2 * w1, x2 * w0 - x0 * w2, x0 * w1 - x1 * w0
+            n2w = (w0 * w0.conjugate() + w1 * w1.conjugate() + w2 * w2.conjugate()).real
+            dist = sqrt((c0 * c0.conjugate() + c1 * c1.conjugate() + c2 * c2.conjugate()).real
+                        / (n2 * n2w))
+            if dist <= tol:
+                return k, (w0, w1, w2), dist
+            n2 = n2w
+        x0, x1, x2 = w0, w1, w2
+    return steps, (x0, x1, x2), dist
 
 
 def iterate(a, p: ProjectivePoint, n: int) -> ProjectivePoint:
-    """Canonical form of A^n p by repeated multiply-then-canonicalize.
-    Raises NotInGroup unless a is a member at GROUP_TOL."""
+    """Canonical form of A^n p: n of converge's steps (_walk) without their
+    distances.  Raises NotInGroup unless a is a member at GROUP_TOL."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    rows = _as_group_element(a).rows
-    v = p.coords
-    for _ in range(n):
-        v = _step(rows, v)
-    return ProjectivePoint(_canonical(*v))
+    _, w, _ = _walk(_as_group_element(a).rows, p.coords, n, None)
+    return ProjectivePoint(_canonical(*w))
 
 
 def _nearest_fixed_point(data: FixedPointData, p: ProjectivePoint) -> ProjectivePoint:
@@ -169,29 +196,24 @@ def _nearest_fixed_point(data: FixedPointData, p: ProjectivePoint) -> Projective
 
 def converge(a, p: ProjectivePoint, max_iter: int = DEFAULT_MAX_ITER,
              tol: float = DEFAULT_TOL) -> OrbitResult:
-    """Iterate until successive canonical points differ by at most tol.
+    """Step with _walk until successive canonical points are at chordal
+    distance at most tol.
 
-    On success the reported limit is the fixed point of A nearest to the
-    final iterate; iterations counts the steps taken before the stopping
-    test fired.  Raises ValueError unless tol passes check_tol, and
-    NotInGroup unless a is a member at GROUP_TOL.
+    On success the limit is the fixed point of A nearest to the final
+    iterate; iterations counts the steps before the stopping test fired.
+    Raises ValueError unless tol passes check_tol, and NotInGroup unless a
+    is a member at GROUP_TOL.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     check_tol(tol)
     g = _as_group_element(a)
     data = fixed_points(g)
-    rows = g.rows
-    v = p.coords
-    dist = float("inf")
-    for k in range(max_iter):
-        w = _step(rows, v)
-        dist = _chordal(v, w)
-        if dist <= tol:
-            limit = _nearest_fixed_point(data, ProjectivePoint(_canonical(*w)))
-            return OrbitResult(True, limit, k, dist)
-        v = w
-    return OrbitResult(False, None, max_iter, dist)
+    k, w, dist = _walk(g.rows, p.coords, max_iter, tol)
+    if k == max_iter:
+        return OrbitResult(False, None, max_iter, dist)
+    # canonical again: a modulus tie in w can move the pivot
+    return OrbitResult(True, _nearest_fixed_point(data, ProjectivePoint(_canonical(*w))), k, dist)
 
 
 # sampling -------------------------------------------------------------------

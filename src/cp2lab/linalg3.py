@@ -21,7 +21,9 @@ inv3 serves the array algebra of normal-form frames.
 
 Projective points are canonicalised on Python scalars too (_canonical),
 by Python's own modulus and complex division.  Chordal distances of
-coordinate triples use the cross-product formula (_chordal).
+coordinate triples use the cross-product formula (_chordal).  _canonical
+stays the one definition of its rule: dynamics' orbit kernel inlines it
+where it neither rescales nor raises, and must equal it there to the bit.
 """
 
 from __future__ import annotations

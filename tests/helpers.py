@@ -8,8 +8,9 @@ from itertools import product
 
 import numpy as np
 
-from cp2lab import AlgebraElement, DivisorClass, mat_exp
-from cp2lab.linalg3 import det3
+from cp2lab import AlgebraElement, DivisorClass, GroupElement, ProjectivePoint, fixed_points, mat_exp
+from cp2lab.dynamics import OrbitResult, _nearest_fixed_point
+from cp2lab.linalg3 import _canonical, _chordal, det3
 
 
 def random_algebra(rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
@@ -310,6 +311,39 @@ def reference_converge(m, start, max_iter: int, tol: float):
             return True, k, dist, w
         v = w
     return False, max_iter, dist, None
+
+
+# reference scalar orbit loops: one call each of the row product, _canonical
+# and _chordal per step, as converge and iterate were composed before their
+# steps were fused into one kernel
+
+def reference_scalar_step(rows, v) -> tuple[complex, complex, complex]:
+    """_canonical of the product of the matrix with these rows and the triple v."""
+    x0, x1, x2 = v
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return _canonical(a * x0 + b * x1 + c * x2, d * x0 + e * x1 + f * x2, g * x0 + h * x1 + i * x2)
+
+
+def reference_scalar_iterate(m, p: ProjectivePoint, n: int) -> ProjectivePoint:
+    rows = GroupElement(m).rows
+    v = p.coords
+    for _ in range(n):
+        v = reference_scalar_step(rows, v)
+    return ProjectivePoint(_canonical(*v))
+
+
+def reference_scalar_converge(m, p: ProjectivePoint, max_iter: int, tol: float) -> OrbitResult:
+    g = GroupElement(m)
+    data = fixed_points(g)
+    v = p.coords
+    dist = float("inf")
+    for k in range(max_iter):
+        w = reference_scalar_step(g.rows, v)
+        dist = _chordal(v, w)
+        if dist <= tol:
+            return OrbitResult(True, _nearest_fixed_point(data, ProjectivePoint(_canonical(*w))), k, dist)
+        v = w
+    return OrbitResult(False, None, max_iter, dist)
 
 
 # reference basin resolver: one stride of eight steps per numpy round, every

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cp2lab import (
     AlgebraElement,
@@ -19,7 +20,7 @@ from cp2lab import (
 )
 from cp2lab import dynamics, linalg3
 from cp2lab.dynamics import _nearest_fixed_point
-from cp2lab.errors import NotNonElliptic
+from cp2lab.errors import Cp2LabError, NotNonElliptic
 from cp2lab.su12 import J, fixed_points, is_group_member, tangent_line
 
 from helpers import (
@@ -32,7 +33,11 @@ from helpers import (
     reference_first_capture,
     reference_iterate,
     reference_resolve_batch,
+    reference_scalar_converge,
+    reference_scalar_iterate,
+    reference_scalar_step,
 )
+from test_linalg3 import _coordinates
 
 RNG_SEED = 4242
 
@@ -193,8 +198,117 @@ def test_converge_and_iterate_match_the_numpy_loop(kind):
                 assert reference_chordal(iterate(m, p, n).coords, expected) < 1e-12, (kind, i, n)
 
 
+def _bits(x):
+    """x with every float and complex spelt in hex, so == compares bits."""
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    return x
+
+
+def _orbit_fields(res) -> tuple:
+    limit = None if res.limit is None else _bits(res.limit.coords)
+    return res.converged, res.iterations, repr(res.final_distance), limit
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError, Cp2LabError) as exc:
+        return type(exc), str(exc)
+
+
+def _ball_starts(rng):
+    """Starts (1, y, z) with |y|^2 + |z|^2 = r^2 inside, on and outside the ball."""
+    for r in (0.5, 1.0, 1.7):
+        t, a, b = rng.uniform(0.0, 2.0 * math.pi, 3)
+        yield _pt([1.0, r * math.cos(t) * np.exp(1j * a), r * math.sin(t) * np.exp(1j * b)])
+
+
+# kind: stopping tolerance; elliptic and rotational orbits exhaust the budget
+SCALAR_ORBIT_TOL = {"elliptic": 1e-8, "hyperbolic": 1e-10, "rotational": 1e-8,
+                    "line_fixing": 1e-5, "three_step": 1e-5}
+
+
+@pytest.mark.parametrize("scale", [0.8, 3.0])
+@pytest.mark.parametrize("kind", sorted(SCALAR_ORBIT_TOL))
+def test_converge_and_iterate_equal_the_scalar_reference_bit_for_bit(kind, scale):
+    tol = SCALAR_ORBIT_TOL[kind]
+    rng = np.random.default_rng([RNG_SEED, sorted(SCALAR_ORBIT_TOL).index(kind), int(10 * scale)])
+    exhausted = 0
+    for i in range(4):
+        m = random_element(rng, kind, scale)
+        for p in _ball_starts(rng):
+            for max_iter in (1, 2_000):
+                got, want = (_outcome(lambda f: _orbit_fields(f(m, p, max_iter, tol)), f)
+                             for f in (converge, reference_scalar_converge))
+                assert got == want, (kind, i, max_iter)
+                exhausted += max_iter > 1 and got[0] is False
+            for n in (0, 1, 37, 500):
+                got, want = (_outcome(lambda f: _bits(f(m, p, n).coords), f)
+                             for f in (iterate, reference_scalar_iterate))
+                assert got == want, (kind, i, n)
+    if kind in ("elliptic", "rotational"):
+        assert exhausted
+
+
+_IDENTITY_ROWS = [[1 + 0j, 0j, 0j], [0j, 1 + 0j, 0j], [0j, 0j, 1 + 0j]]
+
+
+def _kernel_step(x):
+    """One step of _walk from x under the identity, without and with its
+    distance, each against _canonical and _chordal of the same image."""
+    v = tuple(map(complex, x))
+
+    def reference():
+        w = reference_scalar_step(_IDENTITY_ROWS, v)
+        d = linalg3._chordal(v, w)
+        return 0 if d <= math.inf else 1, w, d
+
+    got = (_outcome(lambda: _bits(dynamics._walk(_IDENTITY_ROWS, v, 1, None)[1])),
+           _outcome(lambda: _bits(dynamics._walk(_IDENTITY_ROWS, v, 1, math.inf))))
+    want = (_outcome(lambda: _bits(reference_scalar_step(_IDENTITY_ROWS, v))),
+            _outcome(lambda: _bits(reference())))
+    return got, want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_coordinates())
+def test_walk_step_equals_canonical_and_chordal(x):
+    got, want = _kernel_step(x)
+    assert got == want, x
+
+
+@pytest.mark.parametrize("x, falls_back", [
+    ([3 + 4j, 4 - 3j, 1], False),                           # |x0| = |x1|: index 0 wins
+    ([0.5, 3 + 4j, -5], False),                             # |x1| = |x2|: index 1 wins
+    ([3e-320 + 1e-320j, 1e-321, -2e-320j], True),           # subnormal pivot
+    ([0, 2.0 ** -1023, 1e-310j], True),
+    ([2.0 ** 1023, 1, 1j], True),                           # pivot at 2^1023
+    ([1.5e308j, 1e308, 0], True),
+    ([1e308 + 1e308j, 1, 1], True),                         # abs overflows
+    ([math.nan, 1, 1], True),
+    ([1, complex(math.inf, 0.0), 0], True),
+    ([0, 0, 0], True),
+])
+def test_walk_step_edge_cases(monkeypatch, x, falls_back):
+    got, want = _kernel_step(x)
+    assert got == want
+    calls = []
+    monkeypatch.setattr(dynamics, "_canonical", lambda *y: calls.append(y) or linalg3._canonical(*y))
+    _outcome(dynamics._walk, _IDENTITY_ROWS, tuple(map(complex, x)), 1, None)
+    assert bool(calls) == falls_back
+    if not falls_back:
+        assert got[0].index(_bits(1 + 0j)) == [abs(z) for z in x].index(5.0)
+
+
 def test_converge_step_cost_does_not_grow_with_the_iteration_count(monkeypatch):
-    # numpy 3-vector calls per orbit step were the per-step cost of the old loop
+    # numpy 3-vector calls, and then calls of linalg3's scalar step, distance
+    # and norm, were the per-step cost of the old loops
     calls = Counter()
 
     def count(owner, name, wrap=lambda f: f):
@@ -209,6 +323,8 @@ def test_converge_step_cost_does_not_grow_with_the_iteration_count(monkeypatch):
     count(np, "cross")
     count(linalg3, "canonical_coords")
     count(ProjectivePoint, "from_vector", staticmethod)
+    for name in ("_canonical", "_chordal", "_norm2"):
+        count(dynamics, name)
     m = mat_exp(AlgebraElement.parabolic_normal(0.2, 0.0, 1.0).matrix())
     p = _pt([1, 0.3 - 0.2j, -0.5j])
     runs = []
