@@ -1,11 +1,12 @@
 """Projective dynamics of SU(1,2) on CP^2 and exact Picard-lattice surgery.
 
 The names below are re-exported from their modules, each loaded on first
-access (PEP 562), so `import cp2lab` loads no submodule.  The SU(1,2)
-layers (su12, linalg3, dynamics) load numpy; the lattice layers (lattice,
-replay) are exact integer arithmetic and never do.  So of the command-line
-subcommands (cli), only classify and basin load numpy; lattice, replay and
---help never do.
+access (PEP 562), so `import cp2lab` loads no submodule.  Of the SU(1,2)
+layers, dynamics loads numpy, while su12 and linalg3 import it only inside
+the functions that build arrays; the lattice layers (lattice, replay) are
+exact integer arithmetic and never do.  So of the command-line subcommands
+(cli), only basin and classify --exp load numpy; classify of a matrix,
+lattice, replay and --help never do.
 """
 
 import importlib

@@ -1,7 +1,7 @@
 """Command-line front door: JSON in, JSON out, under the contract _HELP, which
 --help prints with this module's limits.  A subcommand imports only the
-layers it uses: classify and basin load numpy with the SU(1,2) layers, while
-lattice, replay and --help load the exact lattice arithmetic at most."""
+layers it uses: basin and classify --exp load numpy, classify of a matrix the
+SU(1,2) layers alone, and lattice, replay and --help the lattice at most."""
 
 from __future__ import annotations
 
@@ -166,17 +166,13 @@ def _load_json(path: str):
 
 
 def _cmd_classify(args) -> dict:
-    import numpy as np
     from . import jsonio, su12
     obj = _load_json(args.input)
-    # floating-point warnings are silenced for this call only, leaving the
-    # caller's numpy error state as it was
-    with np.errstate(all="ignore"):
-        if args.exp:
-            a = su12.GroupElement.exp(jsonio.algebra_from_json(obj))
-        else:
-            a = jsonio.mat3_from_json(obj)
-        return jsonio.classification_report(su12.classify(a, tol=args.tol))
+    if args.exp:  # exp silences its own floating-point warnings
+        a = su12.GroupElement.exp(jsonio.algebra_from_json(obj))
+    else:
+        a = jsonio.mat3_from_json(obj)
+    return jsonio.classification_report(su12.classify(a, tol=args.tol))
 
 
 def _cmd_basin(args) -> dict:
@@ -190,7 +186,7 @@ def _cmd_basin(args) -> dict:
         raise _UsageError(f"--max-iter {args.max_iter} is above {MAX_BASIN_ITER}")
     matrix = jsonio.mat3_from_json(_load_json(args.input))
     try:
-        with np.errstate(all="ignore"):  # as in _cmd_classify
+        with np.errstate(all="ignore"):  # for this call only: the caller's state is kept
             report = dynamics.basin_coverage_check(
                 matrix,
                 samples=args.samples,

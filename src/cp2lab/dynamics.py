@@ -81,15 +81,8 @@ import numpy as np
 
 from .errors import DEFAULT_MAX_ITER, NotNonElliptic, check_tol
 from .linalg3 import _MAX_PIVOT, _MIN_PIVOT, ProjectivePoint, _canonical, _chordal, _norm2
-from .su12 import (
-    J,
-    FixedPointData,
-    Kind,
-    fixed_points,
-    _as_group_element,
-    classify,
-    tangent_line,
-)
+from .su12 import (FixedPointData, Kind, _as_group_element, _inverse_rows, classify, fixed_points,
+                   tangent_line)
 
 DEFAULT_TOL = 1e-8
 CAPTURE_RADIUS = 5e-3    # asymptotic capture radius for slow parabolic orbits
@@ -507,15 +500,13 @@ def basin_coverage_check(a, samples: int, line_samples: int | None = None, *,
     points = _sample_points(seed, samples, line_samples, p_plus.vector, l_plus.vector)
     total = points.shape[1]
 
-    m = g.matrix
-    forward = _resolve_batch(m, points, p_plus.vector, max_iter, CAPTURE_RADIUS)
+    forward = _resolve_batch(g.matrix, points, p_plus.vector, max_iter, CAPTURE_RADIUS)
 
     rest = forward == 0
     backward_count = 0
     if rest.any():
-        m_inv = J @ m.conj().T @ J
-        backward = _resolve_batch(m_inv, points[:, rest], p_minus.vector, max_iter,
-                                  CAPTURE_RADIUS)
+        backward = _resolve_batch(np.array(_inverse_rows(g.rows)), points[:, rest],
+                                  p_minus.vector, max_iter, CAPTURE_RADIUS)
         backward_count = int(backward.sum())
 
     forward_count = int(forward.sum())

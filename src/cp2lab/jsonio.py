@@ -42,8 +42,7 @@ def complex_from_json(obj) -> complex:
 
 def mat3_to_json(m) -> list[list[list[float]]]:
     from . import linalg3
-    a = linalg3.as_mat3(m)
-    return [[complex_to_json(a[i, j]) for j in range(3)] for i in range(3)]
+    return [[complex_to_json(z) for z in row] for row in linalg3.as_rows(m)]
 
 
 def mat3_from_json(obj) -> list[list[complex]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
+from operator import index, mul
 
 from .errors import (
     NoCandidate,
@@ -48,8 +48,9 @@ class DivisorClass:
         # built from a list so the tuple is allocated at its final size; a
         # tuple grown from an iterator is resized from a default-size block,
         # and over repeated blow-ups the per-size tuple free lists then fill
-        # to their cap (about 4 MB more peak memory)
-        object.__setattr__(self, "coeffs", tuple([int(c) for c in self.coeffs]))
+        # to their cap (about 4 MB more peak memory).  index, not int: a float
+        # raises TypeError rather than truncating
+        object.__setattr__(self, "coeffs", tuple([index(c) for c in self.coeffs]))
 
     @classmethod
     def _of(cls, coeffs: tuple[int, ...]) -> "DivisorClass":
@@ -72,7 +73,7 @@ class DivisorClass:
         return DivisorClass(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(tuple(int(k) * a for a in self.coeffs))
+        return DivisorClass(tuple(index(k) * a for a in self.coeffs))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -236,7 +237,7 @@ class PicardLattice:
     canonical: DivisorClass
 
     def __post_init__(self):
-        gram = tuple([tuple([int(x) for x in row]) for row in self.gram])  # see DivisorClass
+        gram = tuple([tuple([index(x) for x in row]) for row in self.gram])  # see DivisorClass
         object.__setattr__(self, "gram", gram)
         n = len(gram)
         if any(len(row) != n for row in gram):
@@ -326,7 +327,7 @@ class PicardLattice:
             raise RankMismatch(
                 f"expected a rank-{self.rank - 1} class from before the blow-up, got rank {d.rank}"
             )
-        return DivisorClass._of(d.coeffs + (-int(multiplicity),))
+        return DivisorClass._of(d.coeffs + (-index(multiplicity),))
 
     def contract(self, e: DivisorClass) -> tuple["PicardLattice", PushforwardMap]:
         """Contract an exceptional class; returns the complement lattice and
@@ -371,7 +372,7 @@ class PicardLattice:
         return DefiniteForm(self, c)
 
     def isometry(self, rows) -> LatticeIsometry:
-        mat = tuple(tuple(int(x) for x in row) for row in rows)
+        mat = tuple(tuple(index(x) for x in row) for row in rows)
         n = self.rank
         if len(mat) != n or any(len(r) != n for r in mat):
             raise RankMismatch("isometry matrix must match the lattice rank")
@@ -413,8 +414,10 @@ def square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
     for any bound.  Sign-symmetric pairs (-a, -b) are listed alongside
     their positives.  For odd n >= 3 the bare equation has solutions but
     the base pairing is negative, so the list is empty; only n = 1 admits
-    (1, 1).
+    (1, 1).  Raises ValueError for n < 0, as hirzebruch_lattice does.
     """
+    if n < 0:
+        raise ValueError("Hirzebruch index must be non-negative")
     out = []
     for b in (1, -1) if bound >= 1 else ():
         num = 1 + n * b * b
@@ -541,7 +544,7 @@ def find_contractible_component(components, lat: PicardLattice) -> int:
     the lowest index; NoCandidate signals a violated configuration or that
     every component is K-orthogonal (as for chains of -2 classes).
     """
-    comps = [(d, int(c)) for d, c in components]
+    comps = [(d, index(c)) for d, c in components]
     if not comps:
         raise NoCandidate("empty component list")
     if any(c <= 0 for _, c in comps):

@@ -10,14 +10,14 @@ the third from the determinant, null vectors as cross products); Jordan
 block sizes from ranks of powers; and the matrix exponential from scaling
 and squaring.  No general eigensolver is used.
 
-The spectral layers (det3, char_poly, eig3, jordan_shape and the rank and
-null-space step) run on the matrix's rows as lists of Python complexes
-(as_rows): on 3x3 problems numpy's per-call overhead is several times the
-arithmetic.  A GroupElement carries its rows, taken once when it is built,
-so a spectrum of an element makes no numpy call.  mat_exp and inv3 keep
-numpy: mat_exp's 20-term series on 3x3 arrays takes a little over half the
-time of the same series on Python scalars (Python 3.11, numpy 2.4), and
-inv3 serves the array algebra of normal-form frames.
+A matrix is read once into its rows, lists of Python complexes (_rows, or
+as_rows where entries must be finite), and a 3-vector into a triple
+(_triple).  The spectral layers (det3, char_poly, eig3, jordan_shape and
+the rank and null-space step) run on those, since on 3x3 problems numpy's
+per-call overhead is several times the arithmetic, and never load numpy.
+Only mat_exp, inv3 and ProjectivePoint.vector import it: mat_exp's series
+on 3x3 arrays takes a little over half the time of the same series on
+Python scalars (Python 3.11, numpy 2.4).
 
 Projective points are canonicalised on Python scalars too (_canonical),
 by Python's own modulus and complex division.  Chordal distances of
@@ -31,10 +31,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AmbiguousClustering, check_tol
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MERGE_TOL = 1e-7       # eigenvalue gap tolerance at unit scale: closer than 10x is ambiguous
 PIVOT_RTOL = 1e-8      # relative pivot threshold for rank decisions
@@ -43,27 +45,42 @@ EXP_SERIES_TERMS = 20  # truncation order of the scaled exponential series
 _OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))  # primitive cube root of unity
 
 
-def _mat3(m) -> np.ndarray:
-    """Coerce to a complex 3x3 array, finite or not."""
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    return a
-
-
-def as_mat3(m) -> np.ndarray:
-    """Coerce to a finite complex 3x3 array."""
-    a = _mat3(m)
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
+def _rows(m) -> list[list[complex]]:
+    """Rows of a 3x3 matrix, finite or not, as lists of Python complexes: a
+    GroupElement's own rows, an ndarray's by its astype(complex).tolist(),
+    a nested sequence's by complex().  ValueError unless m is 3x3."""
+    if hasattr(m, "rows"):
+        return m.rows
+    if hasattr(m, "astype"):  # an ndarray
+        rows = m.astype(complex).tolist() if m.shape == (3, 3) else []
+    else:
+        try:
+            rows = [[complex(x) for x in row] for row in m]
+        except TypeError:
+            rows = []
+    if list(map(len, rows)) != [3, 3, 3]:
+        raise ValueError("expected a 3x3 matrix")
+    return rows
 
 
 def as_rows(m) -> list[list[complex]]:
-    """Rows of a finite complex 3x3 matrix as lists of Python complexes: the
-    rows a GroupElement computed once when it was built, else as_mat3(m)'s."""
-    rows = getattr(m, "rows", None)
-    return as_mat3(m).tolist() if rows is None else rows
+    """_rows(m), whose entries must be finite."""
+    r = _rows(m)
+    if not all(map(cmath.isfinite, r[0] + r[1] + r[2])):
+        raise ValueError("matrix entries must be finite")
+    return r
+
+
+def _triple(v) -> tuple[complex, complex, complex]:
+    """A 3-vector's coordinates as Python complexes: a point's own, an ndarray's
+    of any shape with 3 entries, or complex() of 3 items; else ValueError."""
+    if hasattr(v, "coords"):
+        return v.coords
+    try:
+        x0, x1, x2 = v.astype(complex).reshape(3).tolist() if hasattr(v, "astype") else map(complex, v)
+    except (TypeError, ValueError):
+        raise ValueError("expected a 3-vector") from None
+    return x0, x1, x2
 
 
 def _max_abs(r: list[list[complex]]) -> float:
@@ -87,11 +104,10 @@ def det3(m) -> complex:
 
 def inv3(m) -> np.ndarray:
     """Inverse via the adjugate; raises on (numerically) singular input."""
-    a = as_mat3(m)
-    r = a.tolist()
+    import numpy as np
+    r = as_rows(m)
     d = _det(r)
-    scale = float(np.abs(a).max())
-    if abs(d) <= 1e-300 or abs(d) < 1e-14 * max(scale, 1.0) ** 3 * 1e-6:
+    if abs(d) <= 1e-300 or abs(d) < 1e-14 * max(_max_abs(r), 1.0) ** 3 * 1e-6:
         raise ZeroDivisionError("matrix is numerically singular")
     return np.array([_cofactor_row(r, i) for i in range(3)], dtype=complex).T / d
 
@@ -256,7 +272,7 @@ def canonical_coords(v) -> tuple[complex, complex, complex]:
     The pivot is the first coordinate of maximal modulus, so exact ties
     resolve to the smallest index.
     """
-    return _canonical(*np.asarray(v, dtype=complex).reshape(3).tolist())
+    return _canonical(*_triple(v))
 
 
 @dataclass(frozen=True)
@@ -271,6 +287,7 @@ class ProjectivePoint:
 
     @property
     def vector(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.coords, dtype=complex)
 
     def __str__(self) -> str:
@@ -285,12 +302,7 @@ def chordal_distance(p, q) -> float:
     |cross(x, y)|^2, which stays accurate for nearby points where the
     direct cosine formula loses half the digits to cancellation.
     """
-    def coords(x):
-        if isinstance(x, ProjectivePoint):
-            return x.coords
-        return np.asarray(x, dtype=complex).reshape(3).tolist()
-
-    return _chordal(coords(p), coords(q))
+    return _chordal(_triple(p), _triple(q))
 
 
 def _norm2(x: tuple[complex, complex, complex]) -> float:
@@ -487,7 +499,8 @@ def _jordan_shape_from(r: list[list[complex]], eig: EigenData, tol: float) -> Jo
 
 def mat_exp(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a truncated series."""
-    a = as_mat3(m)
+    import numpy as np
+    a = np.array(as_rows(m), dtype=complex)
     norm = float(np.abs(a).sum(axis=1).max())
     s = 0 if norm <= 0.5 else min(64, math.ceil(math.log2(min(norm, 2.0 ** 64) / 0.5)))
     x = a / (2.0 ** s)

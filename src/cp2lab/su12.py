@@ -32,12 +32,12 @@ computes (GroupElement.exp, @, inverse, the normal form's conjugator) at
 the looser _COMPUTED_TOL, which its rounding needs.  A matrix that is not
 finite, or whose check overflows, is not a member.
 
-Scalars and arrays: a GroupElement keeps its rows as Python complexes,
-taken once, and membership, classify, fixed_points and the point and line
-helpers run on rows and coordinate triples, so classifying a built element
-makes no numpy call.  Numpy stays where whole arrays are worked on: mat_exp,
-the normal-form frames, and basin sampling and resolution.  The scalar
-path's results are those of Python's own arithmetic.
+Scalars and arrays: a GroupElement is its rows, Python complexes read once
+by linalg3._rows; membership, classify, fixed_points, inverse and the point
+and line helpers run on rows and triples, in Python's own arithmetic, so
+classifying a matrix never loads numpy.  It is imported only inside the
+functions that build arrays: GroupElement.matrix, exp and @,
+AlgebraElement.matrix, ProjectiveLine.vector and the normal forms.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AmbiguousClustering,
@@ -67,31 +66,34 @@ from .linalg3 import (
     _cross,
     _det,
     _jordan_shape_from,
-    _mat3,
     _max_abs,
     _norm2,
+    _rows,
+    _triple,
     det3,
     eig3,
     inv3,
     mat_exp,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 GROUP_TOL = 1e-9      # form and determinant tolerance, relative to max(1, max|M_ij|^2)
 _COMPUTED_TOL = 1e-7  # the same for computed elements (module docstring)
 BOUNDARY_TOL = 1e-8   # |Q| below this (times |v|^2) counts as boundary
 
-J = np.diag([-1.0, 1.0, 1.0]).astype(complex)
-
 _CUBE_ROOTS_OF_UNITY = (1 + 0j, _OMEGA, _OMEGA.conjugate())
-
-
-def _triple(v) -> list[complex]:
-    return np.asarray(v, dtype=complex).reshape(3).tolist()
 
 
 def _pairing(a, b) -> complex:
     """Q(a, b) of two triples of Python complexes."""
     return -a[0] * b[0].conjugate() + a[1] * b[1].conjugate() + a[2] * b[2].conjugate()
+
+
+def _q_dual(x) -> tuple[complex, complex, complex]:
+    """J conj(x), the coefficients of the functional Q(., x)."""
+    return (-x[0].conjugate(), x[1].conjugate(), x[2].conjugate())
 
 
 def hermitian_pairing(v, w) -> complex:
@@ -144,7 +146,7 @@ def is_group_member(m, tol: float = GROUP_TOL) -> bool:
     Q(column j, column i), and the error is Hermitian, so its upper
     triangle holds every modulus."""
     check_tol(tol)
-    rows = m.rows if isinstance(m, GroupElement) else _mat3(m).tolist()
+    rows = _rows(m)
     try:
         mods = [abs(z) for z in rows[0] + rows[1] + rows[2]]
         size = max(mods)
@@ -173,6 +175,7 @@ class AlgebraElement:
     c: complex
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
         b1, b2 = float(self.b1), float(self.b2)
         l1, l2, c = complex(self.l1), complex(self.l2), complex(self.c)
         return np.array(
@@ -204,39 +207,43 @@ class AlgebraElement:
         return cls(b1=d1, b2=d2, l1=1j * (d1 + d2 / 2.0), l2=complex(c), c=complex(c))
 
 
+def _inverse_rows(r: list[list[complex]]) -> list[list[complex]]:
+    """Rows of J A^dagger J, A^-1 for a member A: row i is J_ii _q_dual(column i)."""
+    c0, c1, c2 = (_q_dual(c) for c in zip(*r))
+    return [[-z for z in c0], list(c1), list(c2)]
+
+
 class GroupElement:
-    """A member of SU(1,2), checked by the module docstring's rule: matrix is
-    a read-only copy of the caller's matrix, rows its entries as lists of
-    Python complexes, on which the spectral path runs."""
+    """A member of SU(1,2), checked by the module docstring's rule, held as
+    its rows: lists of Python complexes, on which the spectral path runs."""
 
-    __slots__ = ("matrix", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, matrix):
-        self._check(matrix, GROUP_TOL)
+    def __init__(self, matrix, *, _tol: float = GROUP_TOL):
+        self.rows = _rows(matrix)
+        if not is_group_member(self, _tol):
+            raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
 
     @classmethod
     def _computed(cls, matrix) -> "GroupElement":
-        element = cls.__new__(cls)
-        element._check(matrix, _COMPUTED_TOL)
-        return element
+        return cls(matrix, _tol=_COMPUTED_TOL)
 
-    def _check(self, matrix, tol: float) -> None:
-        a = _mat3(np.array(matrix, dtype=complex))
-        a.flags.writeable = False
-        self.matrix, self.rows = a, a.tolist()
-        if not is_group_member(self, tol):
-            raise NotInGroup("matrix does not preserve the signature-(1,2) form with unit determinant")
+    @property
+    def matrix(self) -> np.ndarray:
+        """A fresh complex array of the rows: writing to it changes no element."""
+        import numpy as np
+        return np.array(self.rows, dtype=complex)
 
     @classmethod
     def exp(cls, algebra: AlgebraElement) -> "GroupElement":
         """exp(algebra); NotInGroup when it or its exponential is not finite."""
+        import numpy as np
         a = algebra.matrix()
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
             return cls._computed(mat_exp(a) if np.isfinite(a).all() else a)
 
     def inverse(self) -> "GroupElement":
-        # A^-1 = J A^dagger J for members of the group
-        return GroupElement._computed(J @ self.matrix.conj().T @ J)
+        return GroupElement._computed(_inverse_rows(self.rows))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement._computed(self.matrix @ other.matrix)
@@ -264,11 +271,12 @@ class ProjectiveLine:
 
     @property
     def vector(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.coords, dtype=complex)
 
     def contains(self, p) -> bool:
         l = self.coords
-        v = p.coords if isinstance(p, ProjectivePoint) else _triple(p)
+        v = _triple(p)
         return abs(l[0] * v[0] + l[1] * v[1] + l[2] * v[2]) <= 1e-9 * math.sqrt(_norm2(l) * _norm2(v))
 
 
@@ -281,8 +289,7 @@ def tangent_line(p: ProjectivePoint) -> ProjectiveLine:
     meeting the closed ball only there: the Q-orthogonal line {v : Q(v, p) = 0}."""
     if locate(p) != Location.BOUNDARY:
         raise NotOnBoundary(f"{p} is not on the boundary sphere")
-    x, y, z = p.coords
-    return ProjectiveLine(_canonical(-x.conjugate(), y.conjugate(), z.conjugate()))
+    return ProjectiveLine(_canonical(*_q_dual(p.coords)))
 
 
 # fixed points ---------------------------------------------------------------
@@ -557,41 +564,34 @@ class NormalForm:
 
 # bound on max|G A G^-1 - normal form|, relative to max(1, max|G A G^-1|)
 _NORMAL_FORM_RESIDUAL_TOL = 1e-7
-_MODEL_FRAME = np.array([[1, 1, 0], [1, -1, 0], [0, 0, 1]], dtype=complex)
 
 
-def _frame_transport(v1: np.ndarray, v2: np.ndarray, u0: np.ndarray) -> np.ndarray:
-    """Group element sending v1, v2, u0 to [1:1:0], [1:-1:0], [0:0:1].
+def _frame_transport(v1, v2, u0) -> np.ndarray:
+    """Group element sending the triples v1, v2, u0 to [1:1:0], [1:-1:0], [0:0:1].
 
     Requires Q(v1,v1) = Q(v2,v2) = 0, Q(v1,v2) != 0 and Q(u0,u0) > 0 with
     u0 orthogonal to both, i.e. a Q-adapted frame.
     """
-    s = hermitian_pairing(v1, v2)
+    s = _pairing(v1, v2)
     if abs(s) < 1e-14:
         raise AmbiguousClustering("null frame vectors are Q-orthogonal; cannot adapt frame")
     beta = (-2.0 / s).conjugate()
-    qu = q_value(u0)
+    qu = _pairing(u0, u0).real
     if qu <= 0:
         raise AmbiguousClustering("frame completion vector is not Q-positive")
-    t = np.column_stack([v1, beta * v2, u0 / math.sqrt(qu)])
-    g = _MODEL_FRAME @ inv3(t)
-    d = det3(g)
-    g = g / d ** (1.0 / 3.0)
-    return g
+    g = inv3([[x, beta * y, z / math.sqrt(qu)] for x, y, z in zip(v1, v2, u0)])
+    g[:2] = g[0] + g[1], g[0] - g[1]  # [[1, 1, 0], [1, -1, 0], [0, 0, 1]] @ g
+    return g / det3(g) ** (1.0 / 3.0)
 
 
-def _complete_null_frame(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Second null vector (non-orthogonal to p) and the positive complement."""
-    weights = [abs(hermitian_pairing(e, p)) for e in np.eye(3, dtype=complex)]
-    w0 = np.eye(3, dtype=complex)[int(np.argmax(weights))]
-    s = hermitian_pairing(p, w0)
+def _complete_null_frame(p):
+    """Second null triple (non-orthogonal to the null triple p) and the positive complement."""
+    axes = ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j))
+    w0 = max(axes, key=lambda e: abs(_pairing(e, p)))
     # only the component of Q(w) along p matters: w0 + t p stays paired with p
-    t = -q_value(w0) / (2.0 * s)
-    w = w0 + t * p
-    a = (J @ p.conj()).reshape(3)
-    b = (J @ w.conj()).reshape(3)
-    u = np.cross(a, b)
-    return w, u
+    t = -_pairing(w0, w0).real / (2.0 * _pairing(p, w0))
+    w = tuple(x + t * y for x, y in zip(w0, p))
+    return w, _cross(_q_dual(p), _q_dual(w))
 
 
 def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.ndarray, complex]:
@@ -601,6 +601,7 @@ def _parabolic_log(b_mat: np.ndarray, cls: ElementClassification) -> tuple[np.nd
     from the classification: the double one at the boundary fixed point,
     the simple one at the exterior point of a rotational element.
     """
+    import numpy as np
     eye = np.eye(3, dtype=complex)
     if cls.subtype == ParabolicKind.ROTATIONAL:
         mu, nu = cls.attractive.eigenvalue, cls.exterior.eigenvalue
@@ -639,14 +640,14 @@ def conjugate_to_normal_form(a) -> NormalForm:
         raise NotNonElliptic("normal forms exist only for hyperbolic and parabolic elements")
 
     if cls.kind == Kind.HYPERBOLIC:
-        g = _frame_transport(cls.attractive.point.vector, cls.repulsive.point.vector,
-                             cls.exterior.point.vector)
+        g = _frame_transport(cls.attractive.point.coords, cls.repulsive.point.coords,
+                             cls.exterior.point.coords)
         b_mat = g @ m @ inv3(g)
         lam = cls.attractive.eigenvalue
         params = HyperbolicParams(l=math.log(abs(lam)), b=cmath.phase(lam))
         target = mat_exp(AlgebraElement.hyperbolic_normal(params.l, params.b).matrix())
     else:
-        p = cls.attractive.point.vector
+        p = cls.attractive.point.coords
         g = _frame_transport(p, *_complete_null_frame(p))
         b_mat = g @ m @ inv3(g)
         alg, zeta = _parabolic_log(b_mat, cls)
@@ -654,7 +655,7 @@ def conjugate_to_normal_form(a) -> NormalForm:
                                  c=complex(alg[1, 2]), central_phase=zeta)
         target = zeta * mat_exp(AlgebraElement.parabolic_normal(params.d1, params.d2,
                                                                 params.c).matrix())
-    scale = max(1.0, float(np.abs(b_mat).max()))
-    if float(np.abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL * scale:
+    scale = max(1.0, float(abs(b_mat).max()))
+    if float(abs(b_mat - target).max()) > _NORMAL_FORM_RESIDUAL_TOL * scale:
         raise AmbiguousClustering(f"{cls.kind.value} normal form residual exceeds tolerance")
     return NormalForm(cls.kind, cls.subtype, GroupElement._computed(g), b_mat, params)

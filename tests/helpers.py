@@ -12,6 +12,8 @@ from cp2lab import AlgebraElement, DivisorClass, GroupElement, ProjectivePoint, 
 from cp2lab.dynamics import OrbitResult, _nearest_fixed_point
 from cp2lab.linalg3 import _canonical, _chordal, det3
 
+J = np.diag([-1.0, 1.0, 1.0]).astype(complex)  # the form Q's matrix: Q(v, w) = w^dagger J v
+
 
 def random_algebra(rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
     v = rng.uniform(-scale, scale, size=8)

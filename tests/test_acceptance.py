@@ -5,6 +5,7 @@ Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
 import cmath
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,8 @@ from cp2lab import (
     run,
     square_one_classes,
 )
+
+from cp2lab.jsonio import mat3_to_json
 
 from helpers import conjugate, random_conjugator, random_parabolic
 
@@ -275,16 +278,20 @@ def test_criterion_11_blow_up_contract_round_trip():
     _report("criterion 11 (blow-up/contract round trip isometries)", t0, 1.0)
 
 
-def test_cold_start_of_a_lattice_process():
-    """A fresh lattice process costs less over a bare interpreter than an
-    import of numpy does: lattice work never loads numpy.  Both are timed
-    against the same bare interpreter, min of 7 alternating runs, so the
-    host's speed cancels out."""
+def test_cold_start_of_a_lattice_process(tmp_path):
+    """A fresh lattice process, and a fresh classify of a matrix, each cost
+    less over a bare interpreter than an import of numpy does: neither
+    loads numpy.  All are timed against the same bare interpreter, min of 7
+    alternating runs, so the host's speed cancels out."""
     env = {**os.environ, "PYTHONPATH": str(Path(cp2lab.__file__).resolve().parents[1])}
+    member = tmp_path / "member.json"
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
+    member.write_text(json.dumps(mat3_to_json(m)))
     commands = {
         "bare": ["-c", "pass"],
         "numpy": ["-c", "import numpy"],
         "lattice": ["-m", "cp2lab", "lattice", "signature", "--blowups", "8"],
+        "classify": ["-m", "cp2lab", "classify", str(member)],
     }
     best = dict.fromkeys(commands, float("inf"))
     for _ in range(7):
@@ -292,9 +299,11 @@ def test_cold_start_of_a_lattice_process():
             t0 = time.perf_counter()
             subprocess.run([sys.executable, *args], env=env, check=True, stdout=subprocess.DEVNULL)
             best[name] = min(best[name], time.perf_counter() - t0)
-    lattice, numpy_import = (best[name] - best["bare"] for name in ("lattice", "numpy"))
-    assert lattice < numpy_import, (
-        f"lattice process {lattice * 1e3:.0f} ms over a bare interpreter, "
-        f"not below numpy's import at {numpy_import * 1e3:.0f} ms")
-    print(f"PASS cold start: lattice {lattice * 1e3:.0f} ms over a bare interpreter, "
-          f"numpy import {numpy_import * 1e3:.0f} ms")
+    numpy_import = best["numpy"] - best["bare"]
+    for name in ("lattice", "classify"):
+        cost = best[name] - best["bare"]
+        assert cost < numpy_import, (
+            f"{name} process {cost * 1e3:.0f} ms over a bare interpreter, "
+            f"not below numpy's import at {numpy_import * 1e3:.0f} ms")
+        print(f"PASS cold start: {name} {cost * 1e3:.0f} ms over a bare interpreter, "
+              f"numpy import {numpy_import * 1e3:.0f} ms")

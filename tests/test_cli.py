@@ -196,11 +196,18 @@ def test_basin_deterministic_output(run, tmp_path):
 def test_main_leaves_the_numpy_error_state_alone(run, tmp_path):
     m = mat_exp(AlgebraElement.hyperbolic_normal(0.9, 0.3).matrix())
     path = _write_json(tmp_path / "mat.json", mat3_to_json(m))
+    # exp(l1 = 800) overflows: refused as NotInGroup, with no warning or FloatingPointError
+    big = _write_json(tmp_path / "big.json", _algebra_json(l1=800.0))
     with np.errstate(divide="warn", over="raise", under="print", invalid="call"):
         before = np.geterr()
-        for argv in (["basin", path, "--samples", "200", "--seed", "3"], ["classify", path]):
+        for argv in (["basin", path, "--samples", "200", "--seed", "3"], ["classify", path],
+                     ["classify", "--exp", big]):
             code, out, err = run(argv)
-            assert code == 0 and json.loads(out) and err == ""
+            if argv[1] == "--exp":
+                assert code == 1 and out == "" and len(err.splitlines()) == 1
+                assert json.loads(err)["error"] == "NotInGroup"
+            else:
+                assert code == 0 and json.loads(out) and err == ""
             assert np.geterr() == before
 
 

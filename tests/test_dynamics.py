@@ -21,9 +21,10 @@ from cp2lab import (
 from cp2lab import dynamics, linalg3
 from cp2lab.dynamics import _nearest_fixed_point
 from cp2lab.errors import Cp2LabError, NotNonElliptic
-from cp2lab.su12 import J, fixed_points, is_group_member, tangent_line
+from cp2lab.su12 import fixed_points, is_group_member, tangent_line
 
 from helpers import (
+    J,
     conjugate,
     random_conjugator,
     random_element,

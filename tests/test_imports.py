@@ -1,9 +1,10 @@
 """Import graph: a subcommand loads only the layers it uses.
 
 `import cp2lab` loads no submodule, and a lattice, replay or --help process
-never loads numpy or the SU(1,2) layers, with a tolerance set or not.  Each
-case runs in a fresh interpreter, since the test process has loaded
-everything already.
+never loads numpy or the SU(1,2) layers, with a tolerance set or not.  A
+`classify <matrix>` process loads su12 and linalg3 but neither numpy nor
+dynamics; `classify --exp` loads numpy for mat_exp.  Each case runs in a
+fresh interpreter, since the test process has loaded everything already.
 """
 
 import importlib
@@ -16,6 +17,8 @@ from pathlib import Path
 import pytest
 
 import cp2lab
+from cp2lab import AlgebraElement, mat_exp
+from cp2lab.jsonio import mat3_to_json
 
 SRC = str(Path(cp2lab.__file__).resolve().parents[1])
 NUMERIC = ("numpy", "cp2lab.su12", "cp2lab.linalg3", "cp2lab.dynamics")
@@ -74,19 +77,34 @@ def _python(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
                           env=environ, timeout=60)
 
 
-@pytest.mark.parametrize("tol", ["none", "env", "flag"])
-@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=lambda argv: " ".join(argv))
-def test_exact_subcommands_never_load_numpy(tmp_path, argv, tol):
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(SCRIPT))
-    argv = [script.as_posix() if a == "{script}" else a for a in argv]
+def _probe(argv: list[str], tol: str) -> list[str]:
+    """The NUMERIC modules a successful `python -m cp2lab <argv>` loads, with
+    no tolerance, CP2LAB_TOL or --tol set."""
     env = {"CP2LAB_TOL": "1e-6"} if tol == "env" else {"CP2LAB_TOL": ""}
     if tol == "flag":
         argv = ["--tol", "1e-6", *argv]
     done = _python("-c", _PROBE, json.dumps([argv, NUMERIC]), env=env)
     code, loaded = json.loads(done.stderr.splitlines()[-1])
     assert code in (0, None), done.stderr
+    return loaded
+
+
+@pytest.mark.parametrize("tol", ["none", "env", "flag"])
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=lambda argv: " ".join(argv))
+def test_exact_subcommands_never_load_numpy(tmp_path, argv, tol):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT))
+    argv = [script.as_posix() if a == "{script}" else a for a in argv]
+    loaded = _probe(argv, tol)
     assert loaded == [], f"{argv} loaded {loaded}"
+
+
+@pytest.mark.parametrize("tol", ["none", "env", "flag"])
+def test_classify_of_a_matrix_never_loads_numpy(tmp_path, tol):
+    member = tmp_path / "member.json"
+    m = mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.3).matrix())
+    member.write_text(json.dumps(mat3_to_json(m)))
+    assert _probe(["classify", member.as_posix()], tol) == ["cp2lab.su12", "cp2lab.linalg3"]
 
 
 def test_an_invalid_tolerance_is_refused_without_numpy():

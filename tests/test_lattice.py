@@ -361,7 +361,7 @@ def test_square_one_matches_box_scan_oracle():
 
 
 def test_square_one_closed_form_matches_scan():
-    for n in range(-30, 41):
+    for n in range(0, 41):
         for bound in range(0, 61):
             assert square_one_classes(n, bound) == scan_square_one_classes(n, bound), (n, bound)
 
@@ -370,8 +370,7 @@ def test_square_one_huge_bound_returns_at_once():
     # b(2a - n b) = 1 forces b = +-1: the cost does not grow with the bound
     start = time.perf_counter()
     assert square_one_classes(1, 10**12) == [(1, 1), (-1, -1)]
-    assert square_one_classes(-1, 10**12) == [(0, 1), (0, -1)]
-    assert square_one_classes(-5, 10**12) == [(2, -1), (-2, 1)]
+    assert square_one_classes(5, 10**12) == []
     assert time.perf_counter() - start < 0.5
 
 
@@ -529,3 +528,58 @@ def test_one_pass_determinant_matches_bareiss():
         if det:
             eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
             assert (pos, neg) == (int((eig > 0).sum()), int((eig < 0).sum()))
+
+
+# integer inputs: a float is refused, never truncated; numpy integers pass -------------------
+
+def test_divisor_class_refuses_float_coefficients():
+    with pytest.raises(TypeError):
+        DivisorClass((1.9, 2.5))
+    with pytest.raises(TypeError):
+        DivisorClass((1.0, 2))
+    d = DivisorClass((np.int64(1), np.int32(-2)))
+    assert d.coeffs == (1, -2) and all(type(c) is int for c in d.coeffs)
+
+
+def test_scalar_multiple_refuses_a_float():
+    d = DivisorClass((1, -1))
+    with pytest.raises(TypeError):
+        2.7 * d
+    assert (np.int64(3) * d).coeffs == (3, -3)
+
+
+def test_picard_lattice_refuses_a_float_gram():
+    with pytest.raises(TypeError):
+        PicardLattice(((1.0, 0), (0, -1)), ("H", "E"), DivisorClass((-3, 1)))
+    lat = PicardLattice(np.array([[1, 0], [0, -1]]), ("H", "E"), DivisorClass((-3, 1)))
+    assert lat.gram == ((1, 0), (0, -1)) and all(type(x) is int for row in lat.gram for x in row)
+
+
+def test_isometry_refuses_float_rows():
+    lat = _blown_up(2)
+    with pytest.raises(TypeError):
+        lat.isometry([[1.0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert lat.isometry(np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])) is not None
+
+
+def test_proper_transform_refuses_a_float_multiplicity():
+    base = p2_lattice()
+    up = base.blow_up()
+    h = base.basis_class("H")
+    with pytest.raises(TypeError):
+        up.proper_transform(h, 1.5)
+    assert up.proper_transform(h, np.int64(1)).coeffs == (1, -1)
+
+
+def test_find_contractible_component_refuses_a_float_coefficient():
+    lat = _blown_up(1)
+    with pytest.raises(TypeError):
+        find_contractible_component([(DivisorClass((0, 1)), 1.5)], lat)
+    assert find_contractible_component([(DivisorClass((0, 1)), np.int64(1))], lat) == 0
+
+
+def test_square_one_classes_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="Hirzebruch index must be non-negative"):
+        hirzebruch_lattice(-1)
+    with pytest.raises(ValueError, match="Hirzebruch index must be non-negative"):
+        square_one_classes(-1, 5)

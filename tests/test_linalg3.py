@@ -460,6 +460,16 @@ def test_canonical_rejects_zero():
         canonical_coords([0, 0, 0])
 
 
+def test_canonical_coords_accepts_any_array_shape_of_three_and_a_flat_list():
+    v = [0.5 - 1j, 2.0, 1j]
+    expected = canonical_coords(tuple(v))
+    for x in (v, np.array(v), np.array(v).reshape(3, 1), np.array(v).reshape(1, 3)):
+        assert canonical_coords(x) == expected
+    for bad in ([1, 2], [1, 2, 3, 4], np.ones((2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            canonical_coords(bad)
+
+
 _MAGNITUDE = st.floats(min_value=1e-300, max_value=1e308)
 _PART = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
                   _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))

@@ -10,9 +10,9 @@ import pytest
 
 from cp2lab import AlgebraElement, classify, dynamics, eig3, linalg3, mat_exp
 from cp2lab.errors import AmbiguousClustering
-from cp2lab.su12 import J, tangent_line
+from cp2lab.su12 import tangent_line
 
-from helpers import conjugate, random_conjugator, random_element, random_elliptic
+from helpers import J, conjugate, random_conjugator, random_element, random_elliptic
 
 RNG_SEED = 20261018
 KINDS = ("elliptic", "hyperbolic", "rotational", "line_fixing", "three_step")

@@ -40,9 +40,9 @@ from cp2lab.errors import (
 )
 from cp2lab import dynamics, linalg3, su12
 from cp2lab.jsonio import classification_report, complex_to_json
-from cp2lab.su12 import J
 
 from helpers import (
+    J,
     conjugate,
     random_algebra,
     random_conjugator,
@@ -652,19 +652,70 @@ def test_hermitian_pairing_null_vectors():
 
 # the scalar spectral path -----------------------------------------------------------
 
+# exp(2 N) for the nilpotent N = [[0, 1, 0], [1, 0, 1], [0, -1, 0]] of order three
+_INTEGER_THREE_STEP = np.array([[3, 2, 2], [2, 1, 2], [-2, -2, -1]], dtype=complex)
+
+
 def _equivalence_matrices():
     rng = np.random.default_rng(RNG_SEED + 11)
-    return [random_element(rng, kind) for kind in KINDS for _ in range(4)]
+    return [random_element(rng, kind) for kind in KINDS for _ in range(4)] + [
+        _INTEGER_THREE_STEP, mat_exp(AlgebraElement.hyperbolic_normal(0.8, 0.0).matrix())]
 
 
-@pytest.mark.parametrize("m", _equivalence_matrices(), ids=[f"{k}-{i}" for k in KINDS for i in range(4)])
+@pytest.mark.parametrize("m", _equivalence_matrices(),
+                         ids=[f"{k}-{i}" for k in KINDS for i in range(4)] + ["integer", "real"])
 def test_array_list_and_element_inputs_agree(m):
-    # an ndarray, a nested list of the same entries and a GroupElement built
-    # from them give equal results on every spectral entry
-    inputs = (m, m.tolist(), GroupElement(m))
+    # an ndarray, a nested list and a tuple of tuples of the same entries, a
+    # GroupElement built from them and, for real entries, a float ndarray (an
+    # int one for integer entries) give equal results on every spectral entry
+    inputs = [m, m.tolist(), tuple(map(tuple, m.tolist())), GroupElement(m)]
+    if not m.imag.any():
+        inputs.append(m.real.copy())
+        if (m.real == np.round(m.real)).all():
+            inputs.append(m.real.astype(int))
     for call in (classify, fixed_points, linalg3.eig3, is_group_member):
         first, *rest = (call(x) for x in inputs)
         assert all(r == first for r in rest), call.__name__
+
+
+_WRONG_SHAPES = {
+    "(2,2)": [[1, 0], [0, 1]],
+    "(3,3,1)": [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]],
+    "(9,)": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+    "ragged": [[1, 0, 0], [0, 1], [0, 0, 1]],
+    "scalar": 1.0,
+}
+
+
+@pytest.mark.parametrize("call", [GroupElement, is_group_member, linalg3.eig3, linalg3.det3,
+                                  linalg3.jordan_shape, mat_exp, linalg3.inv3],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", sorted(_WRONG_SHAPES))
+def test_a_matrix_not_3x3_is_refused(call, shape):
+    # as a nested sequence and as an ndarray (a ragged list has no array form)
+    m = _WRONG_SHAPES[shape]
+    for x in (m,) if shape == "ragged" else (m, np.array(m)):
+        with pytest.raises(ValueError):
+            call(x)
+
+
+def test_element_matrix_is_a_fresh_copy():
+    g = GroupElement(_HYPERBOLIC)
+    rows = [list(r) for r in g.rows]
+    a = g.matrix
+    a[0, 0] = 7.0
+    assert g.rows == rows
+    assert g.matrix[0, 0] == _HYPERBOLIC[0, 0] and g.matrix is not g.matrix
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_inverse_rows_are_j_a_dagger_j(kind):
+    rng = np.random.default_rng(RNG_SEED + 13)
+    m = random_element(rng, kind, 3.0)
+    g = GroupElement(m)
+    expected = (J @ m.conj().T @ J).tolist()
+    assert all(x == y for r, s in zip(su12._inverse_rows(g.rows), expected) for x, y in zip(r, s))
+    assert np.abs((g @ g.inverse()).matrix - np.eye(3)).max() < 1e-9
 
 
 @pytest.mark.parametrize("kind", KINDS)
