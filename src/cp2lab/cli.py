@@ -17,9 +17,9 @@ ENV_TOL = "CP2LAB_TOL"
 # largest scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2) leaves
 MAX_EXCEPTIONAL_LEAVES = 10**6
 # largest blow-up count `--blowups` and `replay --k` accept: blow-ups are not
-# re-validated, but each copies the dense Gram matrix, a replay extends every
-# tracked class by a coordinate, and its log holds every curve's square at
-# every step, so n blow-ups copy O(n^3) integers and print O(n^2)
+# re-validated, but each copies the dense Gram matrix and a replay's logged
+# squares (one per tracked curve; the classes a blow-up misses are left as
+# they are), so n blow-ups copy O(n^3) integers and print O(n^2)
 MAX_BLOWUPS = 200
 # largest total of ball and line samples `basin` accepts: the samples are
 # drawn and resolved as dense arrays, so memory grows with the count

@@ -13,17 +13,19 @@ scans the other rank - 2.
 All arithmetic is exact: Python integers and Fractions throughout.  The
 public constructor validates every lattice built from user input (square,
 symmetric, unimodular, signature (1, rank - 1)) by one congruence pass that
-yields both the inertia and the determinant.  The results of surgery are
-valid by construction and skip that pass: a blow-up is G + <-1>, and a
-contraction is the orthogonal complement of a class of square -1 (see
-`PicardLattice.contract`).  Pairings skip zero coefficients, which keeps
-the diagonal Gram matrices of repeated blow-ups cheap.
+yields both the inertia and the determinant.  The plane, the Hirzebruch
+lattices and the results of surgery are valid by construction and skip that
+pass: a blow-up is G + <-1>, and a contraction is the orthogonal complement
+of a class of square -1 (see `PicardLattice.contract`).  Pairings skip zero
+coefficients, which keeps the diagonal Gram matrices of repeated blow-ups
+cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 from operator import index, mul
 
@@ -182,11 +184,20 @@ class PushforwardMap:
 
     matrix: tuple[tuple[int, ...], ...]   # (rank-1) x rank
     exceptional: DivisorClass
+    dual: tuple[int, ...]                 # G E, so that D.E = d . dual
+
+    def _check(self, d: DivisorClass) -> None:
+        if d.rank != len(self.dual):
+            raise RankMismatch(f"class has rank {d.rank}, map expects {len(self.dual)}")
 
     def __call__(self, d: DivisorClass) -> DivisorClass:
-        if d.rank != len(self.matrix[0]):
-            raise RankMismatch(f"class has rank {d.rank}, map expects {len(self.matrix[0])}")
+        self._check(d)
         return DivisorClass._of(tuple([sum(map(mul, row, d.coeffs)) for row in self.matrix]))
+
+    def pairing(self, d: DivisorClass) -> int:
+        """D.E, read from G E with no pass over the Gram matrix."""
+        self._check(d)
+        return sum(map(mul, d.coeffs, self.dual))
 
 
 @dataclass(frozen=True)
@@ -274,9 +285,15 @@ class PicardLattice:
     def determinant(self) -> int:
         return _signature(self.gram)[1]
 
+    @cached_property
+    def _exceptional_labels(self) -> int:
+        """How many labels read E<j>; blow_up hands the count on to its result."""
+        return sum(1 for lab in self.labels if lab.startswith("E") and lab[1:].isdigit())
+
     def basis_class(self, label: str) -> DivisorClass:
-        idx = self.labels.index(label)
-        return DivisorClass(tuple(int(i == idx) for i in range(self.rank)))
+        coeffs = [0] * self.rank
+        coeffs[self.labels.index(label)] = 1
+        return DivisorClass._of(tuple(coeffs))
 
     def class_from(self, coeffs) -> DivisorClass:
         d = DivisorClass(tuple(coeffs))
@@ -311,10 +328,11 @@ class PicardLattice:
         """
         n = self.rank
         gram = tuple([row + (0,) for row in self.gram] + [tuple([0] * n + [-1])])
-        existing = sum(1 for lab in self.labels if lab.startswith("E") and lab[1:].isdigit())
-        labels = self.labels + (f"E{existing + 1}",)
+        count = self._exceptional_labels + 1
         canonical = DivisorClass._of(self.canonical.coeffs + (1,))
-        return PicardLattice._derived(gram, labels, canonical)
+        lat = PicardLattice._derived(gram, self.labels + (f"E{count}",), canonical)
+        object.__setattr__(lat, "_exceptional_labels", count)  # fills the cache
+        return lat
 
     def proper_transform(self, d: DivisorClass, multiplicity: int) -> DivisorClass:
         """Class of a curve of the given multiplicity through the blown-up point.
@@ -332,13 +350,14 @@ class PicardLattice:
     def contract(self, e: DivisorClass) -> tuple["PicardLattice", PushforwardMap]:
         """Contract an exceptional class; returns the complement lattice and
         the pushforward map (new canonical class = pushforward of K + E)."""
-        if self.intersect(e, e) != -1 or self.intersect(e, self.canonical) != -1:
-            raise NotExceptionalClass(
-                f"{e} has E.E = {self.intersect(e, e)}, E.K = {self.intersect(e, self.canonical)}"
-            )
         n = self.rank
         g = self.gram
-        w = [sum(map(mul, row, e.coeffs)) for row in g]
+        if e.rank != n:
+            raise RankMismatch(f"class has rank {e.rank}, lattice rank {n}")
+        w = [sum(map(mul, row, e.coeffs)) for row in g]  # G e: X.E = x . w for every X
+        ee, ek = sum(map(mul, e.coeffs, w)), sum(map(mul, self.canonical.coeffs, w))
+        if ee != -1 or ek != -1:
+            raise NotExceptionalClass(f"{e} has E.E = {ee}, E.K = {ek}")
         v, vinv, content = _clear_vector(w)
         if content != 1:
             raise NonUnimodularComplement(f"pairing vector has content {content}")
@@ -355,7 +374,7 @@ class PicardLattice:
             push_rows.append([x + pairing * y for x, y in zip(vrow, w)])
         if any(push_rows[0][j] != 0 for j in range(n)):
             raise NonUnimodularComplement("projection onto the complement is not integral")
-        push = PushforwardMap(tuple(tuple(row) for row in push_rows[1:]), e)
+        push = PushforwardMap(tuple(tuple(row) for row in push_rows[1:]), e, tuple(w))
 
         new_canonical = push(self.canonical + e)
         labels = tuple(f"v{i + 1}" for i in range(n - 1))
@@ -387,20 +406,20 @@ class PicardLattice:
 
 def p2_lattice() -> PicardLattice:
     """Picard lattice of the projective plane: Z H with H.H = 1, K = -3H."""
-    return PicardLattice(((1,),), ("H",), DivisorClass((-3,)))
+    return PicardLattice._derived(((1,),), ("H",), DivisorClass._of((-3,)))
 
 
 def hirzebruch_lattice(n: int) -> PicardLattice:
     """Rank-2 lattice of the n-th Hirzebruch surface on the fibre/base basis.
 
     F.F = 0, F.B = 1, B.B = -n; the canonical class -2B - (n+2)F is fixed
-    by requiring both rulings to be rational and K.K = 8.
+    by requiring both rulings to be rational and K.K = 8.  The Gram matrix
+    has determinant -1 and signature (1, 1) for every n.
     """
     if n < 0:
         raise ValueError("Hirzebruch index must be non-negative")
-    gram = ((0, 1), (1, -n))
-    canonical = DivisorClass((-(n + 2), -2))
-    return PicardLattice(gram, ("F", "B"), canonical)
+    n = index(n)
+    return PicardLattice._derived(((0, 1), (1, -n)), ("F", "B"), DivisorClass._of((-(n + 2), -2)))
 
 
 def square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:

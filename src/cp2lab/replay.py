@@ -10,8 +10,14 @@ fibre/base induction walks the Hirzebruch index upward one step at a time.
 
 The squares logged before and after each surgery step are derived, not
 recomputed: a blow-up with multiplicity m takes D.D to D.D - m^2 and adds
-E.E = -1, and a contraction of E takes D.D to D.D + (D.E)^2, one pairing per
-curve.
+E.E = -1, and a contraction of E takes D.D to D.D + (D.E)^2, with every D.E
+read from the one vector G E the contraction forms.  Asserts on squares, and
+the diagonal of a gram assert, read these derived squares.
+
+A step costs what it changes.  A blow-up leaves every curve it does not pass
+through as the same object, so a tracked class may be shorter than the
+lattice rank; its missing coordinates are zeros, and it is padded when it is
+read (by an assert, a contraction or a rename) and before `run` returns.
 """
 
 from __future__ import annotations
@@ -91,7 +97,11 @@ class Script:
 class SurfaceState:
     """Lattice plus named curve classes, point incidences and a step log.
 
-    squares holds each curve's self-intersection, in the order of curves.
+    A class in curves may be shorter than the lattice rank, its missing
+    coordinates zero: a blow-up leaves the curves it misses alone.  Read a
+    class through curve(), which pads it; run() returns every class padded.
+    squares holds each curve's self-intersection, in the order of curves;
+    self_intersection and gram_of read it rather than pair the classes again.
     It is replaced, never mutated, since the log keeps references to it.
     """
 
@@ -104,18 +114,29 @@ class SurfaceState:
     n_contractions: int = 0
 
     def curve(self, name: str) -> DivisorClass:
+        """The class of a curve, padded with zeros to the lattice rank."""
         try:
-            return self.curves[name]
+            d = self.curves[name]
         except KeyError:
             raise UnknownName(f"no curve named {name!r}") from None
+        missing = len(self.lattice.gram) - len(d.coeffs)
+        if missing:
+            d = self.curves[name] = DivisorClass._of(d.coeffs + (0,) * missing)
+        return d
 
     def self_intersection(self, name: str) -> int:
-        d = self.curve(name)
-        return self.lattice.intersect(d, d)
+        self.curve(name)
+        return self.squares[name]
 
     def gram_of(self, names) -> list[list[int]]:
+        """Pairings of the named curves: squares on the diagonal, each
+        off-diagonal pairing computed once."""
         classes = [self.curve(n) for n in names]
-        return [[self.lattice.intersect(a, b) for b in classes] for a in classes]
+        gram = [[self.squares[n]] * len(names) for n in names]
+        for i, a in enumerate(classes):
+            for j in range(i):
+                gram[i][j] = gram[j][i] = self.lattice.intersect(a, classes[j])
+        return gram
 
 
 def _initial_state(initial: InitialSurface) -> SurfaceState:
@@ -141,29 +162,29 @@ def _run_blow_up(state: SurfaceState, step: BlowUpStep, index: int) -> None:
     for curve_name, m in step.on:
         if curve_name not in state.curves:
             raise UnknownName(f"blow_up at step {index} references unknown curve {curve_name!r}")
-        if int(m) < 0:
+        if _integer(m, f"the multiplicity on {curve_name!r} at step {index}") < 0:
             raise InputFormatError(f"blow_up at step {index}: negative multiplicity on {curve_name!r}")
-        mults[curve_name] = int(m)
+        mults[curve_name] = m
     new_lat = state.lattice.blow_up()
-    before = state.squares
-    new_curves = {}
-    after = {}
-    for name, d in state.curves.items():
-        m = mults.get(name, 0)
-        new_curves[name] = new_lat.proper_transform(d, m)
-        after[name] = before[name] - m * m
     # a default name that is taken (contraction relabels the basis v1, v2,
     # ...) moves on to the first free E<j> past the blow-up count
     exceptional_name, j = step.name or new_lat.labels[-1], state.n_blowups
-    while not step.name and exceptional_name in new_curves:
+    while not step.name and exceptional_name in state.curves:
         j += 1
         exceptional_name = f"E{j}"
-    if exceptional_name in new_curves:
+    if exceptional_name in state.curves:
         raise InputFormatError(f"new curve name {exceptional_name!r} already in use")
-    new_curves[exceptional_name] = new_lat.basis_class(new_lat.labels[-1])
+    before = state.squares
+    after = dict(before)
+    # only the curves through the point change; the others keep their
+    # object, one coordinate short of the new rank
+    for name, m in mults.items():
+        if m:
+            state.curves[name] = new_lat.proper_transform(state.curve(name), m)
+            after[name] = before[name] - m * m
+    state.curves[exceptional_name] = new_lat.basis_class(new_lat.labels[-1])
     after[exceptional_name] = -1
     state.lattice = new_lat
-    state.curves = new_curves
     state.squares = after
     state.points[step.point] = tuple(mults.items())
     state.n_blowups += 1
@@ -185,10 +206,11 @@ def _run_contract(state: SurfaceState, step: ContractStep, index: int) -> None:
     before = state.squares
     new_curves = {}
     after = {}
-    for name, d in state.curves.items():
+    for name in list(state.curves):
         if name != step.curve:
+            d = state.curve(name)
             new_curves[name] = push(d)
-            after[name] = before[name] + state.lattice.intersect(d, e) ** 2
+            after[name] = before[name] + push.pairing(d) ** 2
     state.lattice = new_lat
     state.curves = new_curves
     state.squares = after
@@ -252,6 +274,8 @@ def run(script: Script) -> SurfaceState:
             _run_assert(state, step, index)
         else:
             raise InputFormatError(f"unknown step type {type(step).__name__} at {index}")
+    for name in state.curves:  # pad every class to the final rank
+        state.curve(name)
     return state
 
 

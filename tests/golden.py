@@ -13,8 +13,9 @@ read as bench/run.py reads it.  The decks are written to a temporary
 directory and every op runs there, as bench/run.py runs them; a probe's
 expect["env"] is set for the duration of its call, and CP2LAB_TOL is unset
 otherwise.  tests/test_golden.py compares the current tree against the file.
-With --diff the file is left as it is, and the workload and argv of every op
-whose digest differs from it are printed, one line each.
+With --diff the file is left as it is, the workload and argv of every op
+whose digest differs from it are printed, one line each, and the exit status
+is 1 when any digest differs and 0 when none does.
 """
 
 from __future__ import annotations
@@ -137,21 +138,25 @@ def changed_ops(entries: list[list[str]], expected: list[list[str]]) -> list[str
     return [f"{w}: {argv}" for (w, argv, d), (_, _, e) in zip(entries, expected) if d != e]
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    """Write or compare the digests; the exit status (1 when --diff finds a
+    changed op, else 0)."""
     parser = argparse.ArgumentParser(description="Write or compare the golden digests.")
     parser.add_argument("--diff", action="store_true",
-                        help="print the ops whose digest differs from the file; do not write it")
-    args = parser.parse_args()
+                        help="print the ops whose digest differs from the file and exit 1 "
+                             "if there are any; do not write it")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         entries = digests(Path(tmp))
     if args.diff:
         changed = changed_ops(entries, json.loads(GOLDEN_FILE.read_text())["ops"])
         print("\n".join(changed + [f"{len(changed)} of {len(entries)} ops changed"]))
-        return
+        return 1 if changed else 0
     lines = ",\n".join("  " + json.dumps(e) for e in entries)
     GOLDEN_FILE.write_text(f'{{"seed": {SEED}, "ops": [\n{lines}\n]}}\n')
     print(f"wrote {len(entries)} digests to {GOLDEN_FILE.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

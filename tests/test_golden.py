@@ -34,3 +34,16 @@ def test_diff_lists_the_ops_whose_digest_changed():
     expected = [["classify", "classify a.json", "d1"], ["orbit", "converge b.json 0", "d2"]]
     got = [["classify", "classify a.json", "d1"], ["orbit", "converge b.json 0", "d3"]]
     assert golden.changed_ops(got, expected) == ["orbit: converge b.json 0"]
+
+
+def test_diff_exits_1_exactly_when_a_digest_changed(monkeypatch, capsys):
+    expected = json.loads(golden.GOLDEN_FILE.read_text())["ops"]
+    monkeypatch.setattr(golden, "digests", lambda root: [list(e) for e in expected])
+    assert golden.main(["--diff"]) == 0
+    assert capsys.readouterr().out.endswith(f"0 of {len(expected)} ops changed\n")
+    changed = [list(e) for e in expected]
+    changed[3][2] = "0" * 64
+    monkeypatch.setattr(golden, "digests", lambda root: changed)
+    assert golden.main(["--diff"]) == 1
+    assert capsys.readouterr().out == \
+        f"{changed[3][0]}: {changed[3][1]}\n1 of {len(expected)} ops changed\n"

@@ -95,6 +95,16 @@ def test_blow_up_gram_and_canonical():
     assert lat.genus(e1) == 0
 
 
+def test_blow_up_labels_follow_the_count_of_exceptional_labels():
+    # the count a blow-up hands on gives the labels a rescan would
+    lat = PicardLattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)), ("H", "E5", "Ex"),
+                        DivisorClass((-3, 1, 1)))
+    for _ in range(3):
+        lat = lat.blow_up()
+    assert lat.labels == ("H", "E5", "Ex", "E2", "E3", "E4")
+    assert _blown_up(3).blow_up().labels == ("H", "E1", "E2", "E3", "E4")
+
+
 def test_blow_up_signature_and_k_squared_chain():
     lat = p2_lattice()
     for k in range(11):
@@ -180,6 +190,30 @@ def test_contract_blow_up_round_trip_isometry():
                 assert down.intersect(images[a], images[b]) == base.gram[a][b]
         assert down.intersect(down.canonical, down.canonical) == \
             base.intersect(base.canonical, base.canonical)
+
+
+def test_pushforward_pairing_is_the_intersection_with_the_contracted_class():
+    rng = np.random.default_rng(RNG_SEED)
+    for k in range(1, 6):
+        lat = _blown_up(k)
+        e = lat.basis_class(f"E{k}")
+        _, push = lat.contract(e)
+        assert push.dual == tuple(lat.gram[i][-1] for i in range(lat.rank))
+        for _ in range(20):
+            d = DivisorClass(tuple(int(c) for c in rng.integers(-4, 5, size=lat.rank)))
+            assert push.pairing(d) == lat.intersect(d, e)
+        with pytest.raises(RankMismatch):
+            push.pairing(DivisorClass((1,) * (lat.rank + 1)))
+
+
+def test_contract_refuses_a_class_of_the_wrong_rank():
+    with pytest.raises(RankMismatch):
+        _blown_up(2).contract(DivisorClass((0, 1)))
+
+
+def test_contract_reports_the_pairings_of_a_non_exceptional_class():
+    with pytest.raises(NotExceptionalClass, match=r"E\.E = 0, E\.K = -2"):
+        _blown_up(1).contract(DivisorClass((1, -1)))
 
 
 def test_pushforward_kills_the_contracted_class():
@@ -576,6 +610,30 @@ def test_find_contractible_component_refuses_a_float_coefficient():
     with pytest.raises(TypeError):
         find_contractible_component([(DivisorClass((0, 1)), 1.5)], lat)
     assert find_contractible_component([(DivisorClass((0, 1)), np.int64(1))], lat) == 0
+
+
+@pytest.mark.parametrize("lat", [p2_lattice()] + [hirzebruch_lattice(n) for n in range(65)],
+                         ids=["P2"] + [f"F{n}" for n in range(65)])
+def test_built_in_lattices_pass_full_validation(lat):
+    # p2_lattice and hirzebruch_lattice skip the validation pass
+    assert PicardLattice(lat.gram, lat.labels, lat.canonical) == lat
+    assert all(type(x) is int for row in lat.gram for x in row)
+    assert all(type(c) is int for c in lat.canonical.coeffs)
+
+
+def test_hirzebruch_lattice_takes_an_integer_index():
+    assert hirzebruch_lattice(np.int64(3)) == hirzebruch_lattice(3)
+    assert type(hirzebruch_lattice(np.int64(3)).gram[1][1]) is int
+    with pytest.raises(TypeError):
+        hirzebruch_lattice(2.0)
+
+
+def test_basis_classes_are_unit_vectors():
+    lat = _blown_up(3)
+    assert [lat.basis_class(label).coeffs for label in lat.labels] == \
+        [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    with pytest.raises(ValueError):
+        lat.basis_class("E9")
 
 
 def test_square_one_classes_refuses_a_negative_index():

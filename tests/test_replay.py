@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 from collections import Counter
@@ -23,7 +24,7 @@ from cp2lab import (
 from cp2lab import cli, lattice
 from cp2lab.errors import AssertionFailed, InputFormatError, NotExceptionalClass, UnknownName
 from cp2lab.jsonio import lattice_to_json
-from cp2lab.lattice import PicardLattice, _signature
+from cp2lab.lattice import DivisorClass, PicardLattice, _signature
 from cp2lab.replay import (
     AssertStep,
     BlowUpStep,
@@ -31,6 +32,8 @@ from cp2lab.replay import (
     InitialSurface,
     RenameStep,
     Script,
+    _initial_state,
+    _run_blow_up,
     state_to_json,
 )
 
@@ -295,6 +298,79 @@ def test_negative_multiplicity_is_an_input_error():
         run(script)
 
 
+@pytest.mark.parametrize("m", [1.9, True, "2"], ids=["float", "bool", "string"])
+def test_library_multiplicity_must_be_an_int(m):
+    # the JSON path's rule: a multiplicity is refused, never truncated to 1 or 2
+    script = Script(InitialSurface("P2", curves=(("L", (1,)),)),
+                    (BlowUpStep("p", on=(("L", m),)),))
+    with pytest.raises(InputFormatError, match="multiplicity"):
+        run(script)
+
+
+# asserts read the derived squares --------------------------------------------------
+
+def _sigma2_state():
+    return run(builtin_sigma2_singular())
+
+
+@pytest.mark.parametrize("step", [
+    AssertStep(kind="self_intersection", curve="B", expected=-3),
+    AssertStep(kind="gram", curves=("F", "B"), expected=[[0, 1], [1, -3]]),
+    AssertStep(kind="gram", curves=("F", "B"), expected=[[0, 2], [2, -2]]),
+    AssertStep(kind="gram", curves=("B", "F", "B"), expected=[[-2, 1, -2], [1, 0, 1], [-2, 1, 0]]),
+], ids=["self-intersection", "gram-diagonal", "gram-off-diagonal", "gram-repeated"])
+def test_square_asserts_with_a_wrong_value_fail(step):
+    script = builtin_sigma2_singular()
+    with pytest.raises(AssertionFailed) as info:
+        run(Script(script.initial, script.steps + (step,)))
+    assert info.value.step == len(script.steps)
+    state = _sigma2_state()
+    names = [step.curve] if step.kind == "self_intersection" else list(step.curves)
+    pairings = [[state.lattice.intersect(state.curves[a], state.curves[b]) for b in names]
+                for a in names]
+    assert info.value.got == (pairings[0][0] if step.kind == "self_intersection" else pairings)
+
+
+@pytest.mark.parametrize("step", [
+    AssertStep(kind="self_intersection", curve="nope", expected=0),
+    AssertStep(kind="gram", curves=("F", "nope"), expected=[[0, 0], [0, 0]]),
+    AssertStep(kind="intersection", curves=("nope", "B"), expected=0),
+], ids=["self-intersection", "gram", "intersection"])
+def test_asserts_on_an_unknown_curve_fail(step):
+    script = builtin_sigma2_singular()
+    with pytest.raises(UnknownName):
+        run(Script(script.initial, script.steps + (step,)))
+
+
+def test_square_asserts_agree_with_the_pairings():
+    state = _sigma2_state()
+    names = list(state.curves)
+    gram = [[state.lattice.intersect(state.curves[a], state.curves[b]) for b in names]
+            for a in names]
+    assert state.gram_of(names) == gram
+    assert [state.self_intersection(n) for n in names] == [row[i] for i, row in enumerate(gram)]
+
+
+# a blow-up leaves the curves it misses alone ---------------------------------------
+
+def test_blow_up_keeps_untouched_classes_and_pads_them_when_read():
+    state = _initial_state(InitialSurface("P2", curves=(("L", (1,)), ("C", (2,)))))
+    line, conic = state.curves["L"], state.curves["C"]
+    _run_blow_up(state, BlowUpStep("p", on=(("C", 1), ("L", 0))), 0)
+    assert state.curves["L"] is line and line.rank == 1 < state.lattice.rank
+    assert state.curves["C"].coeffs == (2, -1) and conic.coeffs == (2,)
+    assert list(state.curves) == ["H", "L", "C", "E1"]
+    assert state.curve("L").coeffs == (1, 0)
+    assert state.curves["L"].coeffs == (1, 0)      # padded once, in place
+    assert state.self_intersection("L") == 1 and state.self_intersection("C") == 3
+
+
+def test_run_returns_every_class_at_the_final_rank():
+    state = run(builtin_standard_blowups(5))
+    assert {d.rank for d in state.curves.values()} == {6}
+    assert state.curves["H"].coeffs == (1, 0, 0, 0, 0, 0)
+
+
 # derived lattices against full validation -----------------------------------------
 
 def _check_state(state, previous_log, previous_squares):
@@ -397,3 +473,46 @@ def test_standard_replay_makes_linearly_many_lattice_calls(monkeypatch):
     large = _lattice_calls(monkeypatch, ["replay", "--builtin", "standard", "--k", "80"])
     for name in ("intersect", "_signature"):
         assert 0 < large[name] <= 2 * small[name], (name, small, large)
+
+
+def _classes_built(monkeypatch, argv) -> int:
+    """DivisorClass objects built by cli.main(argv), by either constructor."""
+    built = 0
+    post_init, of = DivisorClass.__post_init__, DivisorClass._of.__func__
+
+    def counted_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def counted_of(cls, coeffs):
+        nonlocal built
+        built += 1
+        return of(cls, coeffs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DivisorClass, "__post_init__", counted_post_init)
+        patch.setattr(DivisorClass, "_of", classmethod(counted_of))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return built
+
+
+def test_standard_replay_builds_linearly_many_classes(monkeypatch):
+    # a blow-up builds the classes it changes, not one per tracked curve
+    small = _classes_built(monkeypatch, ["replay", "--builtin", "standard", "--k", "40"])
+    large = _classes_built(monkeypatch, ["replay", "--builtin", "standard", "--k", "80"])
+    assert 0 < large <= 2.2 * small, (small, large)
+
+
+# large replays, beyond the golden deck's k = 38 and k = 24 -------------------------
+
+@pytest.mark.parametrize("builtin, digest", [
+    ("standard", "25dc97c2a59c032dd10d05100d927b8505d5e98bc798e8a24671c77161a03b48"),
+    ("sigma-steps", "e9bb30b7f4863a3a6c733ab41998c2ff9528fdf2c398fe2f0e44c55cbdb3918b"),
+])
+def test_replay_at_the_largest_k_prints_the_pinned_output(builtin, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["replay", "--builtin", builtin, "--k", "200"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
