@@ -14,7 +14,9 @@ import sys
 from .errors import DEFAULT_MAX_ITER, Cp2LabError, AssertionFailed, InputFormatError, check_tol
 
 ENV_TOL = "CP2LAB_TOL"
-# largest scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2) leaves
+# largest box scan `lattice exceptional` accepts: (2 bound + 1)^(rank - 2)
+# leaves.  It prices only --blowups >= 9, where K.K <= 0; up to 8 blow-ups
+# K.K > 0 and the search follows a finite ellipsoid whatever the bound
 MAX_EXCEPTIONAL_LEAVES = 10**6
 # largest blow-up count `--blowups` and `replay --k` accept: blow-ups are not
 # re-validated, but each copies the dense Gram matrix and a replay's logged
@@ -49,9 +51,11 @@ finite numbers > 0.  Counts, indices and bounds must be non-negative,
 blow-up counts (`--blowups`, and `replay --k`) at most {MAX_BLOWUPS}, `basin`
 refuses more than {MAX_BASIN_SAMPLES:,} samples in all (`--samples` plus
 `--line-samples`, which defaults to samples // 10) and a `--max-iter` above
-{MAX_BASIN_ITER:,}, and `lattice exceptional` refuses scans of more than
-{MAX_EXCEPTIONAL_LEAVES:,} coefficient vectors.  JSON true and false are not
-numbers; a script's integers must be JSON ints.
+{MAX_BASIN_ITER:,}.  `lattice exceptional` accepts any bound up to 8
+blow-ups, where the classes lie on a finite ellipsoid; from 9 on it scans a
+coefficient box and refuses scans of more than {MAX_EXCEPTIONAL_LEAVES:,}
+coefficient vectors.  JSON true and false are not numbers; a script's
+integers must be JSON ints.
 """
 
 
@@ -215,10 +219,11 @@ def _cmd_lattice(args):
         pairs = lattice.square_one_classes(args.n, args.bound)
         return [list(p) for p in pairs]
     if args.lattice_command == "exceptional":
-        # rank - 2 = blowups - 1; the exponent is capped, since 3^64 is far past
-        # the limit and the power of a huge --bound must stay small
-        leaves = (2 * args.bound + 1) ** max(min(args.blowups - 1, 64), 0)
-        if leaves > MAX_EXCEPTIONAL_LEAVES:
+        # K.K = 9 - blowups; only K.K <= 0 scans the box, of rank - 2 =
+        # blowups - 1 dimensions.  The exponent is capped, since 3^64 is far
+        # past the limit and the power of a huge --bound must stay small
+        if (args.blowups >= 9
+                and (2 * args.bound + 1) ** min(args.blowups - 1, 64) > MAX_EXCEPTIONAL_LEAVES):
             raise _UsageError(
                 f"--blowups {args.blowups} --bound {args.bound} scans more than "
                 f"{MAX_EXCEPTIONAL_LEAVES} coefficient vectors"

@@ -161,8 +161,8 @@ def line_sample(bit_gen: np.random.Philox, p_vec: np.ndarray, dual: np.ndarray,
 
 
 # reference lattice arithmetic: the scan over b for square-one classes, the
-# full coefficient-box scan for exceptional classes and the fraction-free
-# Bareiss determinant
+# full coefficient-box scan for exceptional classes, their Weyl orbit on the
+# blown-up plane and the fraction-free Bareiss determinant
 
 def scan_square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
     """Square-one classes aF + bB of the n-th Hirzebruch lattice by scanning
@@ -202,6 +202,40 @@ def brute_force_exceptional_classes(lat, coeff_bound: int) -> list:
             out.append(DivisorClass(coeffs))
     out.sort(key=lambda d: d.coeffs)
     return out
+
+
+def weyl_orbit_exceptional_classes(k: int) -> list:
+    """Exceptional classes of the plane blown up at k <= 8 points, as an orbit.
+
+    On the basis H, E1, ..., Ek (D.D' = d_0 d'_0 - sum d_i d'_i), the
+    reflections D -> D + (D.a) a in the simple roots a = H - E1 - E2 - E3
+    and E_i - E_{i+1} generate the Weyl group W(E_k), whose orbit of E_k is
+    every exceptional class (Manin, Cubic Forms, sections 23-26).  At k = 2
+    the roots E1 - E2 alone miss H - E1 - E2, which seeds the orbit too.
+    Breadth first, sorted by coefficient vector; no lattice code is used.
+    """
+    n = k + 1
+
+    def dot(a, b):
+        return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+
+    roots = [(1, -1, -1, -1) + (0,) * (k - 3)] if k >= 3 else []
+    roots += [tuple(int(j == i) - int(j == i + 1) for j in range(n)) for i in range(1, k)]
+    seeds = [tuple(int(j == k) for j in range(n))] if k else []
+    if k == 2:
+        seeds.append((1, -1, -1))
+    seen, frontier = set(seeds), seeds
+    while frontier:
+        found = []
+        for d in frontier:
+            for a in roots:
+                m = dot(d, a)
+                image = tuple(x + m * y for x, y in zip(d, a))
+                if image not in seen:
+                    seen.add(image)
+                    found.append(image)
+        frontier = found
+    return [DivisorClass(c) for c in sorted(seen)]
 
 
 def bareiss_det(rows) -> int:

@@ -398,21 +398,33 @@ def test_blowup_counts_at_the_cap_are_accepted(run):
     assert json.loads(out)["n_blowups"] == 200
 
 
-@pytest.mark.parametrize("blowups, bound", [(8, 6), (10, 2), (14, 1), (10**12, 1)])
+@pytest.mark.parametrize("blowups, bound", [(10, 2), (14, 1), (10**12, 1)])
 def test_lattice_exceptional_refuses_costly_scans(run, blowups, bound):
-    # (2 bound + 1)^(blowups - 1) leaves above cli.MAX_EXCEPTIONAL_LEAVES
+    # from 9 blow-ups on, K.K <= 0 and the box is scanned: (2 bound + 1)^(blowups - 1)
+    # leaves above cli.MAX_EXCEPTIONAL_LEAVES
     _assert_usage_error(*run(["lattice", "exceptional", "--blowups", str(blowups),
                               "--bound", str(bound)]))
 
 
 def test_lattice_exceptional_accepts_scans_within_the_limit(run):
-    # 7^6 = 117,649 leaves: 56 classes, the lines, conics and exceptional curves
+    # up to 8 blow-ups K.K > 0 and no bound is refused.  At 7: 56 classes, the
+    # exceptional curves, lines, conics and cubics
     code, out, _ = run(["lattice", "exceptional", "--blowups", "7", "--bound", "3"])
     assert code == 0
     assert len(json.loads(out)) == 56
     code, out, _ = run(["lattice", "exceptional", "--blowups", "0", "--bound", "10"])
     assert code == 0
     assert json.loads(out) == []
+
+
+@pytest.mark.parametrize("blowups, bound", [(8, 6), (8, 10**9)])
+def test_lattice_exceptional_accepts_positive_canonical_squares(run, blowups, bound):
+    # at 8 blow-ups K.K = 1 > 0: Manin's 240, the largest coefficient being 6,
+    # also at a bound far past any box scan
+    code, out, _ = run(["lattice", "exceptional", "--blowups", str(blowups),
+                        "--bound", str(bound)])
+    assert code == 0
+    assert len(json.loads(out)) == 240
 
 
 @pytest.mark.parametrize("script", [

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cp2lab import (
     p2_lattice,
     square_one_classes,
 )
-from cp2lab.lattice import _signature
+from cp2lab.lattice import _box_classes, _signature
 from cp2lab.replay import (
     builtin_sigma0_singular,
     builtin_sigma2_singular,
@@ -35,7 +36,12 @@ from cp2lab.errors import (
     SetNotInvariant,
 )
 
-from helpers import bareiss_det, brute_force_exceptional_classes, scan_square_one_classes
+from helpers import (
+    bareiss_det,
+    brute_force_exceptional_classes,
+    scan_square_one_classes,
+    weyl_orbit_exceptional_classes,
+)
 
 RNG_SEED = 31337
 
@@ -534,6 +540,69 @@ def test_exceptional_classes_of_a_null_canonical_class():
 def test_exceptional_classes_match_box_scan_in_any_basis(k, bound, ops):
     ops = [(i, j, c) for i, j, c in ops if i != j and max(i, j) <= k]
     _assert_matches_box_scan(_changed_basis(_blown_up(k), ops), bound)
+
+
+# exceptional classes when K.K > 0: the Fincke-Pohst search against W(E_k) -----------------
+
+@pytest.mark.parametrize("k, count, largest", [
+    (1, 1, 1), (2, 3, 1), (3, 6, 1), (4, 10, 1), (5, 16, 2), (6, 27, 2), (7, 56, 3), (8, 240, 6),
+])
+def test_exceptional_classes_are_the_weyl_orbit(k, count, largest):
+    orbit = weyl_orbit_exceptional_classes(k)
+    assert len(orbit) == count
+    assert max(abs(c) for d in orbit for c in d.coeffs) == largest
+    assert enumerate_exceptional_classes(_blown_up(k), largest) == orbit
+    # a larger box adds nothing: the ellipsoid P(D) <= K.K + 2 is finite
+    assert enumerate_exceptional_classes(_blown_up(k), 10**30) == orbit
+
+
+def test_exceptional_classes_far_from_the_standard_basis_are_exact():
+    # H + 10^9 E1, E2 + 7 E3 and E5 - 10^9 E6 in the basis:
+    # Q = 2 l l^T - K.K G has entries past 2^53, where a float bound would
+    # be inexact
+    ops = [(1, 0, 10**9), (6, 5, -(10**9)), (3, 2, 7)]
+    lat = _changed_basis(_blown_up(6), ops)
+    k = lat.canonical.coeffs
+    ell = [sum(map(mul, row, k)) for row in lat.gram]
+    k2 = sum(map(mul, ell, k))
+    assert max(abs(2 * a * b - k2 * g) for a, row in zip(ell, lat.gram)
+               for b, g in zip(ell, row)) > 2**53
+    expected = []
+    for d in weyl_orbit_exceptional_classes(6):
+        y = list(d.coeffs)
+        for i, j, c in ops:  # the coordinates of d in the new basis, U^-1 d
+            y[i] -= c * y[j]
+        expected.append(DivisorClass(tuple(y)))
+    expected.sort(key=lambda d: d.coeffs)
+    bound = max(abs(c) for d in expected for c in d.coeffs)
+    assert enumerate_exceptional_classes(lat, bound) == expected
+    # the box clips the search: one bound less loses the classes at the edge
+    assert enumerate_exceptional_classes(lat, bound - 1) == [
+        d for d in expected if max(map(abs, d.coeffs)) < bound]
+
+
+@pytest.mark.parametrize("k, bound", [(1, 3), (3, 3), (4, 3), (5, 3), (6, 2), (3, 0), (5, 1)])
+def test_box_elimination_agrees_with_the_ellipsoid_search(k, bound):
+    lat = _blown_up(k)
+    ell = [sum(map(mul, row, lat.canonical.coeffs)) for row in lat.gram]
+    box = sorted(_box_classes(lat.gram, ell, bound), key=lambda d: d.coeffs)
+    assert box == enumerate_exceptional_classes(lat, bound)
+
+
+def test_exceptional_classes_match_box_scan_when_the_canonical_square_vanishes():
+    # 9 blow-ups: K.K = 0, the box-elimination branch on a blown-up plane
+    _assert_matches_box_scan(_blown_up(9), 1)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_exceptional_bound_must_be_an_integer(k):
+    # both branches: K.K = 6 at 3 blow-ups, K.K = -1 at 10
+    lat = _blown_up(k)
+    assert enumerate_exceptional_classes(lat, -1) == []
+    assert enumerate_exceptional_classes(lat, np.int64(1)) == enumerate_exceptional_classes(lat, 1)
+    for bound in (2.0, 2.5):
+        with pytest.raises(TypeError):
+            enumerate_exceptional_classes(lat, bound)
 
 
 def test_one_pass_determinant_matches_bareiss():
