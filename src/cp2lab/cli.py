@@ -18,10 +18,10 @@ ENV_TOL = "CP2LAB_TOL"
 # leaves.  It prices only --blowups >= 9, where K.K <= 0; up to 8 blow-ups
 # K.K > 0 and the search follows a finite ellipsoid whatever the bound
 MAX_EXCEPTIONAL_LEAVES = 10**6
-# largest blow-up count `--blowups` and `replay --k` accept: blow-ups are not
-# re-validated, but each copies the dense Gram matrix and a replay's logged
-# squares (one per tracked curve; the classes a blow-up misses are left as
-# they are), so n blow-ups copy O(n^3) integers and print O(n^2)
+# largest blow-up count `--blowups` and `replay --k` accept: a blow-up is not
+# re-validated and leaves the Gram matrix's dense base alone, but a replay logs
+# every tracked curve's square before and after each step (the classes a
+# blow-up misses are left as they are), so n blow-ups print O(n^2) integers
 MAX_BLOWUPS = 200
 # largest total of ball and line samples `basin` accepts: the samples are
 # drawn and resolved as dense arrays, so memory grows with the count

@@ -1,8 +1,8 @@
 """Exact integer Picard lattices of rational surfaces.
 
 Unimodular Lorentzian lattices with a distinguished canonical class,
-supporting blow-up (append a -1 vector, add it to the canonical class),
-contraction of an exceptional class (orthogonal complement with an
+supporting blow-up (one more exceptional coordinate, added to the canonical
+class), contraction of an exceptional class (orthogonal complement with an
 integer basis from a gcd-chain unimodular transform, plus the pushforward
 map), adjunction genus, the positive-definite form attached to a
 square-one class, finite-order checks for isometries on class sets, a
@@ -17,22 +17,28 @@ bound.  Its bounds come from fraction-free (Bareiss, Math. Comp. 22 (1968)
 (9 or more blow-ups) two coordinates are solved exactly and the other
 rank - 2 scanned, (2 bound + 1)^(rank - 2) leaves.
 
+A lattice is stored as a dense base Gram matrix plus m trailing exceptional
+coordinates, base + <-1>^m, the shape I_{1,n} = <1> + <-1>^n of the plane
+blown up at n points (Manin, Cubic Forms, section 23).  A blow-up then
+costs O(1) in the Gram matrix, pairings, signature, determinant and K.K read
+the base and subtract the trailing products, and the dense Gram matrix is
+built only when read (see `PicardLattice`).
+
 All arithmetic is exact: Python integers and Fractions throughout.  The
 public constructor validates every lattice built from user input (square,
-symmetric, unimodular, signature (1, rank - 1)) by one congruence pass that
-yields both the inertia and the determinant.  The plane, the Hirzebruch
-lattices and the results of surgery are valid by construction and skip that
-pass: a blow-up is G + <-1>, and a contraction is the orthogonal complement
-of a class of square -1 (see `PicardLattice.contract`).  Pairings skip zero
-coefficients, which keeps the diagonal Gram matrices of repeated blow-ups
-cheap.
+symmetric, unimodular, signature (1, rank - 1)) by one congruence pass over
+its base that yields both the inertia and the determinant.  The plane, the
+Hirzebruch lattices and the results of surgery are valid by construction
+and skip that pass: a blow-up is G + <-1>, and a contraction is the
+orthogonal complement of a class of square -1 (see
+`PicardLattice.contract`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import isqrt, lcm, prod
 from operator import index, mul
 
@@ -72,17 +78,22 @@ class DivisorClass:
     def rank(self) -> int:
         return len(self.coeffs)
 
+    # results hold ints already, so they skip the coercion of __post_init__
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        pairs = zip(self.coeffs, other.coeffs, strict=True)
+        return DivisorClass._of(tuple([a + b for a, b in pairs]))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        pairs = zip(self.coeffs, other.coeffs, strict=True)
+        return DivisorClass._of(tuple([a - b for a, b in pairs]))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return DivisorClass._of(tuple([-a for a in self.coeffs]))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(tuple(index(k) * a for a in self.coeffs))
+        k = index(k)
+        return DivisorClass._of(tuple([k * a for a in self.coeffs]))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -151,34 +162,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _clear_vector(w: list[int]) -> tuple[list[list[int]], list[list[int]], int]:
-    """Unimodular V (and its inverse) with w^T V = (g, 0, ..., 0), g = gcd(w) > 0."""
-    n = len(w)
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
-    cur = list(map(int, w))
-    for idx in range(1, n):
-        a0, ai = cur[0], cur[idx]
-        if ai == 0:
-            continue
-        g, x, y = _xgcd(a0, ai)
-        p, q = -(ai // g), a0 // g
-        for r in range(n):
-            c0, ci = v[r][0], v[r][idx]
-            v[r][0] = x * c0 + y * ci
-            v[r][idx] = p * c0 + q * ci
-        for c in range(n):
-            r0, ri = vinv[0][c], vinv[idx][c]
-            vinv[0][c] = q * r0 - p * ri
-            vinv[idx][c] = -y * r0 + x * ri
-        cur[0], cur[idx] = g, 0
-    if cur[0] < 0:
-        for r in range(n):
-            v[r][0] = -v[r][0]
-        for c in range(n):
-            vinv[0][c] = -vinv[0][c]
-        cur[0] = -cur[0]
-    return v, vinv, cur[0]
+def _clear_vector(w: list[int]) -> tuple[list[tuple[int, int, int, int, int]], int]:
+    """The gcd chain that clears w past its first entry, and its end value g.
+
+    Step (i, x, y, p, q), one per nonzero w_i in order, folds w_i into w_0:
+    columns 0 and i of V become x c_0 + y c_i and p c_0 + q c_i (unimodular,
+    x q - y p = 1), and rows 0 and i of V^-1 become q r_0 - p r_i and
+    x r_i - y r_0.  The product V of the steps has w^T V = (g, 0, ..., 0)
+    with |g| = gcd(w); g < 0 only when w has no nonzero entry past w_0.  V is
+    the identity outside {0} + supp(w).
+    """
+    g, steps = w[0], []
+    for i in range(1, len(w)):
+        a = w[i]
+        if a:
+            a0 = g
+            g, x, y = _xgcd(a0, a)
+            steps.append((i, x, y, -(a // g), a0 // g))
+    return steps, g
 
 
 @dataclass(frozen=True)
@@ -246,55 +247,101 @@ class DefiniteForm:
         return lam * lam - dd
 
 
+@cache
+def _complement_labels(n: int) -> tuple[str, ...]:
+    """v1, ..., vn: the basis labels of a contraction's result."""
+    return tuple([f"v{i}" for i in range(1, n + 1)])
+
+
+def _split(gram: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(base, m) with gram = base + <-1>^m and m as large as it can be.
+
+    Peels trailing rows that read -e_i off a symmetric matrix, keeping at
+    least one row; the public constructor and contraction both end here, so
+    one lattice has one split, and equality and hashing see the same fields.
+    """
+    n = r = len(gram)
+    while r > 1 and gram[r - 1][r - 1] == -1 and not any(gram[r - 1][:r - 1]):
+        r -= 1
+    return (gram if r == n else tuple([row[:r] for row in gram[:r]])), n - r
+
+
 @dataclass(frozen=True)
 class PicardLattice:
-    """Unimodular Lorentzian lattice with named basis and canonical class."""
+    """Unimodular Lorentzian lattice with named basis and canonical class.
 
-    gram: tuple[tuple[int, ...], ...]
+    Stored as base + <-1>^blowups (Manin, Cubic Forms, section 23): a dense
+    Gram matrix `base` on the first coordinates, then `blowups` exceptional
+    coordinates with E_i.E_j = -delta_ij.  The base is the lattice before
+    its first blow-up, or what the last contraction left, less any trailing
+    <-1> block (`_split`), so one lattice has one split.  The dense `gram` is
+    built on its first read: by JSON output, the exceptional-class
+    enumeration, definite forms and isometries.  PicardLattice(gram, labels,
+    canonical) takes the whole Gram matrix as `base`, validates it and
+    splits it.
+    """
+
+    base: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     canonical: DivisorClass
+    blowups: int = field(default=0, init=False)
 
     def __post_init__(self):
-        gram = tuple([tuple([index(x) for x in row]) for row in self.gram])  # see DivisorClass
-        object.__setattr__(self, "gram", gram)
+        gram = tuple([tuple([index(x) for x in row]) for row in self.base])  # see DivisorClass
         n = len(gram)
         if any(len(row) != n for row in gram):
             raise ValueError("gram matrix must be square")
         if any(row != col for row, col in zip(gram, zip(*gram))):
             raise ValueError("gram matrix must be symmetric")
+        base, blowups = _split(gram)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "blowups", blowups)
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be distinct and match the rank")
         if self.canonical.rank != n:
             raise RankMismatch("canonical class length does not match the rank")
-        inertia, det = _signature(gram)
+        inertia, det = _signature(base)
         if abs(det) != 1:
             raise ValueError("gram matrix must be unimodular")
-        if inertia != (1, n - 1):
+        if inertia != (1, len(base) - 1):
             raise ValueError("lattice must have Lorentzian signature (1, rank-1)")
 
     @classmethod
-    def _derived(cls, gram: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
-                 canonical: DivisorClass) -> "PicardLattice":
-        """A lattice that surgery proved valid: no validation pass."""
-        lat = object.__new__(cls)
-        object.__setattr__(lat, "gram", gram)
-        object.__setattr__(lat, "labels", labels)
-        object.__setattr__(lat, "canonical", canonical)
+    def _derived(cls, base: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 canonical: DivisorClass, blowups: int = 0,
+                 exceptional_labels: int = 0) -> "PicardLattice":
+        """A lattice that surgery proved valid, its base already split: no
+        validation pass, and the rank and label count cached up front."""
+        lat = object.__new__(cls)  # frozen: the fields go straight into the instance dict
+        lat.__dict__.update(base=base, labels=labels, canonical=canonical, blowups=blowups,
+                            rank=len(base) + blowups, _exceptional_labels=exceptional_labels)
         return lat
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.base) + self.blowups
+
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The dense Gram matrix, base + <-1>^blowups, built on first read."""
+        m, r = self.blowups, len(self.base)
+        if not m:
+            return self.base
+        pad = (0,) * m
+        rows = [row + pad for row in self.base]
+        rows += [(0,) * i + (-1,) + (0,) * (r + m - 1 - i) for i in range(r, r + m)]
+        return tuple(rows)
 
     def signature(self) -> tuple[int, int]:
-        return _signature(self.gram)[0]
+        pos, neg = _signature(self.base)[0]
+        return pos, neg + self.blowups
 
     def determinant(self) -> int:
-        return _signature(self.gram)[1]
+        return _signature(self.base)[1] * (-1) ** self.blowups
 
     @cached_property
     def _exceptional_labels(self) -> int:
-        """How many labels read E<j>; blow_up hands the count on to its result."""
+        """How many labels read E<j>; surgery hands the count on to its result."""
         return sum(1 for lab in self.labels if lab.startswith("E") and lab[1:].isdigit())
 
     def basis_class(self, label: str) -> DivisorClass:
@@ -311,13 +358,15 @@ class PicardLattice:
     # pairing and genus
 
     def intersect(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        c1, c2, gram = d1.coeffs, d2.coeffs, self.gram
-        if len(c1) != len(gram) or len(c2) != len(gram):
+        c1, c2, base, n = d1.coeffs, d2.coeffs, self.base, self.rank
+        if len(c1) != n or len(c2) != n:
             raise RankMismatch(
                 f"classes of rank {d1.rank}, {d2.rank} in a rank-{self.rank} lattice"
             )
         # rows of zero coefficients of d1 are skipped: blow-up classes are sparse
-        return sum(a * sum(map(mul, row, c2)) for a, row in zip(c1, gram) if a)
+        r = len(base)
+        return (sum(a * sum(map(mul, row, c2)) for a, row in zip(c1, base) if a)
+                - sum(map(mul, c1[r:], c2[r:])))
 
     def genus(self, d: DivisorClass) -> int:
         total = self.intersect(d, d) + self.intersect(d, self.canonical)
@@ -328,18 +377,15 @@ class PicardLattice:
     # surgery
 
     def blow_up(self) -> "PicardLattice":
-        """Append an exceptional vector: gram gains a -1 entry, K gains E.
+        """Append an exceptional coordinate: one more <-1>, K gains E.
 
         G + <-1> is unimodular with signature (1, rank), so the result is
-        not re-validated.
+        not re-validated, and the base is shared, not copied.
         """
-        n = self.rank
-        gram = tuple([row + (0,) for row in self.gram] + [tuple([0] * n + [-1])])
         count = self._exceptional_labels + 1
         canonical = DivisorClass._of(self.canonical.coeffs + (1,))
-        lat = PicardLattice._derived(gram, self.labels + (f"E{count}",), canonical)
-        object.__setattr__(lat, "_exceptional_labels", count)  # fills the cache
-        return lat
+        return PicardLattice._derived(self.base, self.labels + (f"E{count}",), canonical,
+                                      self.blowups + 1, count)
 
     def proper_transform(self, d: DivisorClass, multiplicity: int) -> DivisorClass:
         """Class of a curve of the given multiplicity through the blown-up point.
@@ -356,39 +402,64 @@ class PicardLattice:
 
     def contract(self, e: DivisorClass) -> tuple["PicardLattice", PushforwardMap]:
         """Contract an exceptional class; returns the complement lattice and
-        the pushforward map (new canonical class = pushforward of K + E)."""
-        n = self.rank
-        g = self.gram
-        if e.rank != n:
+        the pushforward map (new canonical class = pushforward of K + E).
+
+        With w = G e, the complement has the basis of columns 1..n-1 of the
+        unimodular V of `_clear_vector`, with w^T V = (1, 0, ..., 0).  Its
+        Gram matrix is V^T G V less row and column 0, formed by one 2 x 2
+        congruence per step; V is the identity outside {0} + supp(w), so only
+        the coordinates up to hi, the last of the base and of supp(w), enter
+        the new base.  Past hi are exceptional coordinates that E misses,
+        which stay <-1> coordinates of the result.
+        """
+        base, c, n = self.base, e.coeffs, self.rank
+        r = len(base)
+        if len(c) != n:
             raise RankMismatch(f"class has rank {e.rank}, lattice rank {n}")
-        w = [sum(map(mul, row, e.coeffs)) for row in g]  # G e: X.E = x . w for every X
-        ee, ek = sum(map(mul, e.coeffs, w)), sum(map(mul, self.canonical.coeffs, w))
+        w = [sum(map(mul, row, c)) for row in base] + [-x for x in c[r:]]  # X.E = x . w
+        ee, ek = sum(map(mul, c, w)), sum(map(mul, self.canonical.coeffs, w))
         if ee != -1 or ek != -1:
             raise NotExceptionalClass(f"{e} has E.E = {ee}, E.K = {ek}")
-        v, vinv, content = _clear_vector(w)
-        if content != 1:
-            raise NonUnimodularComplement(f"pairing vector has content {content}")
+        steps, content = _clear_vector(w)
+        if abs(content) != 1:
+            raise NonUnimodularComplement(f"pairing vector has content {abs(content)}")
 
-        basis = [[v[i][c] for i in range(n)] for c in range(1, n)]  # columns 1..n-1
-        g_basis = [[sum(map(mul, row, b)) for row in g] for b in basis]
-        new_gram = tuple([tuple([sum(map(mul, a, gb)) for gb in g_basis]) for a in basis])
-
-        # rows 1..n-1 of Vinv composed with x -> x + (x.E) E, that is
-        # row + (row . e) w with w = G e
-        push_rows = []
-        for vrow in vinv:
-            pairing = sum(map(mul, vrow, e.coeffs))
-            push_rows.append([x + pairing * y for x, y in zip(vrow, w)])
-        if any(push_rows[0][j] != 0 for j in range(n)):
+        hi = max(steps[-1][0] if steps else 0, r - 1)
+        pad = [0] * (hi + 1 - r)
+        g = [[*row, *pad] for row in base]  # G on coordinates 0..hi
+        for i in range(r, hi + 1):
+            g.append([0] * (hi + 1))
+            g[i][i] = -1
+        # push = rows 1..n-1 of V^-1 (I + e w^T), composing x -> x + (x.E) E;
+        # row 0 must vanish.  Since push(E) = 0 and (K + E).E = -2, the new
+        # canonical class push(K + E) is rows 1..n-1 of V^-1 (K - E)
+        push_rows = [[cx * y for y in w] for cx in c]
+        for x, row in enumerate(push_rows):
+            row[x] += 1
+        k = [a - b for a, b in zip(self.canonical.coeffs, c)]
+        for i, x, y, p, q in steps:
+            pairs = list(zip(g[0], g[i]))
+            g0, gi = [x * a + y * b for a, b in pairs], [p * a + q * b for a, b in pairs]
+            g0[0], g0[i] = x * g0[0] + y * g0[i], p * g0[0] + q * g0[i]
+            gi[0], gi[i] = g0[i], p * gi[0] + q * gi[i]
+            for row, a, b in zip(g, g0, gi):  # the columns, by symmetry
+                row[0], row[i] = a, b
+            g[0], g[i] = g0, gi
+            p0, pi = push_rows[0], push_rows[i]
+            push_rows[0] = [q * a - p * b for a, b in zip(p0, pi)]
+            push_rows[i] = [x * b - y * a for a, b in zip(p0, pi)]
+            k[0], k[i] = q * k[0] - p * k[i], x * k[i] - y * k[0]
+        if any(push_rows[0]):
             raise NonUnimodularComplement("projection onto the complement is not integral")
-        push = PushforwardMap(tuple(tuple(row) for row in push_rows[1:]), e, tuple(w))
+        push = PushforwardMap(tuple([tuple(row) for row in push_rows[1:]]), e, tuple(w))
 
-        new_canonical = push(self.canonical + e)
-        labels = tuple(f"v{i + 1}" for i in range(n - 1))
+        new_base, peeled = _split(tuple([tuple(row[1:]) for row in g[1:]]))
         # valid by construction: since E.E = -1, every x is
         # (x + (x.E) E) - (x.E) E, so L = E-perp + Z E, an orthogonal sum;
         # E-perp is then unimodular with signature (1, n - 2)
-        return PicardLattice._derived(new_gram, labels, new_canonical), push
+        canonical = DivisorClass._of(tuple(k[1:]))
+        return PicardLattice._derived(new_base, _complement_labels(n - 1), canonical,
+                                      n - 1 - hi + peeled), push
 
     # forms and isometries
 
@@ -403,11 +474,11 @@ class PicardLattice:
         if len(mat) != n or any(len(r) != n for r in mat):
             raise RankMismatch("isometry matrix must match the lattice rank")
         g = self.gram
-        for a in range(n):
-            for b in range(n):
-                val = sum(mat[i][a] * g[i][j] * mat[j][b] for i in range(n) for j in range(n))
-                if val != g[a][b]:
-                    raise ValueError("matrix does not preserve the intersection form")
+        cols = list(zip(*mat))
+        g_cols = [[sum(map(mul, row, col)) for row in g] for col in cols]  # G M, once
+        if any(sum(map(mul, a, gb)) != g[i][j]
+               for i, a in enumerate(cols) for j, gb in enumerate(g_cols)):
+            raise ValueError("matrix does not preserve the intersection form")
         return LatticeIsometry(mat)
 
 
@@ -423,9 +494,9 @@ def hirzebruch_lattice(n: int) -> PicardLattice:
     by requiring both rulings to be rational and K.K = 8.  The Gram matrix
     has determinant -1 and signature (1, 1) for every n.
     """
+    n = index(n)  # before the sign check: a float is a TypeError, whatever its sign
     if n < 0:
         raise ValueError("Hirzebruch index must be non-negative")
-    n = index(n)
     return PicardLattice._derived(((0, 1), (1, -n)), ("F", "B"), DivisorClass._of((-(n + 2), -2)))
 
 
@@ -440,8 +511,10 @@ def square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
     for any bound.  Sign-symmetric pairs (-a, -b) are listed alongside
     their positives.  For odd n >= 3 the bare equation has solutions but
     the base pairing is negative, so the list is empty; only n = 1 admits
-    (1, 1).  Raises ValueError for n < 0, as hirzebruch_lattice does.
+    (1, 1).  Raises ValueError for n < 0, as hirzebruch_lattice does, and
+    TypeError for a float n or bound.
     """
+    n, bound = index(n), index(bound)
     if n < 0:
         raise ValueError("Hirzebruch index must be non-negative")
     out = []

@@ -119,7 +119,7 @@ class SurfaceState:
             d = self.curves[name]
         except KeyError:
             raise UnknownName(f"no curve named {name!r}") from None
-        missing = len(self.lattice.gram) - len(d.coeffs)
+        missing = self.lattice.rank - len(d.coeffs)
         if missing:
             d = self.curves[name] = DivisorClass._of(d.coeffs + (0,) * missing)
         return d

@@ -8,8 +8,10 @@ from itertools import product
 
 import numpy as np
 
-from cp2lab import AlgebraElement, DivisorClass, GroupElement, ProjectivePoint, fixed_points, mat_exp
+from cp2lab import (AlgebraElement, DivisorClass, GroupElement, PicardLattice, ProjectivePoint,
+                    PushforwardMap, fixed_points, mat_exp)
 from cp2lab.dynamics import OrbitResult, _nearest_fixed_point
+from cp2lab.lattice import _xgcd
 from cp2lab.linalg3 import _canonical, _chordal, det3
 
 J = np.diag([-1.0, 1.0, 1.0]).astype(complex)  # the form Q's matrix: Q(v, w) = w^dagger J v
@@ -162,7 +164,8 @@ def line_sample(bit_gen: np.random.Philox, p_vec: np.ndarray, dual: np.ndarray,
 
 # reference lattice arithmetic: the scan over b for square-one classes, the
 # full coefficient-box scan for exceptional classes, their Weyl orbit on the
-# blown-up plane and the fraction-free Bareiss determinant
+# blown-up plane, the fraction-free Bareiss determinant and a contraction on
+# the dense Gram matrix
 
 def scan_square_one_classes(n: int, bound: int) -> list[tuple[int, int]]:
     """Square-one classes aF + bB of the n-th Hirzebruch lattice by scanning
@@ -259,6 +262,66 @@ def bareiss_det(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _dense_clear_vector(w: list[int]) -> tuple[list[list[int]], list[list[int]], int]:
+    """Unimodular V (and its inverse) with w^T V = (g, 0, ..., 0), g = gcd(w) > 0,
+    as dense n x n matrices: the same gcd chain as the lattice code."""
+    n = len(w)
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
+    cur = list(w)
+    for idx in range(1, n):
+        a0, ai = cur[0], cur[idx]
+        if ai == 0:
+            continue
+        g, x, y = _xgcd(a0, ai)
+        p, q = -(ai // g), a0 // g
+        for r in range(n):
+            c0, ci = v[r][0], v[r][idx]
+            v[r][0] = x * c0 + y * ci
+            v[r][idx] = p * c0 + q * ci
+        for c in range(n):
+            r0, ri = vinv[0][c], vinv[idx][c]
+            vinv[0][c] = q * r0 - p * ri
+            vinv[idx][c] = -y * r0 + x * ri
+        cur[0], cur[idx] = g, 0
+    if cur[0] < 0:
+        for r in range(n):
+            v[r][0] = -v[r][0]
+        for c in range(n):
+            vinv[0][c] = -vinv[0][c]
+        cur[0] = -cur[0]
+    return v, vinv, cur[0]
+
+
+def reference_contract(lat, e):
+    """Contraction of an exceptional class on the dense Gram matrix.
+
+    The complement basis is columns 1..n-1 of the dense V with
+    w^T V = (1, 0, ..., 0), w = G e; its Gram matrix is formed as B^T (G B),
+    and the pushforward is rows 1..n-1 of V^-1 composed with
+    x -> x + (x.E) E.  The lattice goes through the public constructor, so
+    it is validated and split again.
+    """
+    n, g = lat.rank, lat.gram
+    w = [sum(a * b for a, b in zip(row, e.coeffs)) for row in g]
+    assert sum(a * b for a, b in zip(e.coeffs, w)) == -1
+    assert sum(a * b for a, b in zip(lat.canonical.coeffs, w)) == -1
+    v, vinv, content = _dense_clear_vector(w)
+    assert content == 1
+    basis = [[v[i][c] for i in range(n)] for c in range(1, n)]
+    g_basis = [[sum(a * b for a, b in zip(row, col)) for row in g] for col in basis]
+    gram = [[sum(a * b for a, b in zip(col, gb)) for gb in g_basis] for col in basis]
+    push_rows = []
+    for vrow in vinv:
+        pairing = sum(a * b for a, b in zip(vrow, e.coeffs))
+        push_rows.append([x + pairing * y for x, y in zip(vrow, w)])
+    assert not any(push_rows[0])
+    push = PushforwardMap(tuple(map(tuple, push_rows[1:])), e, tuple(w))
+    canonical = push(lat.canonical + e)
+    labels = tuple(f"v{i + 1}" for i in range(n - 1))
+    return PicardLattice(gram, labels, canonical), push
 
 
 # reference rank: three-step full-pivot Gaussian elimination on a numpy copy

@@ -39,6 +39,7 @@ from cp2lab.errors import (
 from helpers import (
     bareiss_det,
     brute_force_exceptional_classes,
+    reference_contract,
     scan_square_one_classes,
     weyl_orbit_exceptional_classes,
 )
@@ -117,6 +118,29 @@ def test_blow_up_signature_and_k_squared_chain():
         assert lat.signature() == (1, k)
         kk = lat.intersect(lat.canonical, lat.canonical)
         assert kk == 9 - k
+        lat = lat.blow_up()
+
+
+def test_a_lattice_is_stored_as_a_base_and_trailing_exceptional_coordinates():
+    lat = _blown_up(3)
+    assert (lat.base, lat.blowups, lat.rank) == (((1,),), 3, 4)
+    assert "gram" not in vars(lat)   # built on its first read
+    assert lat.gram == ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+    # the public constructor peels the same trailing <-1> block
+    public = PicardLattice(lat.gram, lat.labels, lat.canonical)
+    assert public == lat and hash(public) == hash(lat)
+    assert (public.base, public.blowups) == (((1,),), 3)
+    # a -1 that is not orthogonal to the rest stays in the base
+    f1 = PicardLattice(((0, 1), (1, -1)), ("F", "B"), DivisorClass((-3, -2)))
+    assert (f1.base, f1.blowups) == (((0, 1), (1, -1)), 0)
+
+
+def test_blown_up_planes_equal_their_public_construction():
+    lat = p2_lattice()
+    for k in range(201):
+        public = PicardLattice(lat.gram, lat.labels, lat.canonical)
+        assert public == lat and hash(public) == hash(lat)
+        assert (public.base, public.blowups) == (((1,),), k)
         lat = lat.blow_up()
 
 
@@ -250,6 +274,82 @@ def test_constructor_rejects_bad_lattices():
         PicardLattice(((0, 1), (2, 0)), ("a", "b"), DivisorClass((0, 0)))  # asymmetric
 
 
+# contraction on base + <-1>^m against the dense reference ---------------------------------
+
+def _contract_like_the_reference(lat: PicardLattice, e: DivisorClass):
+    got, push = lat.contract(e)
+    want, want_push = reference_contract(lat, e)
+    assert got == want and hash(got) == hash(want)   # the same split, too
+    assert (got.gram, got.labels, got.canonical) == (want.gram, want.labels, want.canonical)
+    assert (push.matrix, push.dual) == (want_push.matrix, want_push.dual)
+    return got, push
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_contract_matches_the_dense_reference_on_every_exceptional_class(k):
+    lat = _blown_up(k)
+    classes = enumerate_exceptional_classes(lat, 3)
+    assert len(classes) == [1, 3, 6, 10, 16, 27, 56][k - 1]
+    for e in classes:
+        _contract_like_the_reference(lat, e)
+
+
+def test_contract_matches_the_dense_reference_along_a_sigma_chain():
+    # blow up the point where F meets B, contract F's transform: F_n to F_(n+1)
+    lat, fibre, section = hirzebruch_lattice(2), DivisorClass((1, 0)), DivisorClass((0, 1))
+    for n in range(2, 26):
+        up = lat.blow_up()
+        lat, push = _contract_like_the_reference(up, up.proper_transform(fibre, 1))
+        fibre = push(up.basis_class(up.labels[-1]))
+        section = push(up.proper_transform(section, 1))
+        assert [[lat.intersect(a, b) for b in (fibre, section)] for a in (fibre, section)] == \
+            [[0, 1], [1, -(n + 1)]]
+
+
+@pytest.mark.parametrize("k, ops", [
+    (3, [(1, 0, 2), (0, 3, -1)]),
+    (4, [(1, 0, 2), (0, 3, -1), (4, 2, 1), (2, 4, -2)]),
+    (5, [(5, 1, 3), (2, 0, -1), (0, 4, 1)]),
+])
+def test_contract_matches_the_dense_reference_in_skewed_bases(k, ops):
+    lat = _changed_basis(_blown_up(k), ops)
+    assert lat.blowups == 0   # the whole Gram matrix is base
+    classes = enumerate_exceptional_classes(lat, 6)
+    assert classes
+    for e in classes:
+        _contract_like_the_reference(lat, e)
+
+
+def test_contract_matches_the_dense_reference_far_down_a_long_blow_up():
+    lat = _blown_up(40)
+    for j in range(1, 41):
+        down, _ = _contract_like_the_reference(lat, lat.basis_class(f"E{j}"))
+        # E_j goes; H moves to coordinate j - 1 and the later E_i stay trailing
+        assert (len(down.base), down.blowups) == (j, 40 - j)
+    up = hirzebruch_lattice(3)
+    for _ in range(5):
+        up = up.blow_up()
+    for e in enumerate_exceptional_classes(up, 2):
+        _contract_like_the_reference(up, e)
+
+
+def test_signature_and_determinant_read_from_the_base_match_the_dense_gram():
+    seen = []
+    for lat in (p2_lattice(), hirzebruch_lattice(3), _changed_basis(_blown_up(3), [(1, 0, 2)])):
+        for step in range(8):   # rank <= 9 throughout, so K.K > 0 and the search is quick
+            lat = lat.blow_up()
+            seen.append(lat)
+            if step % 2:
+                classes = enumerate_exceptional_classes(lat, 2)
+                lat, _ = lat.contract(classes[step % len(classes)])
+                seen.append(lat)
+    assert {lat.blowups for lat in seen} >= {0, 1, 2, 3}
+    for lat in seen:
+        inertia, det = _signature(lat.gram)
+        assert lat.signature() == inertia == (1, lat.rank - 1)
+        assert lat.determinant() == det == bareiss_det(lat.gram)
+
+
 # definite form -------------------------------------------------------------------------
 
 def test_definite_form_examples():
@@ -349,6 +449,20 @@ def test_isometry_constructor_rejects_non_isometry():
     lat = _blown_up(1)
     with pytest.raises(ValueError):
         lat.isometry([[1, 0], [0, 2]])
+
+
+def test_isometry_accepts_a_weyl_reflection_at_rank_nine():
+    # D -> D + (D.a) a for the root a = H - E1 - E2 - E3 of the plane blown up at 8 points
+    lat = _blown_up(8)
+    a = DivisorClass((1, -1, -1, -1, 0, 0, 0, 0, 0))
+    pairings = [lat.intersect(lat.basis_class(label), a) for label in lat.labels]
+    matrix = [[int(i == j) + pairings[j] * a.coeffs[i] for j in range(9)] for i in range(9)]
+    reflection = lat.isometry(matrix)
+    assert reflection.apply(a).coeffs == (-1, 1, 1, 1, 0, 0, 0, 0, 0)
+    assert isometry_order_on_classes(reflection, enumerate_exceptional_classes(lat, 6), 10) == 2
+    matrix[0][0] += 1
+    with pytest.raises(ValueError, match="does not preserve"):
+        lat.isometry(matrix)
 
 
 # contractible components ----------------------------------------------------------------
@@ -695,6 +809,30 @@ def test_hirzebruch_lattice_takes_an_integer_index():
     assert type(hirzebruch_lattice(np.int64(3)).gram[1][1]) is int
     with pytest.raises(TypeError):
         hirzebruch_lattice(2.0)
+
+
+def test_hirzebruch_lattice_refuses_a_float_of_either_sign():
+    for n in (-0.5, 2.0, -2.0):
+        with pytest.raises(TypeError):
+            hirzebruch_lattice(n)
+
+
+def test_square_one_classes_takes_integer_arguments():
+    for n, bound in [(1.0, 3), (1, 3.0), (-1.0, 3)]:
+        with pytest.raises(TypeError):
+            square_one_classes(n, bound)
+    assert square_one_classes(np.int64(1), np.int64(3)) == [(1, 1), (-1, -1)]
+    assert all(type(x) is int for pair in square_one_classes(np.int64(1), 3) for x in pair)
+
+
+def test_divisor_class_arithmetic_keeps_int_tuples_of_one_rank():
+    a, b = DivisorClass((1, -2, 3)), DivisorClass((0, 5, -1))
+    assert [(a + b).coeffs, (a - b).coeffs, (-a).coeffs, (np.int64(2) * a).coeffs] == \
+        [(1, 3, 2), (1, -7, 4), (-1, 2, -3), (2, -4, 6)]
+    assert all(type(c) is int for c in (np.int64(2) * a).coeffs)
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError):
+            op(a, DivisorClass((1, 2)))
 
 
 def test_basis_classes_are_unit_vectors():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -473,6 +474,30 @@ def test_standard_replay_makes_linearly_many_lattice_calls(monkeypatch):
     large = _lattice_calls(monkeypatch, ["replay", "--builtin", "standard", "--k", "80"])
     for name in ("intersect", "_signature"):
         assert 0 < large[name] <= 2 * small[name], (name, small, large)
+
+
+def test_standard_replay_builds_the_dense_gram_once(monkeypatch):
+    # blow-ups only count trailing exceptional coordinates; the JSON encoder
+    # is the one reader of the dense Gram matrix
+    builds = 0
+    dense = PicardLattice.gram.func
+
+    def counted(self):
+        nonlocal builds
+        builds += 1
+        return dense(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(PicardLattice, "gram")
+    with monkeypatch.context() as patch:
+        patch.setattr(PicardLattice, "gram", prop)
+        lat = lattice.p2_lattice()
+        for _ in range(200):
+            lat = lat.blow_up()
+        assert builds == 0 and lat.signature() == (1, 200)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["replay", "--builtin", "standard", "--k", "200"]) == 0
+        assert builds == 1
 
 
 def _classes_built(monkeypatch, argv) -> int:

@@ -35,8 +35,10 @@ def _public_tolerance_keywords() -> set[str]:
             if inspect.isfunction(obj):
                 entries = [(name, obj)]
             elif inspect.isclass(obj):
+                # callable, too: inspect counts a cached_property as a routine
                 entries = [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
-                           if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))]
+                           if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))
+                           and callable(getattr(obj, attr))]
             else:
                 continue
             for entry, fn in entries:
